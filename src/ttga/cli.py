@@ -5,7 +5,7 @@ full-pipeline, compare-report. Configuration precedence: command-line flags
 override config-file values override built-in defaults.
 
 Exit codes: 0 success; 2 missing file; 3 invalid configuration; 4 numerical
-abort; 5 report schema mismatch.
+abort; 5 report schema mismatch; 6 corrupt checkpoint.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import ConfigError, NumericalAbort
+from .errors import CheckpointError, ConfigError, NumericalAbort
 from .pipeline import (
     SchemaMismatch,
     cmd_augment,
@@ -31,6 +31,7 @@ EXIT_MISSING_FILE = 2
 EXIT_BAD_CONFIG = 3
 EXIT_NUMERICAL = 4
 EXIT_SCHEMA = 5
+EXIT_BAD_CHECKPOINT = 6
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
@@ -123,6 +124,9 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaMismatch as exc:
         print(f"error: schema mismatch: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
+    except CheckpointError as exc:
+        print(f"error: corrupt checkpoint: {exc}", file=sys.stderr)
+        return EXIT_BAD_CHECKPOINT
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ Two implementations share one interface:
 * ``ConvDenoiser`` -- a small tanh convnet over (image, broadcast condition
   channels, sinusoidal time features), differentiated by the autodiff module.
 
+``predict`` and ``grad_wrt_input`` take one grid, or a stack of grids along a
+new leading item axis; item i of a stacked result equals the single-grid
+call on item i, bit for bit.
+
 For N(mu, I) data the marginal of x_t is N(sqrt(abar_t)*mu, I), and the
 posterior-mean predictor is
 
@@ -20,6 +24,7 @@ posterior-mean predictor is
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .autodiff import Tensor, concat_channels, conv2d
-from .errors import CapabilityError, ConfigError, ContractError
+from .errors import CapabilityError, CheckpointError, ConfigError, ContractError
 from .optim import AdamState, adam_step
 from .rng import SeededRng
 from .schedule import NoiseSchedule
@@ -69,10 +74,15 @@ class ConditionEmbedding:
 
 
 class Denoiser:
-    """Interface shared by all noise predictors."""
+    """Interface shared by all noise predictors.
+
+    One grid has ``grid_ndim`` axes; an input with one more axis is a stack
+    of grids, item by item along the leading axis.
+    """
 
     kind: str
     embedding_dim: int
+    grid_ndim: int
     schedule: NoiseSchedule
 
     def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
@@ -91,6 +101,12 @@ class Denoiser:
         raise CapabilityError(f"{self.kind} does not support input gradients")
 
     def null_embedding(self) -> ConditionEmbedding:
+        """The unconditional embedding; the same object on every call, so
+        caches keyed on the embedding hit for it."""
+        return self._null
+
+    @functools.cached_property
+    def _null(self) -> ConditionEmbedding:
         return ConditionEmbedding.null(self.embedding_dim)
 
     def _check_call(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> None:
@@ -164,13 +180,17 @@ class AnalyticGaussianDenoiser(Denoiser):
         self._proj_cache[id(e)] = (e, value)
         return value
 
+    @property
+    def grid_ndim(self) -> int:
+        return len(self.shape)
+
     def _scale(self, t: int) -> float:
         abar = self.schedule.alpha_bars[t]
         return np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
 
     def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
         self._check_call(x, t, e)
-        if x.shape != self.shape:
+        if x.shape != self.shape and x.shape[1:] != self.shape:
             raise ContractError(f"grid shape {x.shape} != model shape {self.shape}")
         abar = self.schedule.alpha_bars[t]
         return self._scale(t) * (x - np.sqrt(abar) * self.mu) + self._projected(e)
@@ -201,6 +221,9 @@ class ConvDenoiser(Denoiser):
     over space, and sinusoidal time features. The first layer's weights on
     the condition channels start at zero, so an untrained (or never-trained
     because drop_p = 1) conditioning pathway is exactly inert.
+
+    A one-channel model reads (H, W) grids and (N, H, W) stacks; a C-channel
+    model reads (H, W, C) grids and (N, H, W, C) stacks.
     """
 
     kind = "trainable_net"
@@ -234,6 +257,10 @@ class ConvDenoiser(Denoiser):
                 w[cond] = 0.0
             self.weights.append(Tensor(w, requires_grad=True))
             self.biases.append(Tensor(np.zeros(cout), requires_grad=True))
+
+    @property
+    def grid_ndim(self) -> int:
+        return 2 if self.channels == 1 else 3
 
     # ---- parameter plumbing ----
 
@@ -273,28 +300,34 @@ class ConvDenoiser(Denoiser):
         return out
 
     def _prepare(self, x: np.ndarray):
+        """(B, H, W, C) batch of the input, and whether it was a stack."""
         arr = np.asarray(x, dtype=np.float64)
-        squeeze = arr.ndim == 2
-        if squeeze:
-            arr = arr[:, :, None]
-        if arr.shape[-1] != self.channels:
+        stacked = arr.ndim == self.grid_ndim + 1
+        if arr.ndim != self.grid_ndim and not stacked:
+            raise ContractError(
+                f"expected a {self.grid_ndim}-D grid or a stack of them, got shape {arr.shape}"
+            )
+        if self.channels == 1:
+            arr = arr[..., None]
+        elif arr.shape[-1] != self.channels:
             raise ContractError(f"grid channels {arr.shape[-1]} != model channels {self.channels}")
-        return arr[None], squeeze
+        return (arr if stacked else arr[None]), stacked
 
-    def _restore(self, out: np.ndarray, squeeze: bool) -> np.ndarray:
-        out = out[0]
-        return out[:, :, 0] if squeeze else out
+    def _restore(self, out: np.ndarray, stacked: bool) -> np.ndarray:
+        if self.channels == 1:
+            out = out[..., 0]
+        return out if stacked else out[0]
 
     def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
         self._check_call(x, t, e)
-        xb, squeeze = self._prepare(x)
+        xb, stacked = self._prepare(x)
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
         emb = Tensor(e.values.reshape(1, 1, 1, -1))
         out = self._forward(Tensor(xb), feats, emb)
-        return self._restore(out.data, squeeze)
+        return self._restore(out.data, stacked)
 
     def _vjp(self, loss_grad, x, t, e, wrt: str) -> np.ndarray:
-        xb, squeeze = self._prepare(x)
+        xb, stacked = self._prepare(x)
         g, _ = self._prepare(np.asarray(loss_grad, dtype=np.float64))
         xt = Tensor(xb, requires_grad=(wrt == "input"))
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
@@ -303,7 +336,7 @@ class ConvDenoiser(Denoiser):
         out.backward(seed=g)
         if wrt == "embedding":
             return emb.grad.reshape(self.embedding_dim)
-        return self._restore(xt.grad, squeeze)
+        return self._restore(xt.grad, stacked)
 
     def grad_wrt_embedding(self, loss_grad, x, t, e):
         self._check_call(x, t, e)
@@ -444,8 +477,36 @@ _KIND_CODES = {"analytic_gaussian": 1, "trainable_net": 2}
 _CKPT_HEADER = struct.Struct("<4sIIIIIIQ")
 
 
+def write_checkpoint(path, kind_code: int, fields: tuple, params: np.ndarray) -> None:
+    """Header (magic, kind code, five u32 fields, parameter count) + f64
+    parameters; the container shared by model and segmenter checkpoints."""
+    with open(path, "wb") as f:
+        f.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, kind_code, *fields, params.size))
+        f.write(params.astype("<f8").tobytes())
+
+
+def read_checkpoint(path) -> tuple[int, tuple, np.ndarray]:
+    """(kind code, five header fields, parameters) of a checkpoint file.
+
+    Raises CheckpointError when the file is shorter than its header, has the
+    wrong magic, or holds a different number of parameters than it declares.
+    """
+    data = Path(path).read_bytes()
+    if len(data) < _CKPT_HEADER.size:
+        raise CheckpointError(
+            f"{path}: truncated checkpoint, {len(data)} bytes < {_CKPT_HEADER.size}-byte header"
+        )
+    magic, kind_code, *fields, count = _CKPT_HEADER.unpack_from(data)
+    if magic != CHECKPOINT_MAGIC:
+        raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
+    body = len(data) - _CKPT_HEADER.size
+    if body != 8 * count:
+        raise CheckpointError(f"{path}: expected {count} parameters, found {body} bytes of them")
+    return kind_code, tuple(fields), np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size)
+
+
 def save_checkpoint(path, model: Denoiser) -> None:
-    """Header (magic, kind, embedding_dim, H, W, C, hidden, count) + f64 params."""
+    """Fields (embedding_dim, H, W, C, hidden) + f64 params."""
     if model.kind == "analytic_gaussian":
         shape = model.shape if len(model.shape) == 3 else model.shape + (1,)
         h, w, c = shape
@@ -459,25 +520,16 @@ def save_checkpoint(path, model: Denoiser) -> None:
         params = model.flat_parameters()
     else:
         raise CapabilityError(f"cannot checkpoint model kind {model.kind!r}")
-    with open(path, "wb") as f:
-        f.write(_CKPT_HEADER.pack(
-            CHECKPOINT_MAGIC, _KIND_CODES[model.kind], model.embedding_dim,
-            h, w, c, aux, params.size,
-        ))
-        f.write(params.astype("<f8").tobytes())
+    write_checkpoint(path, _KIND_CODES[model.kind], (model.embedding_dim, h, w, c, aux), params)
 
 
 def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
-    data = Path(path).read_bytes()
-    magic, kind_code, dim, h, w, c, aux, count = _CKPT_HEADER.unpack_from(data)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-    params = np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size)
-    if params.size != count:
-        raise ValueError(f"{path}: expected {count} parameters, found {params.size}")
+    kind_code, (dim, h, w, c, aux), params = read_checkpoint(path)
     if kind_code == 1:
         shape = (h, w) if c == 1 else (h, w, c)
         n = h * w * c
+        if params.size != 1 + n + n * dim:
+            raise CheckpointError(f"{path}: {params.size} parameters do not fit shape {shape}")
         data_std = float(params[0])
         mu = params[1:1 + n].reshape(shape)
         projection = params[1 + n:].reshape(n, dim)
@@ -486,6 +538,8 @@ def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
         )
     if kind_code == 2:
         model = ConvDenoiser(schedule, channels=c, embedding_dim=dim, hidden=aux)
+        if params.size != model.flat_parameters().size:
+            raise CheckpointError(f"{path}: {params.size} parameters do not fit the network")
         model.set_flat_parameters(np.array(params))
         return model
-    raise ValueError(f"{path}: unknown model kind code {kind_code}")
+    raise CheckpointError(f"{path}: unknown model kind code {kind_code}")

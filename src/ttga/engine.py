@@ -15,6 +15,11 @@ A binary mask pair then selects, per pixel, which path's value survives:
 
     xbar_{t-1} = spade_mask * spade_value + club_mask * club_value.
 
+The N augmentations of a set share one loop: their latents are one
+(N, *grid) stack, each step makes one denoiser call per guidance condition
+and one identity-path jump, and each item draws its lambda_r and masks from
+its own random stream, so an item's output does not depend on N.
+
 The ensemble averages member probability grids and reads per-pixel
 uncertainty from the Shannon entropy of the averaged distribution.
 """
@@ -38,6 +43,8 @@ from .schedule import NoiseSchedule, from_xbar, to_xbar
 INVERT_WITH_SEMANTIC = "semantic"
 INVERT_WITH_NULL = "null"
 
+# relevance provider: (grid or (N, *grid) stack, t) -> one (H, W) map for
+# all items, or an (N, H, W) stack of maps
 RelevanceFn = Callable[[np.ndarray, int], np.ndarray]
 
 
@@ -53,7 +60,6 @@ class TtgaConfig:
     seed: int = 0
     null_opt: NullOptConfig = field(default_factory=NullOptConfig)
     club_stride: int = 1
-    club_on_own_chain: bool = False
     invert_with: str = INVERT_WITH_SEMANTIC
 
     def __post_init__(self):
@@ -61,6 +67,11 @@ class TtgaConfig:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
         if self.n_augment < 1:
             raise ConfigError(f"n_augment must be >= 1, got {self.n_augment}")
+        if not (np.isfinite(self.lambda_r_high) and 0.0 <= self.lambda_r_low):
+            raise ConfigError(
+                f"lambda_r range [{self.lambda_r_low}, {self.lambda_r_high}] must be "
+                "finite and >= 0"
+            )
         if self.lambda_r_low > self.lambda_r_high:
             raise ConfigError(
                 f"lambda_r_low {self.lambda_r_low} > lambda_r_high {self.lambda_r_high}"
@@ -144,26 +155,108 @@ def augmentation_path_step(
     g: GuidanceConfig,
     schedule: NoiseSchedule,
     t_out: int | None = None,
+    lambda_r: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescaled augmentation-path value at step t_out (default t-1); three
-    denoiser evaluations feed the multi-condition guidance."""
+    denoiser evaluations feed the multi-condition guidance. ``x_t`` may be a
+    stack of latents, with one ``lambda_r`` per item."""
     if t < 1:
         raise ContractError(f"augmentation path needs t >= 1, got {t}")
     t_out = t - 1 if t_out is None else t_out
     eps_null = model.predict(x_t, t, model.null_embedding())
     eps_sem = model.predict(x_t, t, c)
     eps_id = model.predict(x_t, t, null_opt.embedding)
-    mixed = cfg_multi(eps_null, eps_sem, eps_id, g)
+    mixed = cfg_multi(eps_null, eps_sem, eps_id, g, lambda_r)
     xbar = to_xbar(x_t, t, schedule)
     return xbar + (schedule.gammas[t_out] - schedule.gammas[t]) * mixed
 
 
-def blend(spade_value: np.ndarray, club_value: np.ndarray, mask: MaskPair) -> np.ndarray:
-    """Per-pixel selection; exact where the masks are 1."""
-    sel = mask.spade.astype(bool)
-    if spade_value.ndim == 3 and sel.ndim == 2:
-        sel = sel[:, :, None]
+def blend(spade_value: np.ndarray, club_value: np.ndarray,
+          mask: MaskPair | np.ndarray) -> np.ndarray:
+    """Per-pixel selection; exact where the masks are 1. ``mask`` is a pair,
+    or a boolean spade selection with one (H, W) layer per item of a stacked
+    ``club_value``."""
+    sel = mask.spade.astype(bool) if isinstance(mask, MaskPair) else mask
+    if club_value.ndim > sel.ndim:
+        sel = sel[..., None]
     return np.where(sel, spade_value, club_value)
+
+
+def _invert(model: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
+            cfg: TtgaConfig) -> InversionTrajectory:
+    e_inv = c if cfg.invert_with == INVERT_WITH_SEMANTIC else model.null_embedding()
+    return ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, e_inv, model.schedule)
+
+
+def _generate(
+    model: Denoiser,
+    trajectory: InversionTrajectory,
+    null_opt: OptimizedNull,
+    c: ConditionEmbedding,
+    cfg: TtgaConfig,
+    rngs: Sequence[SeededRng],
+    relevance_fn: RelevanceFn | None,
+    record_steps: list | None = None,
+) -> tuple[np.ndarray, list[float]]:
+    """The masked dual-path loop over one item per stream in ``rngs``;
+    returns the (N, *grid) stack of augmented images and the lambda_r each
+    item drew.
+
+    Item i draws lambda_r first, then its masks (once, or at every step),
+    all from ``rngs[i]`` and in the same order whatever N is.
+    """
+    schedule = model.schedule
+    if trajectory.tau != cfg.tau:
+        raise ContractError(f"trajectory tau {trajectory.tau} != config tau {cfg.tau}")
+    tau = cfg.tau
+    x_tau = trajectory.x_tau
+    n = len(rngs)
+
+    lambdas = [float(rng.uniform(cfg.lambda_r_low, cfg.lambda_r_high)) for rng in rngs]
+    lambda_r = np.array(lambdas)
+
+    if relevance_fn is None:
+        relevance_fn = lambda x, t: saliency_relevance(model, x, t, c)
+
+    policy = cfg.mask_policy
+    mask_shape = x_tau.shape[:2]
+
+    def draw_masks(x: np.ndarray, t: int) -> tuple[list[MaskPair], np.ndarray]:
+        relevance = relevance_fn(x, t) if policy.needs_relevance else None
+        if relevance is None or np.ndim(relevance) == 2:
+            relevance = [relevance] * n
+        masks = [make_mask(policy, mask_shape, rng, r) for rng, r in zip(rngs, relevance)]
+        return masks, np.stack([m.spade for m in masks]).astype(bool)
+
+    if not policy.resample_per_step:
+        masks, spade_sel = draw_masks(x_tau, tau)
+
+    eps_dot = compute_identity_noise(model, x_tau, tau, null_opt, c, cfg.guidance.omega)
+    xbar_tau = to_xbar(x_tau, tau, schedule)
+    xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
+
+    t = tau
+    while t > 0:
+        t_out = max(t - cfg.club_stride, 0)
+        spade_bar = jump_from_tau(xbar_tau, tau, t_out, eps_dot, schedule)
+        x_t = from_xbar(xbar, t, schedule)
+        club_bar = augmentation_path_step(
+            model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
+            lambda_r=lambda_r,
+        )
+        if policy.resample_per_step:
+            masks, spade_sel = draw_masks(x_t, t)
+        xbar = blend(spade_bar, club_bar, spade_sel)
+        if not np.all(np.isfinite(xbar)):
+            raise NumericalAbort(f"non-finite blended latent at step {t_out}")
+        if record_steps is not None:
+            record_steps.append(
+                {"t": t, "t_out": t_out, "spade": spade_bar, "club": club_bar,
+                 "masks": masks, "blended": xbar}
+            )
+        t = t_out
+
+    return from_xbar(xbar, 0, schedule), lambdas
 
 
 def generate_one(
@@ -179,64 +272,15 @@ def generate_one(
 ) -> np.ndarray:
     """One masked dual-path generation pass; returns the augmented image.
 
-    Draws lambda_r once, then (unless resampling per step) one mask pair held
-    across the loop. The club path consumes the blended latent of the
-    previous iteration; ``club_on_own_chain=True`` switches it to an
-    independent unblended chain for sensitivity studies.
+    The one-item case of ``generate_set``'s loop: draws lambda_r once, then
+    (unless resampling per step) one mask pair held across the loop. Each
+    entry of ``record_steps`` holds the step's shared spade value and the
+    one-item stacks of club values, masks and blended latents.
     """
-    schedule = model.schedule
     if trajectory is None:
-        e_inv = c if cfg.invert_with == INVERT_WITH_SEMANTIC else model.null_embedding()
-        trajectory = ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, e_inv, schedule)
-    if trajectory.tau != cfg.tau:
-        raise ContractError(f"trajectory tau {trajectory.tau} != config tau {cfg.tau}")
-    tau = cfg.tau
-    x_tau = trajectory.x_tau
-
-    lambda_r = float(rng.uniform(cfg.lambda_r_low, cfg.lambda_r_high))
-    g = cfg.guidance.with_lambda_r(lambda_r)
-    omega = cfg.guidance.omega
-
-    if relevance_fn is None:
-        relevance_fn = lambda x, t: saliency_relevance(model, x, t, c)
-
-    policy = cfg.mask_policy
-    mask_shape = x0.shape[:2]
-    mask: MaskPair | None = None
-    if not policy.resample_per_step:
-        relevance = relevance_fn(x_tau, tau) if policy.needs_relevance else None
-        mask = make_mask(policy, mask_shape, rng, relevance)
-
-    eps_dot = compute_identity_noise(model, x_tau, tau, null_opt, c, omega)
-    xbar_tau = to_xbar(x_tau, tau, schedule)
-    xbar = xbar_tau
-    xbar_club_chain = xbar_tau
-
-    t = tau
-    while t > 0:
-        t_out = max(t - cfg.club_stride, 0)
-        spade_bar = jump_from_tau(xbar_tau, tau, t_out, eps_dot, schedule)
-        club_src = xbar_club_chain if cfg.club_on_own_chain else xbar
-        x_t = from_xbar(club_src, t, schedule)
-        club_bar = augmentation_path_step(
-            model, x_t, t, null_opt, c, g, schedule, t_out=t_out
-        )
-        if policy.resample_per_step:
-            relevance = relevance_fn(x_t, t) if policy.needs_relevance else None
-            mask = make_mask(policy, mask_shape, rng, relevance)
-        xbar = blend(spade_bar, club_bar, mask)
-        if not np.all(np.isfinite(xbar)):
-            raise NumericalAbort(f"non-finite blended latent at step {t_out}")
-        if cfg.club_on_own_chain:
-            xbar_club_chain = club_bar
-        if record_steps is not None:
-            record_steps.append(
-                {"t": t, "t_out": t_out, "spade": spade_bar, "club": club_bar,
-                 "mask": mask, "blended": xbar}
-            )
-        t = t_out
-
-    return from_xbar(xbar, 0, schedule)
+        trajectory = _invert(model, x0, c, cfg)
+    out, _ = _generate(model, trajectory, null_opt, c, cfg, [rng], relevance_fn, record_steps)
+    return out[0]
 
 
 def generate_set(
@@ -248,32 +292,23 @@ def generate_set(
     relevance_fn: RelevanceFn | None = None,
 ) -> AugmentationSet:
     """One inversion plus one null-text optimization shared across N
-    independent generation passes on derived random streams."""
-    schedule = model.schedule
-    e_inv = c if cfg.invert_with == INVERT_WITH_SEMANTIC else model.null_embedding()
-    trajectory = ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, e_inv, schedule)
+    generations that run as one batched loop, item i on stream
+    ``rng.derive(i)``."""
+    trajectory = _invert(model, x0, c, cfg)
     null_opt = optimize_null_text(
-        model, trajectory, c, cfg.guidance.omega, schedule, cfg.null_opt
+        model, trajectory, c, cfg.guidance.omega, model.schedule, cfg.null_opt
     )
-    augmented, per_item = [], []
-    for i in range(cfg.n_augment):
-        stream = rng.derive(i)
-        item_rng = SeededRng(stream.seed, stream.stream_id)
-        out = generate_one(
-            model, x0, null_opt, c, cfg, item_rng,
-            trajectory=trajectory, relevance_fn=relevance_fn,
-        )
-        augmented.append(out)
-        # the lambda_r recorded here replays the first draw of the stream
-        lam = float(stream.uniform(cfg.lambda_r_low, cfg.lambda_r_high))
-        per_item.append(AugmentationItem(
-            lambda_r=lam, mask_stream=stream.stream_id,
-            reconstruction_loss=null_opt.final_loss,
-        ))
+    streams = [rng.derive(i) for i in range(cfg.n_augment)]
+    augmented, lambdas = _generate(model, trajectory, null_opt, c, cfg, streams, relevance_fn)
+    per_item = tuple(
+        AugmentationItem(lambda_r=lam, mask_stream=stream.stream_id,
+                         reconstruction_loss=null_opt.final_loss)
+        for stream, lam in zip(streams, lambdas)
+    )
     return AugmentationSet(
         original=np.asarray(x0, dtype=np.float64),
         augmented=tuple(augmented),
-        per_item=tuple(per_item),
+        per_item=per_item,
     )
 
 

@@ -23,3 +23,8 @@ class NumericalAbort(RuntimeError):
 
 class DegenerateGuidanceError(ValueError):
     """Guidance scale makes an optimization target independent of its variable."""
+
+
+class CheckpointError(ValueError):
+    """A checkpoint file is truncated, has the wrong magic or kind, or holds
+    the wrong number of parameters."""

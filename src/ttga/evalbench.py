@@ -12,15 +12,14 @@ degradation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
 
 from .autodiff import Tensor, conv2d
-from .denoiser import CHECKPOINT_MAGIC, _CKPT_HEADER
+from .denoiser import read_checkpoint, write_checkpoint
 from .engine import EnsembleResult, ensemble
-from .errors import ConfigError, ContractError
+from .errors import CheckpointError, ConfigError, ContractError
 from .optim import AdamState, adam_step
 from .rng import SeededRng
 
@@ -235,28 +234,21 @@ def save_segmenter(path, model: Segmenter) -> None:
     else:
         params = model.flat_parameters()
         aux = model.hidden
-    with open(path, "wb") as f:
-        f.write(_CKPT_HEADER.pack(
-            CHECKPOINT_MAGIC, _SEG_KIND_CODES[model.kind], 0, 0, 0, 1, aux, params.size
-        ))
-        f.write(params.astype("<f8").tobytes())
+    write_checkpoint(path, _SEG_KIND_CODES[model.kind], (0, 0, 0, 1, aux), params)
 
 
 def load_segmenter(path) -> Segmenter:
-    data = Path(path).read_bytes()
-    magic, kind_code, _dim, _h, _w, _c, aux, count = _CKPT_HEADER.unpack_from(data)
-    if magic != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: bad checkpoint magic {magic!r}")
-    params = np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size)
-    if params.size != count:
-        raise ValueError(f"{path}: expected {count} parameters, found {params.size}")
-    if kind_code == 3:
+    kind_code, (_dim, _h, _w, _c, aux), params = read_checkpoint(path)
+    if kind_code == 3 and params.size == 2:
         return ThresholdSegmenter(threshold=params[0], sharpness=params[1])
     if kind_code == 4:
         model = ConvSegmenter(hidden=aux)
-        model.set_flat_parameters(np.array(params))
-        return model
-    raise ValueError(f"{path}: unknown segmenter kind code {kind_code}")
+        if params.size == model.flat_parameters().size:
+            model.set_flat_parameters(np.array(params))
+            return model
+    raise CheckpointError(
+        f"{path}: kind code {kind_code} with {params.size} parameters is not a segmenter"
+    )
 
 
 # ---- geometric test-time augmentation baseline ----

@@ -44,9 +44,6 @@ class GuidanceConfig:
             if not np.isfinite(v) or v < 0.0:
                 raise ContractError(f"{name} must be finite and >= 0, got {v}")
 
-    def with_lambda_r(self, lambda_r: float) -> "GuidanceConfig":
-        return GuidanceConfig(self.omega, self.lambda_c, lambda_r)
-
 
 def _check_shapes(*grids: np.ndarray) -> None:
     shapes = {g.shape for g in grids}
@@ -89,18 +86,35 @@ def cfg_multi(
     eps_sem: np.ndarray,
     eps_idnull: np.ndarray,
     g: GuidanceConfig,
+    lambda_r: np.ndarray | None = None,
 ) -> np.ndarray:
     """Three-component guidance with the identity condition carried by the
     optimized null embedding's prediction ``eps_idnull``.
 
-    Terms with an exactly zero coefficient are skipped, so degenerate scale
-    settings reduce to the remaining inputs bit-for-bit.
+    ``lambda_r``, when given, holds one identity scale per item of stacked
+    predictions (leading axis) in place of ``g.lambda_r``.
+
+    Terms with an exactly zero coefficient are skipped, per item, so
+    degenerate scale settings reduce to the remaining inputs bit-for-bit.
     """
     _check_shapes(eps_null, eps_sem, eps_idnull)
     out = eps_null.copy()
     if g.lambda_c != 0.0:
         out += g.lambda_c * (eps_sem - eps_null)
-    identity_coeff = g.lambda_r * (1.0 - g.omega)
-    if identity_coeff != 0.0:
-        out += identity_coeff * (eps_idnull - eps_sem)
+    if lambda_r is None:
+        identity_coeff = g.lambda_r * (1.0 - g.omega)
+        if identity_coeff != 0.0:
+            out += identity_coeff * (eps_idnull - eps_sem)
+        return out
+    identity_coeff = np.asarray(lambda_r, dtype=np.float64) * (1.0 - g.omega)
+    if identity_coeff.shape != out.shape[:1]:
+        raise ContractError(
+            f"need one lambda_r per item: {identity_coeff.shape} vs {out.shape[:1]}"
+        )
+    coeff = identity_coeff.reshape(identity_coeff.shape + (1,) * (out.ndim - 1))
+    live = identity_coeff != 0.0
+    if live.all():
+        out += coeff * (eps_idnull - eps_sem)
+    elif live.any():
+        out[live] += coeff[live] * (eps_idnull[live] - eps_sem[live])
     return out

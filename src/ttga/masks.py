@@ -128,13 +128,16 @@ def saliency_relevance(model, x: np.ndarray, t: int, e) -> np.ndarray:
     Default relevance provider for models without an internal attention map.
     High values mark pixels whose content most strongly drives the noise
     prediction, i.e. where the latent deviates from what the model expects.
+    A stack of grids (one more axis than the model's grids) gives one map
+    per item.
     """
     eps = model.predict(x, t, e)
     grad = model.grad_wrt_input(2.0 * eps, x, t, e)
     sal = np.abs(grad)
-    if sal.ndim == 3:
-        sal = sal.mean(axis=2)
-    return ndimage.uniform_filter(sal, size=3, mode="nearest")
+    stacked = sal.ndim > model.grid_ndim
+    if model.grid_ndim == 3:
+        sal = sal.mean(axis=-1)
+    return ndimage.uniform_filter(sal, size=(1, 3, 3) if stacked else 3, mode="nearest")
 
 
 def consistency_relevance(model, x: np.ndarray, t: int, e) -> np.ndarray:

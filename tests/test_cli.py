@@ -244,6 +244,17 @@ def test_evaluate_missing_checkpoint_exit_2(tmp_path):
                    "--set", "denoiser_checkpoint=/does/not/exist.ckpt") == 2
 
 
+@pytest.mark.parametrize("field", ["denoiser_checkpoint", "segmenter_checkpoint"])
+def test_truncated_checkpoint_exit_6(tmp_path, capsys, field):
+    ckpt = tmp_path / "short.ckpt"
+    ckpt.write_bytes(b"TTGM\x01\x00\x00\x00\x00\x00")
+    code = run_cli("evaluate", "--out", tmp_path / "x", *TINY,
+                   "--set", "segmenter=threshold", "--set", f"{field}={ckpt}")
+    assert code == 6
+    err = capsys.readouterr().err
+    assert "corrupt checkpoint" in err and "Traceback" not in err
+
+
 def test_nulltext_trace_emitted_in_augment(tmp_path):
     out = tmp_path / "trace_run"
     assert run_cli("augment", "--out", out, "--seed", 2, "--count", 1, *TINY,

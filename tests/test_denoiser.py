@@ -14,7 +14,7 @@ from ttga import (
     train_toy_denoiser,
 )
 from ttga.denoiser import Denoiser, denoising_mse
-from ttga.errors import CapabilityError, ConfigError, ContractError
+from ttga.errors import CapabilityError, CheckpointError, ConfigError, ContractError
 
 
 @pytest.fixture(scope="module")
@@ -82,6 +82,36 @@ def test_analytic_embedding_gradient_exact(schedule, rng):
     assert np.array_equal(
         m.grad_wrt_embedding(np.zeros((8, 8)), x, 50, e), np.zeros(6)
     )
+
+
+def test_null_embedding_is_one_object(schedule, conv_model):
+    m = make_analytic(schedule)
+    assert m.null_embedding() is m.null_embedding()
+    assert conv_model.null_embedding() is conv_model.null_embedding()
+    assert not m.null_embedding().values.any()
+
+
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+def test_stacked_calls_equal_single_grid_calls(kind, schedule, conv_model, rng):
+    m = make_analytic(schedule, mu=0.3) if kind == "analytic" else conv_model
+    dim = m.embedding_dim
+    xs = rng.normal((5, 8, 8))
+    gs = rng.normal((5, 8, 8))
+    for e in (m.null_embedding(), ConditionEmbedding(rng.normal(dim))):
+        for t in (1, 300):
+            got = m.predict(xs, t, e)
+            assert np.array_equal(got, np.stack([m.predict(x, t, e) for x in xs]))
+            got = m.grad_wrt_input(gs, xs, t, e)
+            want = np.stack([m.grad_wrt_input(g, x, t, e) for g, x in zip(gs, xs)])
+            assert np.array_equal(got, want)
+
+
+def test_predict_rejects_bad_grid_shape(schedule, conv_model, rng):
+    e = ConditionEmbedding(rng.normal(6))
+    with pytest.raises(ContractError, match="shape"):
+        make_analytic(schedule).predict(rng.normal((8, 7)), 10, e)
+    with pytest.raises(ContractError, match="grid"):
+        conv_model.predict(rng.normal((2, 3, 8, 8)), 10, ConditionEmbedding(rng.normal(4)))
 
 
 def test_predict_rejects_dim_mismatch(schedule, rng):
@@ -234,3 +264,20 @@ def test_checkpoint_magic(tmp_path, schedule, conv_model):
     path = tmp_path / "conv.ckpt"
     save_checkpoint(path, conv_model)
     assert path.read_bytes()[:4] == b"TTGM"
+
+
+def test_corrupt_checkpoints_rejected(tmp_path, schedule, conv_model):
+    good = tmp_path / "conv.ckpt"
+    save_checkpoint(good, conv_model)
+    data = good.read_bytes()
+    cases = {
+        "truncated header": data[:10],
+        "bad magic": b"XXXX" + data[4:],
+        "missing parameters": data[:-8],
+        "extra bytes": data + b"\0" * 3,
+    }
+    for name, blob in cases.items():
+        path = tmp_path / f"{name}.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError):
+            load_checkpoint(path, schedule)

@@ -4,6 +4,7 @@ import pytest
 from ttga import (
     AnalyticGaussianDenoiser,
     ConditionEmbedding,
+    ConvDenoiser,
     GuidanceConfig,
     MaskPolicy,
     NullOptConfig,
@@ -28,7 +29,7 @@ from ttga.engine import (
     identity_path_step,
 )
 from ttga.errors import ConfigError, ContractError, NumericalAbort
-from ttga.masks import MaskPair
+from ttga.masks import MaskPair, consistency_relevance
 
 
 @pytest.fixture(scope="module")
@@ -183,12 +184,12 @@ def test_blend_partition_holds_at_every_step(setup, schedule):
                  record_steps=records)
     assert len(records) == cfg.tau
     for rec in records:
-        mask = rec["mask"]
+        (mask,), (blended,), (club,) = rec["masks"], rec["blended"], rec["club"]
         assert np.array_equal(mask.spade + mask.club,
                               np.ones_like(mask.spade))
         sel = mask.spade.astype(bool)
-        assert np.array_equal(rec["blended"][sel], rec["spade"][sel])
-        assert np.array_equal(rec["blended"][~sel], rec["club"][~sel])
+        assert np.array_equal(blended[sel], rec["spade"][sel])
+        assert np.array_equal(blended[~sel], club[~sel])
 
 
 def test_generate_one_deterministic(setup):
@@ -313,6 +314,60 @@ def test_single_all_spade_augmentation_is_reconstruction(setup, schedule):
     assert np.array_equal(aset.augmented[0], rec)
 
 
+def _set_equals_single_generations(model, x0, c, cfg, rng, relevance_fn):
+    """generate_set against a loop of generate_one on the streams
+    rng.derive(i), sharing the set's inversion and null-text optimization."""
+    aset = generate_set(model, x0, c, cfg, rng, relevance_fn=relevance_fn)
+    traj = ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, c, model.schedule)
+    null_opt = optimize_null_text(model, traj, c, cfg.guidance.omega, model.schedule,
+                                  cfg.null_opt)
+    assert len(aset.augmented) == cfg.n_augment
+    for i, (got, item) in enumerate(zip(aset.augmented, aset.per_item)):
+        single = generate_one(model, x0, null_opt, c, cfg, rng.derive(i),
+                              trajectory=traj, relevance_fn=relevance_fn)
+        assert np.array_equal(got, single), f"item {i}"
+        first_draw = float(rng.derive(i).uniform(cfg.lambda_r_low, cfg.lambda_r_high))
+        assert item.lambda_r == first_draw
+        assert item.mask_stream == rng.derive(i).stream_id
+
+
+def test_generate_set_equals_single_generations_held_hybrid(setup):
+    model, c, x0, traj, null_opt = setup
+    cfg = small_cfg(tau=300, n_augment=10,
+                    mask_policy=MaskPolicy(scheme="hybrid", p_m=0.75,
+                                           relevance_quantile=0.3))
+    _set_equals_single_generations(
+        model, x0, c, cfg, SeededRng(53, 4),
+        lambda x, t: consistency_relevance(model, x, t, c),
+    )
+
+
+def test_generate_set_equals_single_generations_resampled_strided(setup):
+    model, c, x0, traj, null_opt = setup
+    cfg = small_cfg(n_augment=4, club_stride=7,
+                    mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.5,
+                                           resample_per_step=True))
+    _set_equals_single_generations(model, x0, c, cfg, SeededRng(54), None)
+
+
+def test_generate_set_equals_single_generations_conv(schedule):
+    rng = SeededRng(55)
+    model = ConvDenoiser(schedule, channels=1, embedding_dim=16, hidden=16,
+                         rng=rng.derive(1))
+    flat = model.flat_parameters()
+    model.set_flat_parameters(flat + 0.05 * rng.derive(2).normal(flat.shape))
+    c = ConditionEmbedding(rng.derive(3).normal(16))
+    x0 = 0.2 + 0.5 * rng.derive(4).random((10, 10))
+    cfg = small_cfg(tau=20, n_augment=3,
+                    mask_policy=MaskPolicy(scheme="hybrid", p_m=0.75,
+                                           resample_per_step=True),
+                    null_opt=NullOptConfig(lr=0.1, max_steps=10, early_stop=1e-7))
+    _set_equals_single_generations(
+        model, x0, c, cfg, SeededRng(56),
+        lambda x, t: consistency_relevance(model, x, t, c),
+    )
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         small_cfg(tau=0)
@@ -320,6 +375,8 @@ def test_config_validation():
         small_cfg(n_augment=0)
     with pytest.raises(ConfigError):
         small_cfg(lambda_r_low=2.0, lambda_r_high=1.0)
+    with pytest.raises(ConfigError):
+        small_cfg(lambda_r_low=-0.5)
     with pytest.raises(ConfigError):
         small_cfg(invert_with="prompt")
 
@@ -374,22 +431,6 @@ def test_ensemble_rejects_bad_members():
         ensemble([_prob(np.full((2, 2), 0.5)), _prob(np.full((3, 3), 0.5))])
 
 
-def test_club_on_own_chain_flag(setup, schedule):
-    """With a held mask and the per-pixel-diagonal oracle the two club-chain
-    modes coincide (club pixels only ever see club history); under per-step
-    resampling a pixel can switch paths, so the modes diverge."""
-    model, c, x0, traj, null_opt = setup
-    for resample, same in ((False, True), (True, False)):
-        policy = MaskPolicy(scheme="bernoulli", p_m=0.5, resample_per_step=resample)
-        blended = generate_one(model, x0, null_opt, c,
-                               small_cfg(mask_policy=policy), SeededRng(77),
-                               trajectory=traj)
-        own = generate_one(model, x0, null_opt, c,
-                           small_cfg(mask_policy=policy, club_on_own_chain=True),
-                           SeededRng(77), trajectory=traj)
-        assert np.array_equal(blended, own) == same
-
-
 def test_resample_per_step_changes_masks(setup):
     model, c, x0, traj, null_opt = setup
     held = generate_one(model, x0, null_opt, c,
@@ -402,5 +443,5 @@ def test_resample_per_step_changes_masks(setup):
                                          resample_per_step=True)),
         SeededRng(78), trajectory=traj, record_steps=records)
     assert not np.array_equal(held, resampled)
-    masks = {rec["mask"].spade.tobytes() for rec in records}
+    masks = {rec["masks"][0].spade.tobytes() for rec in records}
     assert len(masks) > 1

@@ -128,3 +128,21 @@ def test_guidance_config_validation():
         GuidanceConfig(omega=-1.0)
     with pytest.raises(ContractError):
         GuidanceConfig(lambda_c=float("nan"))
+
+
+def test_cfg_multi_per_item_lambda_r_equals_scalar_calls():
+    """Per-item identity scales give, item by item, the scalar call's bits;
+    a zero scale skips its term even where the identity prediction is not
+    finite."""
+    rng = SeededRng(10)
+    n, s, i = rng.normal((3, 4, 4)), rng.normal((3, 4, 4)), rng.normal((3, 4, 4))
+    i[0] = np.inf
+    lams = np.array([0.0, 0.7, 1.3])
+    g = GuidanceConfig(omega=2.0, lambda_c=1.0, lambda_r=1.0)
+    got = cfg_multi(n, s, i, g, lams)
+    for k, lam in enumerate(lams):
+        want = cfg_multi(n[k], s[k], i[k], GuidanceConfig(2.0, 1.0, float(lam)))
+        assert np.array_equal(got[k], want)
+    assert np.all(np.isfinite(got[0]))
+    with pytest.raises(ContractError, match="lambda_r"):
+        cfg_multi(n, s, i, g, lams[:2])

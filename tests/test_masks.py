@@ -150,3 +150,12 @@ def test_saliency_relevance_shape_and_finiteness():
     s = np.sqrt(1.0 - schedule.alpha_bars[250])
     expected = ndimage.uniform_filter(np.abs(2.0 * s * eps), size=3, mode="nearest")
     assert np.allclose(rel, expected, rtol=1e-12)
+
+
+def test_saliency_relevance_stack_is_per_item():
+    schedule = build_schedule()
+    model = AnalyticGaussianDenoiser(schedule, (10, 10), 4, mu=0.3, rng=SeededRng(9))
+    xs = SeededRng(11).normal((3, 10, 10))
+    e = model.null_embedding()
+    got = saliency_relevance(model, xs, 250, e)
+    assert np.array_equal(got, np.stack([saliency_relevance(model, x, 250, e) for x in xs]))
