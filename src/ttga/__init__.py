@@ -28,8 +28,8 @@ from .masks import MaskPair, MaskPolicy, attention_mask, bernoulli_mask, hybrid_
 from .nulltext import NullOptConfig, OptimizedNull, one_step_reconstruct, optimize_null_text
 from .optim import AdamState, adam_step
 from .rng import SeededRng
-from .sampler import InversionTrajectory, ddim_invert, ddim_step, ddpm_reverse_step, forward_noise
-from .schedule import NoiseSchedule, build_schedule, from_xbar, gaussian_grid, to_xbar
+from .sampler import InversionTrajectory, ddim_invert, ddim_step
+from .schedule import NoiseSchedule, build_schedule, from_xbar, to_xbar
 
 __all__ = [
     "AnalyticGaussianDenoiser",
@@ -56,12 +56,9 @@ __all__ = [
     "cfg_single",
     "ddim_invert",
     "ddim_step",
-    "ddpm_reverse_step",
     "ensemble",
     "error_estimate_map",
-    "forward_noise",
     "from_xbar",
-    "gaussian_grid",
     "generate_one",
     "generate_set",
     "hybrid_mask",

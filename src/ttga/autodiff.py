@@ -224,12 +224,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
     if x.requires_grad or weight.requires_grad or bias.requires_grad:
         out.requires_grad = True
         out._parents = (x, weight, bias)
+        # gradients are computed only for the inputs that require them
+        need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
         def backward(g):
             gflat = g.reshape(-1, cout)
-            gw = flat.T @ gflat
-            gb = g.sum(axis=(0, 1, 2))
-            gcols = gflat @ weight.data.T
-            gx = _col2im(gcols.reshape(b, h, w, -1), k, x.data.shape)
+            gw = flat.T @ gflat if need_w else None
+            gb = g.sum(axis=(0, 1, 2)) if need_b else None
+            gx = None
+            if need_x:
+                gx = _col2im((gflat @ weight.data.T).reshape(b, h, w, -1), k, x.data.shape)
             return (gx, gw, gb)
         out._backward = backward
     return out

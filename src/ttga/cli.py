@@ -5,7 +5,7 @@ full-pipeline, compare-report. Configuration precedence: command-line flags
 override config-file values override built-in defaults.
 
 Exit codes: 0 success; 2 missing file; 3 invalid configuration; 4 numerical
-abort; 5 report schema mismatch; 6 corrupt checkpoint.
+abort; 5 report schema mismatch; 6 corrupt checkpoint or grid file.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import CheckpointError, ConfigError, NumericalAbort
+from .errors import ConfigError, CorruptFileError, NumericalAbort
 from .pipeline import (
     SchemaMismatch,
     cmd_augment,
@@ -31,14 +31,13 @@ EXIT_MISSING_FILE = 2
 EXIT_BAD_CONFIG = 3
 EXIT_NUMERICAL = 4
 EXIT_SCHEMA = 5
-EXIT_BAD_CHECKPOINT = 6
+EXIT_CORRUPT_FILE = 6
 
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
     p.add_argument("--seed", type=int, metavar="U64")
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--workers", type=int, metavar="N")
     p.add_argument("--dump-images", action="store_const", const=True, dest="dump_images")
     p.add_argument("--methods", metavar="LIST", help="comma list of baseline,tta,ttga")
     p.add_argument("--mask-scheme", choices=["bernoulli", "attention", "hybrid"],
@@ -79,7 +78,7 @@ def _overrides_from_args(args: argparse.Namespace) -> dict:
 
     overrides = {
         key: getattr(args, key)
-        for key in ("seed", "out", "workers", "dump_images", "methods",
+        for key in ("seed", "out", "dump_images", "methods",
                     "mask_scheme", "resample_masks_per_step")
         if getattr(args, key, None) is not None
     }
@@ -124,9 +123,9 @@ def main(argv: list[str] | None = None) -> int:
     except SchemaMismatch as exc:
         print(f"error: schema mismatch: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except CheckpointError as exc:
-        print(f"error: corrupt checkpoint: {exc}", file=sys.stderr)
-        return EXIT_BAD_CHECKPOINT
+    except CorruptFileError as exc:
+        print(f"error: corrupt checkpoint or grid file: {exc}", file=sys.stderr)
+        return EXIT_CORRUPT_FILE
 
 
 if __name__ == "__main__":

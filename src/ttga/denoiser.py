@@ -12,6 +12,9 @@ Two implementations share one interface:
 * ``ConvDenoiser`` -- a small tanh convnet over (image, broadcast condition
   channels, sinusoidal time features), differentiated by the autodiff module.
 
+``ConvStack`` and ``fit`` are the conv layers and the Adam mini-batch loop
+that ``ConvDenoiser`` and the toy segmenter in ``evalbench`` share.
+
 ``predict`` and ``grad_wrt_input`` take one grid, or a stack of grids along a
 new leading item axis; item i of a stacked result equals the single-grid
 call on item i, bit for bit.
@@ -28,12 +31,12 @@ import functools
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .autodiff import Tensor, concat_channels, conv2d
-from .errors import CapabilityError, CheckpointError, ConfigError, ContractError
+from .errors import CapabilityError, ConfigError, ContractError, CorruptFileError
 from .optim import AdamState, adam_step
 from .rng import SeededRng
 from .schedule import NoiseSchedule
@@ -214,7 +217,57 @@ def time_features(t: int, total_steps: int) -> np.ndarray:
     return np.concatenate([np.sin(_TIME_FREQS * tt), np.cos(_TIME_FREQS * tt)])
 
 
-class ConvDenoiser(Denoiser):
+class ConvStack:
+    """KERNEL x KERNEL stride-1 'same' convolutions with tanh between layers:
+    the weights, their flat-vector view and the forward pass shared by the
+    conv models. ``dims`` holds one (in, out) channel pair per layer; weights
+    are drawn layer by layer from ``rng`` and biases start at zero.
+
+    Parameters do not require gradients outside ``fit``, so an inference
+    call builds no weight-gradient graph and leaves no ``.grad`` behind.
+    """
+
+    KERNEL = 3
+
+    def __init__(self, dims: Sequence[tuple[int, int]], rng: SeededRng | None = None):
+        rng = rng or SeededRng(0)
+        k2 = self.KERNEL * self.KERNEL
+        self.weights = [Tensor(rng.normal((k2 * cin, cout)) / np.sqrt(k2 * cin))
+                        for cin, cout in dims]
+        self.biases = [Tensor(np.zeros(cout)) for _, cout in dims]
+
+    def parameters(self) -> list[Tensor]:
+        out = []
+        for w, b in zip(self.weights, self.biases):
+            out.extend((w, b))
+        return out
+
+    def flat_parameters(self) -> np.ndarray:
+        return np.concatenate([p.data.ravel() for p in self.parameters()])
+
+    def set_flat_parameters(self, flat: np.ndarray) -> None:
+        params = self.parameters()
+        expected = sum(p.data.size for p in params)
+        if flat.size != expected:
+            raise ContractError(f"parameter vector length {flat.size}, expected {expected}")
+        i = 0
+        for p in params:
+            n = p.data.size
+            p.data = flat[i:i + n].reshape(p.data.shape).astype(np.float64)
+            i += n
+
+    def forward(self, x: Tensor) -> Tensor:
+        """(B, H, W, C_in) -> (B, H, W, C_out) through every layer."""
+        out = x
+        last = len(self.weights) - 1
+        for li, (wt, bt) in enumerate(zip(self.weights, self.biases)):
+            out = conv2d(out, wt, bt, self.KERNEL)
+            if li != last:
+                out = out.tanh()
+        return out
+
+
+class ConvDenoiser(ConvStack, Denoiser):
     """Small conditional convnet: 4 stride-1 'same' 3x3 convolutions with tanh.
 
     Input channels are the image channels, the condition embedding broadcast
@@ -227,7 +280,6 @@ class ConvDenoiser(Denoiser):
     """
 
     kind = "trainable_net"
-    KERNEL = 3
 
     def __init__(
         self,
@@ -241,63 +293,27 @@ class ConvDenoiser(Denoiser):
         self.channels = int(channels)
         self.embedding_dim = int(embedding_dim)
         self.hidden = int(hidden)
-        rng = rng or SeededRng(0)
-        k2 = self.KERNEL * self.KERNEL
         in_ch = self.channels + self.embedding_dim + TIME_FEATURES
-        dims = [(in_ch, hidden), (hidden, hidden), (hidden, hidden), (hidden, self.channels)]
-        self.weights: list[Tensor] = []
-        self.biases: list[Tensor] = []
-        for li, (cin, cout) in enumerate(dims):
-            w = rng.normal((k2 * cin, cout)) / np.sqrt(k2 * cin)
-            if li == 0:
-                cond = np.zeros(k2 * cin, dtype=bool)
-                for p in range(k2):
-                    base = p * cin + self.channels
-                    cond[base:base + self.embedding_dim] = True
-                w[cond] = 0.0
-            self.weights.append(Tensor(w, requires_grad=True))
-            self.biases.append(Tensor(np.zeros(cout), requires_grad=True))
+        super().__init__(
+            [(in_ch, hidden), (hidden, hidden), (hidden, hidden), (hidden, self.channels)], rng
+        )
+        # layer-0 rows are ordered (kernel position, input channel)
+        w0 = self.weights[0].data.reshape(self.KERNEL * self.KERNEL, in_ch, hidden)
+        w0[:, self.channels:self.channels + self.embedding_dim] = 0.0
 
     @property
     def grid_ndim(self) -> int:
         return 2 if self.channels == 1 else 3
 
-    # ---- parameter plumbing ----
-
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.parameters()])
-
-    def set_flat_parameters(self, flat: np.ndarray) -> None:
-        i = 0
-        for p in self.parameters():
-            n = p.data.size
-            p.data = flat[i:i + n].reshape(p.data.shape).astype(np.float64)
-            i += n
-        if i != flat.size:
-            raise ContractError(f"parameter vector length {flat.size}, expected {i}")
-
-    # ---- forward ----
-
-    def _forward(self, x: Tensor, feats: Tensor, emb: Tensor) -> Tensor:
+    def _assemble(self, x: Tensor, feats: Tensor, emb: Tensor) -> Tensor:
+        """Network input: the image channels, then the embedding and the time
+        features broadcast over the (B, H, W) grid."""
         b, h, w, _ = x.shape
-        stacked = concat_channels([
+        return concat_channels([
             x,
             emb.broadcast_to((b, h, w, self.embedding_dim)),
             feats.broadcast_to((b, h, w, TIME_FEATURES)),
         ])
-        out = stacked
-        last = len(self.weights) - 1
-        for li, (wt, bt) in enumerate(zip(self.weights, self.biases)):
-            out = conv2d(out, wt, bt, self.KERNEL)
-            if li != last:
-                out = out.tanh()
-        return out
 
     def _prepare(self, x: np.ndarray):
         """(B, H, W, C) batch of the input, and whether it was a stack."""
@@ -323,7 +339,7 @@ class ConvDenoiser(Denoiser):
         xb, stacked = self._prepare(x)
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
         emb = Tensor(e.values.reshape(1, 1, 1, -1))
-        out = self._forward(Tensor(xb), feats, emb)
+        out = self.forward(self._assemble(Tensor(xb), feats, emb))
         return self._restore(out.data, stacked)
 
     def _vjp(self, loss_grad, x, t, e, wrt: str) -> np.ndarray:
@@ -332,7 +348,7 @@ class ConvDenoiser(Denoiser):
         xt = Tensor(xb, requires_grad=(wrt == "input"))
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
         emb = Tensor(e.values.reshape(1, 1, 1, -1), requires_grad=(wrt == "embedding"))
-        out = self._forward(xt, feats, emb)
+        out = self.forward(self._assemble(xt, feats, emb))
         out.backward(seed=g)
         if wrt == "embedding":
             return emb.grad.reshape(self.embedding_dim)
@@ -387,6 +403,50 @@ def denoising_mse(
     return total / count
 
 
+def fit(
+    model: ConvStack,
+    n: int,
+    batch_loss: Callable[[np.ndarray], Tensor],
+    epochs: int,
+    batch_size: int,
+    lr: float,
+    rng: SeededRng,
+) -> list[float]:
+    """Shuffled mini-batch Adam over ``n`` examples; the mean batch loss of
+    each epoch.
+
+    Each epoch draws a permutation from ``rng`` and calls ``batch_loss`` with
+    the indices of each mini-batch in turn; it returns the scalar loss Tensor
+    of those examples, built through ``model``. The model's parameters
+    require gradients only while this runs.
+    """
+    params = model.flat_parameters()
+    state = AdamState(dim=params.size, lr=lr)
+    losses = []
+    for p in model.parameters():
+        p.requires_grad = True
+    try:
+        for _ in range(epochs):
+            order = rng.permutation(n)
+            epoch_loss, batches = 0.0, 0
+            for start in range(0, n, batch_size):
+                loss = batch_loss(order[start:start + batch_size])
+                loss.backward()
+                grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
+                for p in model.parameters():
+                    p.grad = None
+                params = adam_step(state, params, grads)
+                model.set_flat_parameters(params)
+                epoch_loss += float(loss.data)
+                batches += 1
+            losses.append(epoch_loss / max(batches, 1))
+    finally:
+        for p in model.parameters():
+            p.requires_grad = False
+            p.grad = None
+    return losses
+
+
 def train_toy_denoiser(
     dataset: Sequence[tuple[np.ndarray, ConditionEmbedding]],
     schedule: NoiseSchedule,
@@ -421,51 +481,35 @@ def train_toy_denoiser(
     eval_rng = rng.derive(0xE7A1)
     stats = TrainStats(initial_mse=denoising_mse(model, dataset, eval_rng))
 
-    params = model.flat_parameters()
-    state = AdamState(dim=params.size, lr=config.lr)
     s = schedule
-    n = len(dataset)
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss, batches = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xs, feats, embs, zs = [], [], [], []
-            for i in idx:
-                x0, emb = dataset[i]
-                x0 = np.asarray(x0, dtype=np.float64)
-                if x0.ndim == 2:
-                    x0 = x0[:, :, None]
-                t = int(rng.integers(1, s.total_steps + 1))
-                z = rng.normal(x0.shape)
-                xt = np.sqrt(s.alpha_bars[t]) * x0 + np.sqrt(1.0 - s.alpha_bars[t]) * z
-                use_null = config.drop_p > 0.0 and float(rng.random()) < config.drop_p
-                if use_null:
-                    stats.null_substitutions += 1
-                xs.append(xt)
-                zs.append(z)
-                feats.append(time_features(t, s.total_steps))
-                embs.append((null if use_null else emb).values)
-                stats.examples_seen += 1
-            h, w, c = xs[0].shape
-            b = len(xs)
-            xb = Tensor(np.stack(xs))
-            fb = Tensor(np.stack(feats).reshape(b, 1, 1, -1))
-            eb = Tensor(np.stack(embs).reshape(b, 1, 1, -1))
-            target = Tensor(np.stack(zs))
-            pred = model._forward(xb, fb, eb)
-            diff = pred - target
-            loss = (diff * diff).mean()
-            loss.backward()
-            grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
-            for p in model.parameters():
-                p.grad = None
-            params = adam_step(state, params, grads)
-            model.set_flat_parameters(params)
-            epoch_loss += float(loss.data)
-            batches += 1
-        stats.epoch_losses.append(epoch_loss / max(batches, 1))
 
+    def batch_loss(idx: np.ndarray) -> Tensor:
+        xs, feats, embs, zs = [], [], [], []
+        for i in idx:
+            x0, emb = dataset[i]
+            x0 = np.asarray(x0, dtype=np.float64)
+            if x0.ndim == 2:
+                x0 = x0[:, :, None]
+            t = int(rng.integers(1, s.total_steps + 1))
+            z = rng.normal(x0.shape)
+            xt = np.sqrt(s.alpha_bars[t]) * x0 + np.sqrt(1.0 - s.alpha_bars[t]) * z
+            use_null = config.drop_p > 0.0 and float(rng.random()) < config.drop_p
+            if use_null:
+                stats.null_substitutions += 1
+            xs.append(xt)
+            zs.append(z)
+            feats.append(time_features(t, s.total_steps))
+            embs.append((null if use_null else emb).values)
+            stats.examples_seen += 1
+        b = len(xs)
+        xb = Tensor(np.stack(xs))
+        fb = Tensor(np.stack(feats).reshape(b, 1, 1, -1))
+        eb = Tensor(np.stack(embs).reshape(b, 1, 1, -1))
+        diff = model.forward(model._assemble(xb, fb, eb)) - Tensor(np.stack(zs))
+        return (diff * diff).mean()
+
+    stats.epoch_losses = fit(model, len(dataset), batch_loss, config.epochs,
+                             config.batch_size, config.lr, rng)
     stats.final_mse = denoising_mse(model, dataset, rng.derive(0xE7A2))
     return model, stats
 
@@ -488,20 +532,20 @@ def write_checkpoint(path, kind_code: int, fields: tuple, params: np.ndarray) ->
 def read_checkpoint(path) -> tuple[int, tuple, np.ndarray]:
     """(kind code, five header fields, parameters) of a checkpoint file.
 
-    Raises CheckpointError when the file is shorter than its header, has the
+    Raises CorruptFileError when the file is shorter than its header, has the
     wrong magic, or holds a different number of parameters than it declares.
     """
     data = Path(path).read_bytes()
     if len(data) < _CKPT_HEADER.size:
-        raise CheckpointError(
+        raise CorruptFileError(
             f"{path}: truncated checkpoint, {len(data)} bytes < {_CKPT_HEADER.size}-byte header"
         )
     magic, kind_code, *fields, count = _CKPT_HEADER.unpack_from(data)
     if magic != CHECKPOINT_MAGIC:
-        raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
+        raise CorruptFileError(f"{path}: bad checkpoint magic {magic!r}")
     body = len(data) - _CKPT_HEADER.size
     if body != 8 * count:
-        raise CheckpointError(f"{path}: expected {count} parameters, found {body} bytes of them")
+        raise CorruptFileError(f"{path}: expected {count} parameters, found {body} bytes of them")
     return kind_code, tuple(fields), np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size)
 
 
@@ -529,7 +573,7 @@ def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
         shape = (h, w) if c == 1 else (h, w, c)
         n = h * w * c
         if params.size != 1 + n + n * dim:
-            raise CheckpointError(f"{path}: {params.size} parameters do not fit shape {shape}")
+            raise CorruptFileError(f"{path}: {params.size} parameters do not fit shape {shape}")
         data_std = float(params[0])
         mu = params[1:1 + n].reshape(shape)
         projection = params[1 + n:].reshape(n, dim)
@@ -539,7 +583,7 @@ def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
     if kind_code == 2:
         model = ConvDenoiser(schedule, channels=c, embedding_dim=dim, hidden=aux)
         if params.size != model.flat_parameters().size:
-            raise CheckpointError(f"{path}: {params.size} parameters do not fit the network")
+            raise CorruptFileError(f"{path}: {params.size} parameters do not fit the network")
         model.set_flat_parameters(np.array(params))
         return model
-    raise CheckpointError(f"{path}: unknown model kind code {kind_code}")
+    raise CorruptFileError(f"{path}: unknown model kind code {kind_code}")

@@ -57,7 +57,6 @@ class TtgaConfig:
     lambda_r_low: float = 0.5
     lambda_r_high: float = 1.5
     mask_policy: MaskPolicy = field(default_factory=MaskPolicy)
-    seed: int = 0
     null_opt: NullOptConfig = field(default_factory=NullOptConfig)
     club_stride: int = 1
     invert_with: str = INVERT_WITH_SEMANTIC

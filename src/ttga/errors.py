@@ -25,6 +25,6 @@ class DegenerateGuidanceError(ValueError):
     """Guidance scale makes an optimization target independent of its variable."""
 
 
-class CheckpointError(ValueError):
-    """A checkpoint file is truncated, has the wrong magic or kind, or holds
-    the wrong number of parameters."""
+class CorruptFileError(ValueError):
+    """A checkpoint or grid file is truncated, has the wrong magic or kind,
+    or holds a different number of values than its header declares."""

@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .autodiff import Tensor, conv2d
-from .denoiser import read_checkpoint, write_checkpoint
+# conv2d and adam_step stay module attributes: perfbench's tracer wraps them here by name
+from .autodiff import Tensor, conv2d  # noqa: F401
+from .denoiser import ConvStack, fit, read_checkpoint, write_checkpoint
 from .engine import EnsembleResult, ensemble
-from .errors import CheckpointError, ConfigError, ContractError
-from .optim import AdamState, adam_step
+from .errors import ConfigError, ContractError, CorruptFileError
+from .optim import adam_step  # noqa: F401
 from .rng import SeededRng
 
 
@@ -128,53 +129,23 @@ class ThresholdSegmenter(Segmenter):
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
 
-class ConvSegmenter(Segmenter):
+class ConvSegmenter(ConvStack, Segmenter):
     """Three 3x3 tanh convolutions ending in a sigmoid foreground probability."""
 
     kind = "trained_net"
-    KERNEL = 3
 
     def __init__(self, hidden: int = 16, rng: SeededRng | None = None):
-        rng = rng or SeededRng(0)
         self.hidden = int(hidden)
-        k2 = self.KERNEL ** 2
-        dims = [(1, hidden), (hidden, hidden), (hidden, 1)]
-        self.weights = [
-            Tensor(rng.normal((k2 * cin, cout)) / np.sqrt(k2 * cin), requires_grad=True)
-            for cin, cout in dims
-        ]
-        self.biases = [Tensor(np.zeros(cout), requires_grad=True) for _, cout in dims]
+        super().__init__([(1, hidden), (hidden, hidden), (hidden, 1)], rng)
 
-    def parameters(self) -> list[Tensor]:
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.extend((w, b))
-        return out
-
-    def flat_parameters(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.parameters()])
-
-    def set_flat_parameters(self, flat: np.ndarray) -> None:
-        i = 0
-        for p in self.parameters():
-            n = p.data.size
-            p.data = flat[i:i + n].reshape(p.data.shape).astype(np.float64)
-            i += n
-
-    def _forward(self, x: Tensor) -> Tensor:
-        out = x
-        last = len(self.weights) - 1
-        for li, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = conv2d(out, w, b, self.KERNEL)
-            if li != last:
-                out = out.tanh()
-        return out.sigmoid()
+    def forward(self, x: Tensor) -> Tensor:
+        return super().forward(x).sigmoid()
 
     def segment(self, image: np.ndarray) -> np.ndarray:
         if image.ndim != 2:
             raise ContractError(f"expected a 2-D image, got shape {image.shape}")
         x = Tensor(image[None, :, :, None])
-        p_fg = self._forward(x).data[0, :, :, 0]
+        p_fg = self.forward(x).data[0, :, :, 0]
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
 
@@ -196,29 +167,14 @@ def train_toy_segmenter(
         raise ConfigError("scenes must be nonempty (field: scenes)")
     config = config or SegTrainConfig()
     model = ConvSegmenter(hidden=config.hidden, rng=rng.derive(0x5E6))
-    params = model.flat_parameters()
-    state = AdamState(dim=params.size, lr=config.lr)
-    losses = []
-    n = len(scenes)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        epoch_loss, batches = 0.0, 0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            xb = Tensor(np.stack([scenes[i].image for i in idx])[:, :, :, None])
-            yb = Tensor(np.stack([scenes[i].gt_mask for i in idx]).astype(np.float64)[:, :, :, None])
-            pred = model._forward(xb)
-            diff = pred - yb
-            loss = (diff * diff).mean()
-            loss.backward()
-            grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
-            for p in model.parameters():
-                p.grad = None
-            params = adam_step(state, params, grads)
-            model.set_flat_parameters(params)
-            epoch_loss += float(loss.data)
-            batches += 1
-        losses.append(epoch_loss / max(batches, 1))
+
+    def batch_loss(idx: np.ndarray) -> Tensor:
+        xb = Tensor(np.stack([scenes[i].image for i in idx])[:, :, :, None])
+        yb = Tensor(np.stack([scenes[i].gt_mask for i in idx]).astype(np.float64)[:, :, :, None])
+        diff = model.forward(xb) - yb
+        return (diff * diff).mean()
+
+    losses = fit(model, len(scenes), batch_loss, config.epochs, config.batch_size, config.lr, rng)
     return model, losses
 
 
@@ -246,7 +202,7 @@ def load_segmenter(path) -> Segmenter:
         if params.size == model.flat_parameters().size:
             model.set_flat_parameters(np.array(params))
             return model
-    raise CheckpointError(
+    raise CorruptFileError(
         f"{path}: kind code {kind_code} with {params.size} parameters is not a segmenter"
     )
 

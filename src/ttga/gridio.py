@@ -11,6 +11,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CorruptFileError
+
 MAGIC = b"TTGA"
 _HEADER = struct.Struct("<4sIII")
 
@@ -32,15 +34,18 @@ def save_grid(path, grid: np.ndarray) -> None:
 
 
 def load_grid(path) -> np.ndarray:
+    """The grid in a raw file; CorruptFileError if it is truncated, has the
+    wrong magic or holds a value count other than its header's."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
-        raise ValueError(f"{path}: truncated grid file")
+        raise CorruptFileError(f"{path}: truncated grid file")
     magic, h, w, c = _HEADER.unpack_from(data)
     if magic != MAGIC:
-        raise ValueError(f"{path}: bad magic {magic!r}")
+        raise CorruptFileError(f"{path}: bad magic {magic!r}")
+    body = len(data) - _HEADER.size
+    if body != 8 * h * w * c:
+        raise CorruptFileError(f"{path}: expected {h * w * c} values, found {body} bytes of them")
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
-    if values.size != h * w * c:
-        raise ValueError(f"{path}: expected {h * w * c} values, found {values.size}")
     grid = values.reshape(h, w, c).astype(np.float64)
     return grid[:, :, 0] if c == 1 else grid
 

@@ -1,10 +1,9 @@
 """Experiment orchestration behind the CLI: dataset/material preparation,
-method evaluation over a worker pool, and CSV/PGM artifact emission.
+method evaluation, and CSV/PGM artifact emission.
 
 Every random quantity is drawn from a stream derived from (config seed,
 purpose, image id), so a run's outputs are byte-identical for identical
-(config, seed) regardless of worker count or scheduling order. Timestamps
-appear only in the sidecar ``run.log``.
+(config, seed). Timestamps appear only in the sidecar ``run.log``.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import csv
 import datetime
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -257,7 +255,6 @@ def build_ttga_config(cfg: RunConfig) -> TtgaConfig:
             relevance_quantile=cfg.relevance_quantile,
             resample_per_step=cfg.resample_masks_per_step,
         ),
-        seed=cfg.seed,
         null_opt=NullOptConfig(
             lr=cfg.nulltext_lr, max_steps=cfg.nulltext_max_steps,
             early_stop=cfg.nulltext_early_stop,
@@ -391,20 +388,12 @@ def run_evaluation(
     out_dir: Path,
     log: RunLog,
 ) -> list[dict]:
-    """Evaluate all configured methods over the scenes; write per-image and
-    aggregate CSVs. Output order is canonical (by image id) regardless of
-    worker scheduling."""
+    """Evaluate all configured methods over the scenes, in image-id order;
+    write per-image and aggregate CSVs."""
     eval_dir = out_dir / "eval"
     eval_dir.mkdir(parents=True, exist_ok=True)
-
-    def work(i: int) -> ImageResult:
-        return evaluate_image(i, scenes[i], cfg, denoiser, semantic, segmenter)
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(work, range(len(scenes))))
-    else:
-        results = [work(i) for i in range(len(scenes))]
+    results = [evaluate_image(i, scene, cfg, denoiser, semantic, segmenter)
+               for i, scene in enumerate(scenes)]
 
     rows = [row for res in results for row in res.rows]
     with open(eval_dir / "per_image.csv", "w", newline="", encoding="utf-8") as f:
@@ -545,8 +534,8 @@ def cmd_augment(cfg: RunConfig, count: int = 4) -> Path:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
-    _, denoiser, semantic, segmenter = _load_models(cfg, log)
     scenes = _test_scenes(cfg)[:count]
+    _, denoiser, semantic, segmenter = _load_models(cfg, log)
     aug_dir = out_dir / "augment"
     aug_dir.mkdir(exist_ok=True)
     ttga_cfg = build_ttga_config(cfg)
@@ -584,8 +573,8 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
-    _, denoiser, semantic, segmenter = _load_models(cfg, log)
     scenes = _test_scenes(cfg)
+    _, denoiser, semantic, segmenter = _load_models(cfg, log)
     run_evaluation(cfg, scenes, denoiser, semantic, segmenter, out_dir, log)
     write_resolved_config(cfg, out_dir / "resolved-config.txt")
     return out_dir / "eval" / "aggregate.csv"

@@ -17,7 +17,6 @@ class RunConfig:
     # run identity and outputs
     seed: int = 0
     out: str = "runs/out"
-    workers: int = 1
     dump_images: bool = False
     methods: str = "baseline,tta,ttga"
 
@@ -167,8 +166,6 @@ def validate_config(cfg: RunConfig) -> None:
         )
     if not 1 <= cfg.tau <= cfg.total_steps:
         raise ConfigError(f"tau must be in [1, total_steps], got {cfg.tau}")
-    if cfg.workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {cfg.workers}")
     for m in cfg.method_list():
         if m not in ("baseline", "tta", "ttga"):
             raise ConfigError(f"unknown method {m!r} in methods")

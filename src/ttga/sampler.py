@@ -1,5 +1,4 @@
-"""Forward noising, ancestral reverse steps, and deterministic DDIM
-steps/inversion at arbitrary step intervals.
+"""Deterministic DDIM steps and inversion at arbitrary step intervals.
 
 In the rescaled parameterization (xbar_t = x_t / sqrt(abar_t),
 gamma_t = sqrt((1-abar_t)/abar_t)) a deterministic denoising move from step
@@ -24,7 +23,6 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import ContractError
-from .rng import SeededRng
 from .schedule import NoiseSchedule, ensure_finite, from_xbar, to_xbar
 
 
@@ -69,43 +67,6 @@ def inversion_ladder(tau: int, interval: int) -> list[int]:
     steps = list(range(0, tau, interval))
     steps.append(tau)
     return steps
-
-
-def forward_noise(
-    x0: np.ndarray, t: int, schedule: NoiseSchedule, rng: SeededRng
-) -> np.ndarray:
-    """x_t = sqrt(abar_t) * x0 + sqrt(1 - abar_t) * z,  z ~ N(0, I)."""
-    schedule.check_step(t, low=1)
-    abar = schedule.alpha_bars[t]
-    z = rng.normal(np.asarray(x0).shape)
-    return np.sqrt(abar) * x0 + np.sqrt(1.0 - abar) * z
-
-
-def ddpm_reverse_step(
-    model: Denoiser,
-    x_t: np.ndarray,
-    t: int,
-    e: ConditionEmbedding,
-    schedule: NoiseSchedule,
-    rng: SeededRng,
-    noise_scale: float = 1.0,
-) -> np.ndarray:
-    """One ancestral step x_t -> x_{t-1}.
-
-        mu = (x_t - beta_t / sqrt(1 - abar_t) * eps) / sqrt(alpha_t)
-        x_{t-1} = mu + sqrt(beta_t) * z
-
-    with the fixed-variance choice sigma_t = sqrt(beta_t) = sqrt(1 - alpha_t).
-    ``noise_scale=0`` gives the deterministic mean.
-    """
-    schedule.check_step(t, low=1)
-    alpha = schedule.alphas[t - 1]
-    abar = schedule.alpha_bars[t]
-    eps = model.predict(x_t, t, e)
-    mu = (x_t - (1.0 - alpha) / np.sqrt(1.0 - abar) * eps) / np.sqrt(alpha)
-    if noise_scale != 0.0:
-        mu = mu + noise_scale * np.sqrt(1.0 - alpha) * rng.normal(np.asarray(x_t).shape)
-    return ensure_finite(mu, f"ddpm_reverse_step at t={t}")
 
 
 def ddim_step(

@@ -107,11 +107,6 @@ def from_xbar(xbar: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
     return xbar * np.sqrt(schedule.alpha_bars[t])
 
 
-def gaussian_grid(rng, shape) -> np.ndarray:
-    """I.i.d. standard-normal grid, reproducible per (seed, stream_id)."""
-    return rng.normal(shape)
-
-
 def ensure_finite(x: np.ndarray, context: str) -> np.ndarray:
     """Raise NumericalAbort if the grid holds NaN/Inf; returns x unchanged."""
     if not np.all(np.isfinite(x)):

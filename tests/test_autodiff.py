@@ -59,15 +59,23 @@ def test_conv2d_grad_input_and_weights(rng):
     w = rng.normal((9 * 2, 3))
     b = rng.normal((3,))
 
-    _check_scalar_graph(lambda x: conv2d(x, Tensor(w), Tensor(b), 3).sum(), x0)
+    # input gradient; the weight and bias do not require grad, so backward
+    # computes no gradient for them and leaves their .grad unset
+    frozen_w, frozen_b = Tensor(w), Tensor(b)
+    conv = conv2d(Tensor(x0, requires_grad=True), frozen_w, frozen_b, 3)
+    _, gw, gb = conv._backward(np.ones(conv.shape))
+    assert gw is None and gb is None
+    _check_scalar_graph(lambda x: conv2d(x, frozen_w, frozen_b, 3).sum(), x0)
+    assert frozen_w.grad is None and frozen_b.grad is None
 
-    # weight gradient
+    # weight gradient; the input does not require grad, so none is computed for it
     def f_w(flat):
         return float(conv2d(Tensor(x0), Tensor(flat.reshape(w.shape)), Tensor(b), 3).sum().data)
 
     wt = Tensor(w, requires_grad=True)
-    out = conv2d(Tensor(x0), wt, Tensor(b), 3).sum()
-    out.backward()
+    conv = conv2d(Tensor(x0), wt, Tensor(b), 3)
+    assert conv._backward(np.ones(conv.shape))[0] is None
+    conv.sum().backward()
     numeric = central_difference(f_w, w.ravel(), h=1e-5).reshape(w.shape)
     assert relative_gradient_match(wt.grad, numeric, rtol=1e-6)
 

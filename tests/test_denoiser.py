@@ -14,7 +14,7 @@ from ttga import (
     train_toy_denoiser,
 )
 from ttga.denoiser import Denoiser, denoising_mse
-from ttga.errors import CapabilityError, CheckpointError, ConfigError, ContractError
+from ttga.errors import CapabilityError, ConfigError, ContractError, CorruptFileError
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +184,16 @@ def test_conv_input_gradient_matches_fd(conv_model, rng):
     assert relative_gradient_match(analytic, numeric)
 
 
+def test_conv_gradients_leave_no_parameter_grad(schedule, rng):
+    model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=6, rng=SeededRng(22))
+    x = rng.normal((6, 6))
+    e = ConditionEmbedding(rng.normal(4))
+    for _ in range(2):
+        model.grad_wrt_input(rng.normal((6, 6)), x, 30, e)
+        model.grad_wrt_embedding(rng.normal((6, 6)), x, 30, e)
+    assert all(p.grad is None for p in model.parameters())
+
+
 def _disk_dataset(n, rng, size=12, dim=4):
     out = []
     for _ in range(n):
@@ -211,6 +221,23 @@ def test_training_halves_denoising_mse(schedule):
     mse_trained = denoising_mse(model, held_out, SeededRng(7))
     mse_untrained = denoising_mse(untrained, held_out, SeededRng(7))
     assert mse_trained < mse_untrained
+
+
+def test_training_ignores_earlier_inference_gradients(schedule):
+    dataset = _disk_dataset(20, SeededRng(12))
+    config = DenoiserTrainConfig(epochs=1, batch_size=8, drop_p=0.1, lr=3e-3)
+
+    def trained(probe_first):
+        model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=6, rng=SeededRng(13))
+        if probe_first:
+            x, e = dataset[0]
+            model.grad_wrt_input(np.ones_like(x), x, 50, e)
+            model.grad_wrt_input(np.ones_like(x), x, 500, e)
+        model, _ = train_toy_denoiser(dataset, schedule, SeededRng(14), config, model=model)
+        assert all(not p.requires_grad and p.grad is None for p in model.parameters())
+        return model.flat_parameters()
+
+    assert np.array_equal(trained(True), trained(False))
 
 
 def test_drop_p_zero_never_substitutes_null(schedule):
@@ -279,5 +306,5 @@ def test_corrupt_checkpoints_rejected(tmp_path, schedule, conv_model):
     for name, blob in cases.items():
         path = tmp_path / f"{name}.ckpt"
         path.write_bytes(blob)
-        with pytest.raises(CheckpointError):
+        with pytest.raises(CorruptFileError):
             load_checkpoint(path, schedule)

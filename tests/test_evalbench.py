@@ -174,6 +174,15 @@ def test_threshold_checkpoint_round_trip(tmp_path):
     assert loaded.threshold == 0.4 and loaded.sharpness == 30.0
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_set_flat_parameters_rejects_wrong_length(extra):
+    seg = ConvSegmenter(hidden=4, rng=SeededRng(16))
+    flat = seg.flat_parameters()
+    with pytest.raises(ContractError):
+        seg.set_flat_parameters(np.zeros(flat.size + extra))
+    assert np.array_equal(seg.flat_parameters(), flat)
+
+
 def test_conv_checkpoint_round_trip(tmp_path, trained_segmenter):
     path = tmp_path / "seg.ckpt"
     save_segmenter(path, trained_segmenter)

@@ -3,6 +3,7 @@ import pytest
 
 from ttga import SeededRng
 from ttga import gridio
+from ttga.errors import CorruptFileError
 
 
 def test_raw_round_trip_2d(tmp_path, rng):
@@ -33,16 +34,18 @@ def test_header_layout(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "bad.f64"
     path.write_bytes(b"NOPE" + b"\x00" * 20)
-    with pytest.raises(ValueError, match="magic"):
+    with pytest.raises(CorruptFileError, match="magic"):
         gridio.load_grid(path)
 
 
 def test_truncated_rejected(tmp_path):
     path = tmp_path / "g.f64"
     gridio.save_grid(path, np.zeros((2, 2)))
-    path.write_bytes(path.read_bytes()[:-8])
-    with pytest.raises(ValueError, match="expected"):
-        gridio.load_grid(path)
+    whole = path.read_bytes()
+    for cut in (8, 3):  # one whole value short, then part of one
+        path.write_bytes(whole[:-cut])
+        with pytest.raises(CorruptFileError, match="expected"):
+            gridio.load_grid(path)
 
 
 def test_pgm_format_and_scaling(tmp_path):

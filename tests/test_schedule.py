@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ttga import SeededRng, build_schedule, from_xbar, gaussian_grid, to_xbar
+from ttga import SeededRng, build_schedule, from_xbar, to_xbar
 from ttga.errors import ConfigError
 
 
@@ -80,17 +80,3 @@ def test_xbar_round_trip_property(t, seed):
 def test_schedule_tables_are_immutable(default_schedule):
     with pytest.raises(ValueError):
         default_schedule.gammas[0] = 1.0
-
-
-def test_gaussian_grid_deterministic():
-    a = gaussian_grid(SeededRng(7, 3), (8, 8))
-    b = gaussian_grid(SeededRng(7, 3), (8, 8))
-    assert np.array_equal(a, b)
-    c = gaussian_grid(SeededRng(7, 4), (8, 8))
-    assert not np.array_equal(a, c)
-
-
-def test_gaussian_grid_moments():
-    values = gaussian_grid(SeededRng(11), (100000,))
-    assert abs(values.mean()) < 0.02
-    assert abs(values.var() - 1.0) < 0.02
