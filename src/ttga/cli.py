@@ -14,6 +14,7 @@ import argparse
 import sys
 
 from .errors import ConfigError, CorruptFileError, NumericalAbort
+from .masks import SCHEMES
 from .pipeline import (
     SchemaMismatch,
     cmd_augment,
@@ -24,7 +25,7 @@ from .pipeline import (
     cmd_train_segmenter,
     compare_report,
 )
-from .runconfig import resolve_config
+from .runconfig import _coerce, resolve_config
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 2
@@ -40,8 +41,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="DIR")
     p.add_argument("--dump-images", action="store_const", const=True, dest="dump_images")
     p.add_argument("--methods", metavar="LIST", help="comma list of baseline,tta,ttga")
-    p.add_argument("--mask-scheme", choices=["bernoulli", "attention", "hybrid"],
-                   dest="mask_scheme")
+    p.add_argument("--mask-scheme", choices=SCHEMES, dest="mask_scheme")
     p.add_argument("--resample-masks-per-step", action="store_const", const=True,
                    dest="resample_masks_per_step")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -74,8 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    from .runconfig import _coerce
-
     overrides = {
         key: getattr(args, key)
         for key in ("seed", "out", "dump_images", "methods",
@@ -102,14 +100,11 @@ def main(argv: list[str] | None = None) -> int:
             "make-data": cmd_make_data,
             "train-denoiser": cmd_train_denoiser,
             "train-segmenter": cmd_train_segmenter,
+            "augment": lambda cfg: cmd_augment(cfg, count=args.count),
             "evaluate": cmd_evaluate,
             "full-pipeline": cmd_full_pipeline,
-        }.get(args.command)
-        if args.command == "augment":
-            result = cmd_augment(cfg, count=args.count)
-        else:
-            result = handler(cfg)
-        print(result)
+        }[args.command]
+        print(handler(cfg))
         return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)

@@ -72,9 +72,6 @@ class ConditionEmbedding:
     def null(dim: int) -> "ConditionEmbedding":
         return ConditionEmbedding(np.zeros(dim), role=ROLE_NULL)
 
-    def with_values(self, values: np.ndarray, role: str | None = None) -> "ConditionEmbedding":
-        return ConditionEmbedding(values, role=role or self.role)
-
 
 class Denoiser:
     """Interface shared by all noise predictors.
@@ -366,12 +363,22 @@ class ConvDenoiser(ConvStack, Denoiser):
 # ---- training ----
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenoiserTrainConfig:
     epochs: int = 30
     batch_size: int = 16
     drop_p: float = 0.1
     lr: float = 1e-3
+
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ConfigError(f"denoiser_epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ConfigError(f"denoiser_batch must be >= 1, got {self.batch_size}")
+        if not 0.0 <= self.drop_p <= 1.0:
+            raise ConfigError(f"drop_p must be in [0,1], got {self.drop_p}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"denoiser_lr must be finite and > 0, got {self.lr}")
 
 
 @dataclass
@@ -464,8 +471,6 @@ def train_toy_denoiser(
     if not dataset:
         raise ConfigError("dataset must be nonempty (field: dataset)")
     config = config or DenoiserTrainConfig()
-    if not 0.0 <= config.drop_p <= 1.0:
-        raise ConfigError(f"drop_p must be in [0,1], got {config.drop_p}")
 
     first_grid = np.asarray(dataset[0][0], dtype=np.float64)
     channels = 1 if first_grid.ndim == 2 else first_grid.shape[-1]

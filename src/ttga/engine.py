@@ -64,6 +64,10 @@ class TtgaConfig:
     def __post_init__(self):
         if self.tau < 1:
             raise ConfigError(f"tau must be >= 1, got {self.tau}")
+        if self.inversion_interval < 1:
+            raise ConfigError(f"inversion_interval must be >= 1, got {self.inversion_interval}")
+        if self.guidance.omega == 1.0:
+            raise ConfigError("omega must not be 1, where null-text optimization is degenerate")
         if self.n_augment < 1:
             raise ConfigError(f"n_augment must be >= 1, got {self.n_augment}")
         if not (np.isfinite(self.lambda_r_high) and 0.0 <= self.lambda_r_low):

@@ -149,12 +149,20 @@ class ConvSegmenter(ConvStack, Segmenter):
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SegTrainConfig:
     epochs: int = 60
     batch_size: int = 16
     lr: float = 3e-3
     hidden: int = 16
+
+    def __post_init__(self):
+        for key, value in (("seg_epochs", self.epochs), ("seg_hidden", self.hidden),
+                           ("segmenter batch_size", self.batch_size)):
+            if value < 1:
+                raise ConfigError(f"{key} must be >= 1, got {value}")
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"seg_lr must be finite and > 0, got {self.lr}")
 
 
 def train_toy_segmenter(

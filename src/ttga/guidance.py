@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 
 DEFAULT_OMEGA = 2.0
 
@@ -42,7 +42,7 @@ class GuidanceConfig:
         for name in ("omega", "lambda_c", "lambda_r"):
             v = getattr(self, name)
             if not np.isfinite(v) or v < 0.0:
-                raise ContractError(f"{name} must be finite and >= 0, got {v}")
+                raise ConfigError(f"{name} must be finite and >= 0, got {v}")
 
 
 def _check_shapes(*grids: np.ndarray) -> None:

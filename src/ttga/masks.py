@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .errors import ContractError
+from .errors import ConfigError, ContractError
 from .rng import SeededRng
 
 SCHEME_BERNOULLI = "bernoulli"
@@ -59,11 +59,11 @@ class MaskPolicy:
 
     def __post_init__(self):
         if self.scheme not in SCHEMES:
-            raise ContractError(f"unknown mask scheme {self.scheme!r}")
+            raise ConfigError(f"mask_scheme must be {'|'.join(SCHEMES)}, got {self.scheme!r}")
         if not 0.0 <= self.p_m <= 1.0:
-            raise ContractError(f"p_m must be in [0,1], got {self.p_m}")
+            raise ConfigError(f"p_m must be in [0,1], got {self.p_m}")
         if not 0.0 < self.relevance_quantile < 1.0:
-            raise ContractError(
+            raise ConfigError(
                 f"relevance_quantile must be in (0,1), got {self.relevance_quantile}"
             )
 

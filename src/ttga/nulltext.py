@@ -37,7 +37,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class NullOptConfig:
     lr: float = 0.1
     max_steps: int = 500

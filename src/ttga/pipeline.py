@@ -22,22 +22,14 @@ from .denoiser import (
     ConditionEmbedding,
     ConvDenoiser,
     Denoiser,
-    DenoiserTrainConfig,
     load_checkpoint,
     save_checkpoint,
     train_toy_denoiser,
 )
-from .engine import (
-    TtgaConfig,
-    ensemble,
-    entropy_bits,
-    error_estimate_map,
-    generate_set,
-)
+from .engine import ensemble, entropy_bits, error_estimate_map, generate_set
 from .errors import ConfigError
 from .evalbench import (
     Difficulty,
-    SegTrainConfig,
     Segmenter,
     ThresholdSegmenter,
     ToyScene,
@@ -47,13 +39,11 @@ from .evalbench import (
     train_toy_segmenter,
     tta_baseline,
 )
-from .guidance import GuidanceConfig
-from .masks import MaskPolicy, consistency_relevance, saliency_relevance
+from .masks import consistency_relevance, saliency_relevance
 from .metrics import binarize, dice, error_ground_truth, hd95, nsd, roc_auc
-from .nulltext import NullOptConfig
 from .rng import SeededRng
 from .runconfig import RunConfig, write_resolved_config
-from .schedule import NoiseSchedule, build_schedule
+from .schedule import NoiseSchedule
 
 STREAM_TRAIN_DATA = 0x11
 STREAM_TEST_DATA = 0x12
@@ -159,11 +149,8 @@ def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str, dump_images
 
 
 def load_dataset(data_dir: Path, split: str) -> list[ToyScene]:
-    manifest = data_dir / "manifest.csv"
-    if not manifest.exists():
-        raise FileNotFoundError(str(manifest))
     scenes = []
-    with open(manifest, newline="") as f:
+    with open(data_dir / "manifest.csv", newline="") as f:
         for row in csv.DictReader(f):
             if row["split"] != split:
                 continue
@@ -206,15 +193,12 @@ def build_denoiser(cfg: RunConfig, schedule: NoiseSchedule, train_scenes: list[T
             data_std=cfg.data_std,
         )
     dataset = [(s.image, scene_embedding(s, cfg.embedding_dim)) for s in train_scenes]
-    train_cfg = DenoiserTrainConfig(
-        epochs=cfg.denoiser_epochs, batch_size=cfg.denoiser_batch,
-        drop_p=cfg.drop_p, lr=cfg.denoiser_lr,
-    )
     model = ConvDenoiser(
         schedule, channels=1, embedding_dim=cfg.embedding_dim,
         hidden=cfg.denoiser_hidden, rng=rng.derive(1),
     )
-    model, stats = train_toy_denoiser(dataset, schedule, rng.derive(2), train_cfg, model=model)
+    model, stats = train_toy_denoiser(dataset, schedule, rng.derive(2), cfg.denoiser_train,
+                                      model=model)
     log.write(f"denoiser trained: mse {stats.initial_mse:.4f} -> {stats.final_mse:.4f}")
     return model
 
@@ -223,8 +207,7 @@ def build_segmenter(cfg: RunConfig, train_scenes: list[ToyScene], log: RunLog) -
     if cfg.segmenter == "threshold":
         return ThresholdSegmenter()
     rng = SeededRng(cfg.seed, STREAM_SEGMENTER)
-    seg_cfg = SegTrainConfig(epochs=cfg.seg_epochs, lr=cfg.seg_lr, hidden=cfg.seg_hidden)
-    model, losses = train_toy_segmenter(train_scenes, rng, seg_cfg)
+    model, losses = train_toy_segmenter(train_scenes, rng, cfg.seg_train)
     log.write(f"segmenter trained: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     return model
 
@@ -240,28 +223,6 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
     if cfg.relevance_provider == "saliency":
         return lambda x, t: saliency_relevance(denoiser, x, t, semantic)
     return lambda x, t: consistency_relevance(denoiser, x, t, semantic)
-
-
-def build_ttga_config(cfg: RunConfig) -> TtgaConfig:
-    return TtgaConfig(
-        tau=cfg.tau,
-        inversion_interval=cfg.inversion_interval,
-        n_augment=cfg.n_augment,
-        guidance=GuidanceConfig(cfg.omega, cfg.lambda_c, 1.0),
-        lambda_r_low=cfg.lambda_r_low,
-        lambda_r_high=cfg.lambda_r_high,
-        mask_policy=MaskPolicy(
-            scheme=cfg.mask_scheme, p_m=cfg.p_m,
-            relevance_quantile=cfg.relevance_quantile,
-            resample_per_step=cfg.resample_masks_per_step,
-        ),
-        null_opt=NullOptConfig(
-            lr=cfg.nulltext_lr, max_steps=cfg.nulltext_max_steps,
-            early_stop=cfg.nulltext_early_stop,
-        ),
-        club_stride=cfg.club_stride,
-        invert_with=cfg.invert_with,
-    )
 
 
 # ---- per-image evaluation ----
@@ -325,9 +286,8 @@ def evaluate_image(
 
     if "ttga" in methods:
         rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTGA)
-        ttga_cfg = build_ttga_config(cfg)
         relevance_fn = _relevance_fn(cfg, scene, denoiser, semantic, segmenter)
-        aset = generate_set(denoiser, scene.image, semantic, ttga_cfg, rng,
+        aset = generate_set(denoiser, scene.image, semantic, cfg.ttga, rng,
                             relevance_fn=relevance_fn)
         members = [segmenter.segment(a) for a in aset.augmented]
         er = ensemble(members)
@@ -479,8 +439,7 @@ def cmd_train_denoiser(cfg: RunConfig) -> Path:
     models_dir = out_dir / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
-    schedule = build_schedule(cfg.total_steps, cfg.beta_start, cfg.beta_end)
-    model = build_denoiser(cfg, schedule, _train_scenes(cfg), log)
+    model = build_denoiser(cfg, cfg.schedule, _train_scenes(cfg), log)
     ckpt = models_dir / "denoiser.ckpt"
     save_checkpoint(ckpt, model)
     semantic = semantic_anchor(cfg)
@@ -504,30 +463,23 @@ def cmd_train_segmenter(cfg: RunConfig) -> Path:
 
 
 def _load_models(cfg: RunConfig, log: RunLog):
-    schedule = build_schedule(cfg.total_steps, cfg.beta_start, cfg.beta_end)
     train_scenes = None
     if cfg.denoiser_checkpoint:
-        if not Path(cfg.denoiser_checkpoint).exists():
-            raise FileNotFoundError(cfg.denoiser_checkpoint)
-        denoiser = load_checkpoint(cfg.denoiser_checkpoint, schedule)
+        denoiser = load_checkpoint(cfg.denoiser_checkpoint, cfg.schedule)
     else:
         train_scenes = _train_scenes(cfg)
-        denoiser = build_denoiser(cfg, schedule, train_scenes, log)
+        denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
     if cfg.semantic_embedding:
-        if not Path(cfg.semantic_embedding).exists():
-            raise FileNotFoundError(cfg.semantic_embedding)
         semantic = ConditionEmbedding(gridio.load_grid(cfg.semantic_embedding).ravel())
     else:
         semantic = semantic_anchor(cfg)
     if cfg.segmenter_checkpoint:
-        if not Path(cfg.segmenter_checkpoint).exists():
-            raise FileNotFoundError(cfg.segmenter_checkpoint)
         segmenter = load_segmenter(cfg.segmenter_checkpoint)
     else:
         if train_scenes is None and cfg.segmenter == "trained":
             train_scenes = _train_scenes(cfg)
         segmenter = build_segmenter(cfg, train_scenes or [], log)
-    return schedule, denoiser, semantic, segmenter
+    return denoiser, semantic, segmenter
 
 
 def cmd_augment(cfg: RunConfig, count: int = 4) -> Path:
@@ -535,10 +487,9 @@ def cmd_augment(cfg: RunConfig, count: int = 4) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
     scenes = _test_scenes(cfg)[:count]
-    _, denoiser, semantic, segmenter = _load_models(cfg, log)
+    denoiser, semantic, segmenter = _load_models(cfg, log)
     aug_dir = out_dir / "augment"
     aug_dir.mkdir(exist_ok=True)
-    ttga_cfg = build_ttga_config(cfg)
     with open(aug_dir / "metadata.csv", "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)
         writer.writerow(["image_id", "aug_index", "lambda_r", "mask_stream",
@@ -546,14 +497,11 @@ def cmd_augment(cfg: RunConfig, count: int = 4) -> Path:
         for i, scene in enumerate(scenes):
             rng = SeededRng(cfg.seed, STREAM_EVAL).derive(i).derive(SUBSTREAM_TTGA)
             relevance_fn = _relevance_fn(cfg, scene, denoiser, semantic, segmenter)
-            image_cfg = ttga_cfg
+            image_cfg = cfg.ttga
             if cfg.nulltext_trace:
-                traced = NullOptConfig(
-                    lr=cfg.nulltext_lr, max_steps=cfg.nulltext_max_steps,
-                    early_stop=cfg.nulltext_early_stop,
-                    trace_path=str(aug_dir / f"nulltext_trace_{i:04d}.csv"),
-                )
-                image_cfg = replace(ttga_cfg, null_opt=traced)
+                trace_path = str(aug_dir / f"nulltext_trace_{i:04d}.csv")
+                image_cfg = replace(cfg.ttga, null_opt=replace(cfg.ttga.null_opt,
+                                                               trace_path=trace_path))
             aset = generate_set(denoiser, scene.image, semantic, image_cfg, rng,
                                 relevance_fn=relevance_fn)
             gridio.save_grid(aug_dir / f"original_{i:04d}.f64", aset.original)
@@ -574,7 +522,7 @@ def cmd_evaluate(cfg: RunConfig) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     log = RunLog(out_dir / "run.log")
     scenes = _test_scenes(cfg)
-    _, denoiser, semantic, segmenter = _load_models(cfg, log)
+    denoiser, semantic, segmenter = _load_models(cfg, log)
     run_evaluation(cfg, scenes, denoiser, semantic, segmenter, out_dir, log)
     write_resolved_config(cfg, out_dir / "resolved-config.txt")
     return out_dir / "eval" / "aggregate.csv"
@@ -589,10 +537,9 @@ def cmd_full_pipeline(cfg: RunConfig) -> Path:
     data_dir = cmd_make_data(cfg)
     train_scenes = load_dataset(data_dir, "train")
     test_scenes = load_dataset(data_dir, "test")
-    schedule = build_schedule(cfg.total_steps, cfg.beta_start, cfg.beta_end)
     models_dir = out_dir / "models"
     models_dir.mkdir(exist_ok=True)
-    denoiser = build_denoiser(cfg, schedule, train_scenes, log)
+    denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
     save_checkpoint(models_dir / "denoiser.ckpt", denoiser)
     semantic = semantic_anchor(cfg)
     gridio.save_grid(models_dir / "semantic.f64", semantic.values.reshape(1, -1))
@@ -608,10 +555,7 @@ def cmd_full_pipeline(cfg: RunConfig) -> Path:
 
 
 def _read_aggregate(run_dir: Path) -> tuple[list[str], list[list[str]]]:
-    path = run_dir / "eval" / "aggregate.csv"
-    if not path.exists():
-        raise FileNotFoundError(str(path))
-    with open(path, newline="") as f:
+    with open(run_dir / "eval" / "aggregate.csv", newline="") as f:
         reader = csv.reader(f)
         header = next(reader)
         return header, list(reader)

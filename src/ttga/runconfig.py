@@ -1,18 +1,36 @@
 """Run configuration: built-in defaults, overridden by a flat key=value file,
 overridden by command-line flags. The resolved configuration is written
 beside every run's outputs.
+
+A ``RunConfig`` checks every value when it is made, so a bad value is
+rejected before any command reads data or trains.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
+from .denoiser import DenoiserTrainConfig
+from .engine import TtgaConfig
 from .errors import ConfigError
+from .evalbench import SegTrainConfig
+from .guidance import GuidanceConfig
+from .masks import MaskPolicy
+from .nulltext import NullOptConfig
+from .schedule import NoiseSchedule, build_schedule
+
+CHOICES = {
+    "denoiser": ("analytic", "trainable"),
+    "segmenter": ("threshold", "trained"),
+    "relevance_provider": ("consistency", "segmenter", "saliency"),
+}
+METHODS = ("baseline", "tta", "ttga")
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     # run identity and outputs
     seed: int = 0
@@ -84,11 +102,62 @@ class RunConfig:
     segmenter_checkpoint: str = ""
     semantic_embedding: str = ""
 
+    # typed configs built once from the fields above; their range errors name those fields
+    schedule: NoiseSchedule = field(init=False, repr=False, compare=False)
+    ttga: TtgaConfig = field(init=False, repr=False, compare=False)
+    denoiser_train: DenoiserTrainConfig = field(init=False, repr=False, compare=False)
+    seg_train: SegTrainConfig = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        for name, allowed in CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
+        for m in self.method_list():
+            if m not in METHODS:
+                raise ConfigError(f"unknown method {m!r} in methods")
+        for name in ("size", "embedding_dim", "denoiser_hidden", "tta_views"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0.0 < self.data_std < math.inf:
+            raise ConfigError(f"data_std must be finite and > 0, got {self.data_std}")
+        if not 0 <= self.seed < 2**64:
+            raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
+        schedule = build_schedule(self.total_steps, self.beta_start, self.beta_end)
+        if self.tau > self.total_steps:
+            raise ConfigError(f"tau must be <= total_steps ({self.total_steps}), got {self.tau}")
+        ttga = TtgaConfig(
+            tau=self.tau,
+            inversion_interval=self.inversion_interval,
+            n_augment=self.n_augment,
+            guidance=GuidanceConfig(self.omega, self.lambda_c, 1.0),
+            lambda_r_low=self.lambda_r_low,
+            lambda_r_high=self.lambda_r_high,
+            mask_policy=MaskPolicy(
+                scheme=self.mask_scheme, p_m=self.p_m,
+                relevance_quantile=self.relevance_quantile,
+                resample_per_step=self.resample_masks_per_step,
+            ),
+            null_opt=NullOptConfig(
+                lr=self.nulltext_lr, max_steps=self.nulltext_max_steps,
+                early_stop=self.nulltext_early_stop,
+            ),
+            club_stride=self.club_stride,
+            invert_with=self.invert_with,
+        )
+        denoiser_train = DenoiserTrainConfig(
+            epochs=self.denoiser_epochs, batch_size=self.denoiser_batch,
+            drop_p=self.drop_p, lr=self.denoiser_lr,
+        )
+        seg_train = SegTrainConfig(epochs=self.seg_epochs, lr=self.seg_lr, hidden=self.seg_hidden)
+        for name, value in (("schedule", schedule), ("ttga", ttga),
+                            ("denoiser_train", denoiser_train), ("seg_train", seg_train)):
+            object.__setattr__(self, name, value)
+
     def method_list(self) -> list[str]:
         return [m.strip() for m in self.methods.split(",") if m.strip()]
 
 
-_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig)}
+_FIELDS = {f.name: f for f in dataclasses.fields(RunConfig) if f.init}
 
 
 def _coerce(name: str, raw: str):
@@ -118,8 +187,6 @@ def _coerce(name: str, raw: str):
 def load_config_file(path) -> dict:
     """Parse a flat ``key = value`` file; '#' starts a comment."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(str(path))
     values = {}
     for lineno, line in enumerate(path.read_text().splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
@@ -147,28 +214,7 @@ def resolve_config(
         if key not in _FIELDS:
             raise ConfigError(f"unknown config field: {key}")
         values[key] = val
-    cfg = RunConfig(**values)
-    validate_config(cfg)
-    return cfg
-
-
-def validate_config(cfg: RunConfig) -> None:
-    if cfg.denoiser not in ("analytic", "trainable"):
-        raise ConfigError(f"denoiser must be analytic|trainable, got {cfg.denoiser!r}")
-    if cfg.segmenter not in ("threshold", "trained"):
-        raise ConfigError(f"segmenter must be threshold|trained, got {cfg.segmenter!r}")
-    if cfg.mask_scheme not in ("bernoulli", "attention", "hybrid"):
-        raise ConfigError(f"mask_scheme must be bernoulli|attention|hybrid, got {cfg.mask_scheme!r}")
-    if cfg.relevance_provider not in ("consistency", "segmenter", "saliency"):
-        raise ConfigError(
-            "relevance_provider must be consistency|segmenter|saliency, "
-            f"got {cfg.relevance_provider!r}"
-        )
-    if not 1 <= cfg.tau <= cfg.total_steps:
-        raise ConfigError(f"tau must be in [1, total_steps], got {cfg.tau}")
-    for m in cfg.method_list():
-        if m not in ("baseline", "tta", "ttga"):
-            raise ConfigError(f"unknown method {m!r} in methods")
+    return RunConfig(**values)
 
 
 def write_resolved_config(cfg: RunConfig, path) -> None:

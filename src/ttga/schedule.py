@@ -45,18 +45,6 @@ class NoiseSchedule:
         for arr in (self.alphas, self.alpha_bars, self.gammas):
             arr.setflags(write=False)
 
-    def alpha(self, t: int) -> float:
-        self.check_step(t, low=1)
-        return float(self.alphas[t - 1])
-
-    def alpha_bar(self, t: int) -> float:
-        self.check_step(t)
-        return float(self.alpha_bars[t])
-
-    def gamma(self, t: int) -> float:
-        self.check_step(t)
-        return float(self.gammas[t])
-
     def check_step(self, t: int, low: int = 0) -> None:
         if not low <= t <= self.total_steps:
             raise IndexError(

@@ -1,11 +1,14 @@
 import csv
+import dataclasses
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttga.cli import main
-from ttga.runconfig import RunConfig, load_config_file, resolve_config
+from ttga.errors import ConfigError
+from ttga.runconfig import RunConfig, load_config_file, resolve_config, write_resolved_config
 
 TINY = [
     "--set", "n_train=40", "--set", "n_test=6", "--set", "n_augment=2",
@@ -55,6 +58,65 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("evaluate", "--config", tmp_path / "absent.cfg") == 2
     assert run_cli("full-pipeline", "--set", "denoiser=quantum") == 3
     assert run_cli("full-pipeline", "--set", "tau=0", "--out", tmp_path / "x") == 3
+
+
+BAD_SETTINGS = [("evaluate", [s]) for s in (
+    "omega=1", "omega=-1", "lambda_c=-1", "p_m=2", "relevance_quantile=1",
+    "inversion_interval=0", "data_std=0", "size=0", "seg_epochs=0", "tta_views=0",
+    "n_augment=0", "club_stride=0", "lambda_r_low=2", "invert_with=foo",
+)] + [("train-denoiser", ["denoiser=trainable", s])
+      for s in ("denoiser_batch=0", "denoiser_hidden=0")]
+
+
+@pytest.mark.parametrize("command, sets", BAD_SETTINGS,
+                         ids=[s[-1] for _, s in BAD_SETTINGS])
+def test_bad_value_exits_3_before_any_work(tmp_path, capsys, command, sets):
+    out = tmp_path / "x"
+    args = [a for s in sets for a in ("--set", s)]
+    assert run_cli(command, "--out", out, *TINY, *args) == 3
+    err = capsys.readouterr().err
+    key = sets[-1].split("=")[0]
+    assert f"invalid config: {key}" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
+def _values_of(f):
+    if f.type == "bool":
+        return st.booleans()
+    if f.type == "int":
+        # total_steps sizes the schedule tables built with the config
+        return st.integers(-2**20, 2**20)
+    if f.type == "float":
+        return st.floats(allow_nan=True, allow_infinity=True)
+    return st.text(max_size=12)
+
+
+CONFIG_FIELDS = [f for f in dataclasses.fields(RunConfig) if f.init]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f.name), _values_of(f))))
+def test_any_single_value_resolves_or_is_rejected(item):
+    name, value = item
+    try:
+        cfg = resolve_config(None, {name: value})
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
+
+
+def test_run_config_builds_typed_configs_once(tmp_path):
+    cfg = resolve_config(None, {"tau": 40, "seg_epochs": 3, "nulltext_lr": 0.2})
+    assert cfg.ttga.tau == 40 and cfg.ttga.null_opt.lr == 0.2
+    assert cfg.seg_train.epochs == 3 and cfg.schedule.total_steps == cfg.total_steps
+    assert cfg.denoiser_train.batch_size == cfg.denoiser_batch
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.tau = 50
+    assert dataclasses.replace(cfg, tau=50).ttga.tau == 50
+    write_resolved_config(cfg, tmp_path / "resolved.txt")
+    keys = [line.split(" = ")[0] for line in (tmp_path / "resolved.txt").read_text().splitlines()]
+    assert keys == sorted(f.name for f in CONFIG_FIELDS)
 
 
 def test_compare_schema_mismatch_exit_code(tmp_path, pipeline_run):
@@ -232,9 +294,14 @@ def test_evaluate_reuses_checkpoints(tmp_path):
     assert (eval_out / "eval" / "aggregate.csv").exists()
 
 
-def test_evaluate_missing_checkpoint_exit_2(tmp_path):
+@pytest.mark.parametrize("field", ["denoiser_checkpoint", "segmenter_checkpoint",
+                                   "semantic_embedding", "data_dir"])
+def test_evaluate_missing_checkpoint_exit_2(tmp_path, capsys, field):
+    missing = tmp_path / "absent"
     assert run_cli("evaluate", "--out", tmp_path / "x", *TINY,
-                   "--set", "denoiser_checkpoint=/does/not/exist.ckpt") == 2
+                   "--set", f"{field}={missing}") == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["denoiser_checkpoint", "segmenter_checkpoint"])

@@ -267,6 +267,19 @@ def test_empty_dataset_rejected(schedule, rng):
         train_toy_denoiser([], schedule, rng)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(epochs=-1), "denoiser_epochs"),
+    (dict(batch_size=0), "denoiser_batch"),
+    (dict(drop_p=1.5), "drop_p"),
+    (dict(drop_p=float("nan")), "drop_p"),
+    (dict(lr=0.0), "denoiser_lr"),
+    (dict(lr=float("inf")), "denoiser_lr"),
+])
+def test_train_config_validation(kwargs, key):
+    with pytest.raises(ConfigError, match=key):
+        DenoiserTrainConfig(**kwargs)
+
+
 def test_checkpoint_round_trip_analytic(tmp_path, schedule, rng):
     mu = rng.normal((6, 6))
     m = AnalyticGaussianDenoiser(schedule, (6, 6), 5, mu=mu, rng=SeededRng(17))

@@ -379,6 +379,10 @@ def test_config_validation():
         small_cfg(lambda_r_low=-0.5)
     with pytest.raises(ConfigError):
         small_cfg(invert_with="prompt")
+    with pytest.raises(ConfigError, match="inversion_interval"):
+        small_cfg(inversion_interval=0)
+    with pytest.raises(ConfigError, match="omega"):
+        small_cfg(guidance=GuidanceConfig(omega=1.0))
 
 
 # ---- ensemble ----

@@ -113,6 +113,17 @@ def test_difficulty_validation():
         Difficulty(blur=-1.0)
 
 
+@pytest.mark.parametrize("kwargs, key", [
+    (dict(epochs=0), "seg_epochs"),
+    (dict(hidden=0), "seg_hidden"),
+    (dict(batch_size=0), "batch_size"),
+    (dict(lr=float("nan")), "seg_lr"),
+])
+def test_seg_train_config_validation(kwargs, key):
+    with pytest.raises(ConfigError, match=key):
+        SegTrainConfig(**kwargs)
+
+
 # ---- geometric TTA baseline ----
 
 

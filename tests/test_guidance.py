@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ttga import GuidanceConfig, SeededRng, cfg_multi, cfg_single
-from ttga.errors import ContractError
+from ttga.errors import ConfigError, ContractError
 from ttga.guidance import cfg_three_term
 
 
@@ -124,9 +124,9 @@ def test_cfg_multi_affine_in_each_argument():
 
 
 def test_guidance_config_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         GuidanceConfig(omega=-1.0)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         GuidanceConfig(lambda_c=float("nan"))
 
 

@@ -13,7 +13,7 @@ from ttga import (
     build_schedule,
     hybrid_mask,
 )
-from ttga.errors import ContractError
+from ttga.errors import ConfigError, ContractError
 from ttga.masks import make_mask, saliency_relevance
 
 
@@ -128,11 +128,11 @@ def test_make_mask_dispatch_and_relevance_requirement():
 
 
 def test_policy_validation():
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         MaskPolicy(scheme="other")
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         MaskPolicy(p_m=-0.1)
-    with pytest.raises(ContractError):
+    with pytest.raises(ConfigError):
         MaskPolicy(relevance_quantile=0.0)
 
 

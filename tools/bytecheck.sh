@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
 # Byte-level regression check: runs `ttga full-pipeline --seed 7` from the
 # sources under SRC on two tiny configurations (the analytic denoiser, and a
-# trained conv denoiser with masks redrawn at every step) and writes the
-# sha256 digests of the evaluation CSVs and both model checkpoints to OUT.
+# trained conv denoiser with masks redrawn at every step), and `ttga augment
+# --seed 7` with null-text traces on the analytic one, and writes the sha256
+# digests of the evaluation CSVs, both model checkpoints, the augmentation
+# metadata and the traces to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -33,13 +35,14 @@ trainable=(--set n_test=4 --set denoiser=trainable --set denoiser_hidden=16
            --set denoiser_epochs=3 --set resample_masks_per_step=true)
 
 run() {
-    local name="$1"
-    shift
-    PYTHONPATH="$src" python3 -m ttga full-pipeline --out "$runs/$name" --seed 7 "$@" >/dev/null
+    local command="$1" name="$2"
+    shift 2
+    PYTHONPATH="$src" python3 -m ttga "$command" --out "$runs/$name" --seed 7 "$@" >/dev/null
 }
 
-run analytic "${tiny[@]}"
-run trainable "${tiny[@]}" "${trainable[@]}"
+run full-pipeline analytic "${tiny[@]}"
+run full-pipeline trainable "${tiny[@]}" "${trainable[@]}"
+run augment augment "${tiny[@]}" --count 2 --set nulltext_trace=true
 
 files=()
 for name in analytic trainable; do
@@ -47,5 +50,8 @@ for name in analytic trainable; do
                models/denoiser.ckpt models/segmenter.ckpt; do
         files+=("$name/$rel")
     done
+done
+for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
+    files+=("augment/augment/$rel")
 done
 (cd "$runs" && sha256sum "${files[@]}") > "$out"
