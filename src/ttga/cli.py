@@ -12,10 +12,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import ConfigError, CorruptFileError, NumericalAbort
 from .masks import SCHEMES
 from .pipeline import (
+    RunLog,
     SchemaMismatch,
     cmd_augment,
     cmd_evaluate,
@@ -25,7 +27,7 @@ from .pipeline import (
     cmd_train_segmenter,
     compare_report,
 )
-from .runconfig import _coerce, resolve_config
+from .runconfig import _coerce, resolve_config, write_resolved_config
 
 EXIT_OK = 0
 EXIT_MISSING_FILE = 2
@@ -100,11 +102,14 @@ def main(argv: list[str] | None = None) -> int:
             "make-data": cmd_make_data,
             "train-denoiser": cmd_train_denoiser,
             "train-segmenter": cmd_train_segmenter,
-            "augment": lambda cfg: cmd_augment(cfg, count=args.count),
+            "augment": lambda cfg, log: cmd_augment(cfg, log, count=args.count),
             "evaluate": cmd_evaluate,
             "full-pipeline": cmd_full_pipeline,
         }[args.command]
-        print(handler(cfg))
+        out_dir = Path(cfg.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        print(handler(cfg, RunLog(out_dir / "run.log")))
+        write_resolved_config(cfg, out_dir / "resolved-config.txt")
         return EXIT_OK
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)

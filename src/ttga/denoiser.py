@@ -166,18 +166,15 @@ class AnalyticGaussianDenoiser(Denoiser):
             self.projection = rng.normal((n, self.embedding_dim)) / np.sqrt(self.embedding_dim)
         self.mu.setflags(write=False)
         self.projection.setflags(write=False)
-        # memoized P @ e per embedding object; entries keep the embedding
-        # alive so ids cannot be recycled
-        self._proj_cache: dict[int, tuple[ConditionEmbedding, np.ndarray]] = {}
+        # P @ e of the last embedding seen in each role, matched by identity
+        self._proj_cache: dict[str, tuple[ConditionEmbedding, np.ndarray]] = {}
 
     def _projected(self, e: ConditionEmbedding) -> np.ndarray:
-        hit = self._proj_cache.get(id(e))
+        hit = self._proj_cache.get(e.role)
         if hit is not None and hit[0] is e:
             return hit[1]
         value = (self.projection @ e.values).reshape(self.shape)
-        if len(self._proj_cache) >= 16:
-            self._proj_cache.clear()
-        self._proj_cache[id(e)] = (e, value)
+        self._proj_cache[e.role] = (e, value)
         return value
 
     @property

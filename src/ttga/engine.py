@@ -4,9 +4,9 @@ test-time ensemble with entropy uncertainty.
 One augmentation runs the loop t = tau .. 1 over rescaled latents. Each
 iteration produces two candidates for xbar_{t-1}:
 
-* identity path (spade): a jump from the fixed inverted latent x_tau using a
-  guided noise prediction computed once at (x_tau, tau) -- the right-hand
-  side depends on t only through gamma_{t-1}, so the prediction is cached;
+* identity path (spade): a jump from the fixed inverted latent x_tau along
+  the guided noise at (x_tau, tau) that null-text optimization computed for
+  its best embedding -- the jump depends on t only through gamma_{t-1};
 * augmentation path (club): a one-step move from the current blended latent
   using the three-component guidance (unconditional / semantic / optimized
   null), with the identity scale lambda_r drawn once per augmentation.
@@ -33,7 +33,8 @@ import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import ConfigError, ContractError, NumericalAbort
-from .guidance import GuidanceConfig, cfg_multi, cfg_single
+# cfg_single stays a module attribute: perfbench's tracer wraps it here by name
+from .guidance import GuidanceConfig, cfg_multi, cfg_single  # noqa: F401
 from .masks import MaskPair, MaskPolicy, make_mask, saliency_relevance
 from .nulltext import NullOptConfig, OptimizedNull, jump_from_tau, optimize_null_text
 from .rng import SeededRng
@@ -113,42 +114,6 @@ class EnsembleResult:
     member_probabilities: tuple
 
 
-def compute_identity_noise(
-    model: Denoiser,
-    x_tau: np.ndarray,
-    tau: int,
-    null_opt: OptimizedNull,
-    c: ConditionEmbedding,
-    omega: float,
-) -> np.ndarray:
-    """Guided noise at (x_tau, tau) with the optimized null as unconditional."""
-    return cfg_single(
-        model.predict(x_tau, tau, null_opt.embedding),
-        model.predict(x_tau, tau, c),
-        omega,
-    )
-
-
-def identity_path_step(
-    model: Denoiser,
-    x_tau: np.ndarray,
-    tau: int,
-    t: int,
-    null_opt: OptimizedNull,
-    c: ConditionEmbedding,
-    omega: float,
-    schedule: NoiseSchedule,
-    eps_dot: np.ndarray | None = None,
-) -> np.ndarray:
-    """Rescaled identity-path value at step t-1 (pass eps_dot to reuse the
-    cached prediction; the result is identical either way)."""
-    if not 1 <= t <= tau:
-        raise ContractError(f"identity path needs 1 <= t <= tau, got t={t}, tau={tau}")
-    if eps_dot is None:
-        eps_dot = compute_identity_noise(model, x_tau, tau, null_opt, c, omega)
-    return jump_from_tau(to_xbar(x_tau, tau, schedule), tau, t - 1, eps_dot, schedule)
-
-
 def augmentation_path_step(
     model: Denoiser,
     x_t: np.ndarray,
@@ -209,8 +174,9 @@ def _generate(
     all from ``rngs[i]`` and in the same order whatever N is.
     """
     schedule = model.schedule
-    if trajectory.tau != cfg.tau:
-        raise ContractError(f"trajectory tau {trajectory.tau} != config tau {cfg.tau}")
+    if trajectory.tau != cfg.tau or null_opt.tau != cfg.tau:
+        raise ContractError(f"trajectory tau {trajectory.tau} and null-text tau "
+                            f"{null_opt.tau} must equal config tau {cfg.tau}")
     tau = cfg.tau
     x_tau = trajectory.x_tau
     n = len(rngs)
@@ -234,14 +200,13 @@ def _generate(
     if not policy.resample_per_step:
         masks, spade_sel = draw_masks(x_tau, tau)
 
-    eps_dot = compute_identity_noise(model, x_tau, tau, null_opt, c, cfg.guidance.omega)
     xbar_tau = to_xbar(x_tau, tau, schedule)
     xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
 
     t = tau
     while t > 0:
         t_out = max(t - cfg.club_stride, 0)
-        spade_bar = jump_from_tau(xbar_tau, tau, t_out, eps_dot, schedule)
+        spade_bar = jump_from_tau(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
         x_t = from_xbar(xbar, t, schedule)
         club_bar = augmentation_path_step(
             model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,

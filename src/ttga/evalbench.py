@@ -34,8 +34,9 @@ class Difficulty:
     def __post_init__(self):
         if not 0.0 <= self.occlusion <= 1.0:
             raise ConfigError(f"occlusion must be in [0,1], got {self.occlusion}")
-        if self.blur < 0 or self.noise < 0:
-            raise ConfigError("blur and noise must be >= 0")
+        for name in ("blur", "noise"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .denoiser import ConditionEmbedding, Denoiser, ROLE_OPTIMIZED_NULL
-from .errors import DegenerateGuidanceError
+from .errors import ConfigError, DegenerateGuidanceError
 from .guidance import cfg_single
 from .optim import AdamState, adam_step
 from .sampler import InversionTrajectory
@@ -44,13 +44,25 @@ class NullOptConfig:
     early_stop: float = 5e-4
     trace_path: str | None = None
 
+    def __post_init__(self):
+        if not 0.0 < self.lr < np.inf:
+            raise ConfigError(f"nulltext_lr must be finite and > 0, got {self.lr}")
+        if self.max_steps < 0:
+            raise ConfigError(f"nulltext_max_steps must be >= 0, got {self.max_steps}")
+        if not 0.0 <= self.early_stop < np.inf:
+            raise ConfigError(f"nulltext_early_stop must be finite and >= 0, got {self.early_stop}")
+
 
 @dataclass(frozen=True)
 class OptimizedNull:
+    """The best null embedding found, with ``identity_noise``: the guided
+    noise at (x_tau, tau) that it reconstructs the image with."""
+
     embedding: ConditionEmbedding
     tau: int
     final_loss: float
     iterations_used: int
+    identity_noise: np.ndarray
 
     def __post_init__(self):
         if self.final_loss < 0.0:
@@ -123,13 +135,13 @@ def optimize_null_text(
 
     def evaluate(values: np.ndarray):
         e = ConditionEmbedding(values, role=ROLE_OPTIMIZED_NULL)
-        eps_e = model.predict(x_tau, tau, e)
-        recon = jump_from_tau(xbar_tau, tau, 0, cfg_single(eps_e, eps_c, omega), schedule)
-        return e, recon, reconstruction_loss(recon, x0)
+        eps_dot = cfg_single(model.predict(x_tau, tau, e), eps_c, omega)
+        recon = jump_from_tau(xbar_tau, tau, 0, eps_dot, schedule)
+        return e, eps_dot, recon, reconstruction_loss(recon, x0)
 
     values = np.zeros(model.embedding_dim)
-    current_e, recon, loss = evaluate(values)
-    best_e, best_loss = current_e, loss
+    current_e, eps_dot, recon, loss = evaluate(values)
+    best_e, best_eps, best_loss = current_e, eps_dot, loss
     trace = [(0, loss)]
     state = AdamState(dim=values.size, lr=opt_config.lr)
     iterations = 0
@@ -139,10 +151,10 @@ def optimize_null_text(
         grad = model.grad_wrt_embedding(upstream, x_tau, tau, current_e)
         values = adam_step(state, values, grad)
         iterations += 1
-        current_e, recon, loss = evaluate(values)
+        current_e, eps_dot, recon, loss = evaluate(values)
         trace.append((iterations, loss))
         if loss < best_loss:
-            best_e, best_loss = current_e, loss
+            best_e, best_eps, best_loss = current_e, eps_dot, loss
 
     if opt_config.trace_path:
         with open(opt_config.trace_path, "w", newline="") as f:
@@ -151,6 +163,5 @@ def optimize_null_text(
             for it, lo in trace:
                 writer.writerow([it, f"{lo:.12e}"])
 
-    return OptimizedNull(
-        embedding=best_e, tau=tau, final_loss=best_loss, iterations_used=iterations
-    )
+    return OptimizedNull(embedding=best_e, tau=tau, final_loss=best_loss,
+                         iterations_used=iterations, identity_noise=best_eps)

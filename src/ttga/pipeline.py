@@ -26,7 +26,7 @@ from .denoiser import (
     save_checkpoint,
     train_toy_denoiser,
 )
-from .engine import ensemble, entropy_bits, error_estimate_map, generate_set
+from .engine import AugmentationSet, ensemble, entropy_bits, error_estimate_map, generate_set
 from .errors import ConfigError
 from .evalbench import (
     Difficulty,
@@ -42,7 +42,7 @@ from .evalbench import (
 from .masks import consistency_relevance, saliency_relevance
 from .metrics import binarize, dice, error_ground_truth, hd95, nsd, roc_auc
 from .rng import SeededRng
-from .runconfig import RunConfig, write_resolved_config
+from .runconfig import RunConfig
 from .schedule import NoiseSchedule
 
 STREAM_TRAIN_DATA = 0x11
@@ -62,6 +62,7 @@ PER_IMAGE_HEADER = [
     "dsc", "auc", "hd95", "nsd",
     "err_dsc", "err_auc", "err_nsd", "flags",
 ]
+AUGMENT_HEADER = ["image_id", "aug_index", "lambda_r", "mask_stream", "reconstruction_loss"]
 AGGREGATE_HEADER = [
     "method", "task",
     "dsc_mean", "dsc_std", "auc_mean", "auc_std",
@@ -225,6 +226,35 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
     return lambda x, t: consistency_relevance(denoiser, x, t, semantic)
 
 
+def ttga_set(image_id: int, scene: ToyScene, cfg: RunConfig, denoiser: Denoiser,
+             semantic: ConditionEmbedding, segmenter: Segmenter,
+             trace_dir: Path | None = None) -> AugmentationSet:
+    """Image ``image_id``'s TTGA set, on its own stream with the configured
+    relevance; with ``trace_dir``, its null-text trace is written there."""
+    rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTGA)
+    ttga = cfg.ttga
+    if trace_dir is not None:
+        trace_path = str(trace_dir / f"nulltext_trace_{image_id:04d}.csv")
+        ttga = replace(ttga, null_opt=replace(ttga.null_opt, trace_path=trace_path))
+    return generate_set(denoiser, scene.image, semantic, ttga, rng,
+                        relevance_fn=_relevance_fn(cfg, scene, denoiser, semantic, segmenter))
+
+
+def augment_metadata(image_id: int, aset: AugmentationSet) -> list[dict]:
+    return [{"image_id": image_id, "aug_index": j, "lambda_r": item.lambda_r,
+             "mask_stream": item.mask_stream, "reconstruction_loss": item.reconstruction_loss}
+            for j, item in enumerate(aset.per_item)]
+
+
+def write_augment_metadata(path: Path, rows: list[dict]) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(AUGMENT_HEADER)
+        for m in rows:
+            writer.writerow([m["image_id"], m["aug_index"], fmt(m["lambda_r"]),
+                             m["mask_stream"], fmt(m["reconstruction_loss"])])
+
+
 # ---- per-image evaluation ----
 
 
@@ -285,19 +315,10 @@ def evaluate_image(
         per_method["tta"] = (er.mean_probability, error_estimate_map(er))
 
     if "ttga" in methods:
-        rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTGA)
-        relevance_fn = _relevance_fn(cfg, scene, denoiser, semantic, segmenter)
-        aset = generate_set(denoiser, scene.image, semantic, cfg.ttga, rng,
-                            relevance_fn=relevance_fn)
-        members = [segmenter.segment(a) for a in aset.augmented]
-        er = ensemble(members)
+        aset = ttga_set(image_id, scene, cfg, denoiser, semantic, segmenter)
+        er = ensemble([segmenter.segment(a) for a in aset.augmented])
         per_method["ttga"] = (er.mean_probability, error_estimate_map(er))
-        for j, item in enumerate(aset.per_item):
-            result.aug_metadata.append({
-                "image_id": image_id, "aug_index": j,
-                "lambda_r": item.lambda_r, "mask_stream": item.mask_stream,
-                "reconstruction_loss": item.reconstruction_loss,
-            })
+        result.aug_metadata = augment_metadata(image_id, aset)
         if cfg.dump_images:
             result.dumps["augmented"] = aset.augmented
             result.dumps["ttga_entropy"] = er.entropy_map
@@ -374,15 +395,7 @@ def run_evaluation(
 
     metadata = [m for res in results for m in res.aug_metadata]
     if metadata:
-        with open(eval_dir / "augment_metadata.csv", "w", newline="", encoding="utf-8") as f:
-            writer = csv.writer(f)
-            writer.writerow(["image_id", "aug_index", "lambda_r", "mask_stream",
-                             "reconstruction_loss"])
-            for m in metadata:
-                writer.writerow([
-                    m["image_id"], m["aug_index"], fmt(m["lambda_r"]),
-                    m["mask_stream"], fmt(m["reconstruction_loss"]),
-                ])
+        write_augment_metadata(eval_dir / "augment_metadata.csv", metadata)
 
     if cfg.dump_images:
         dump_dir = eval_dir / "dump"
@@ -402,13 +415,13 @@ def run_evaluation(
 
 
 # ---- commands ----
+# Each command takes the resolved config and the run log; the CLI creates the
+# output directory and writes resolved-config.txt around it.
 
 
-def cmd_make_data(cfg: RunConfig) -> Path:
-    out_dir = Path(cfg.out)
-    data_dir = out_dir / "data"
+def cmd_make_data(cfg: RunConfig, log: RunLog) -> Path:
+    data_dir = Path(cfg.out) / "data"
     data_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log")
     rows = write_dataset(build_train_set(cfg), data_dir, "train", cfg.dump_images)
     rows += write_dataset(build_test_set(cfg), data_dir, "test", cfg.dump_images)
     with open(data_dir / "manifest.csv", "w", newline="", encoding="utf-8") as f:
@@ -417,138 +430,103 @@ def cmd_make_data(cfg: RunConfig) -> Path:
         )
         writer.writeheader()
         writer.writerows(rows)
-    write_resolved_config(cfg, out_dir / "resolved-config.txt")
     log.write(f"wrote dataset: {cfg.n_train} train / {cfg.n_test} test")
     return data_dir
 
 
-def _train_scenes(cfg: RunConfig) -> list[ToyScene]:
+def _scenes(cfg: RunConfig, split: str) -> list[ToyScene]:
     if cfg.data_dir:
-        return load_dataset(Path(cfg.data_dir), "train")
-    return build_train_set(cfg)
+        return load_dataset(Path(cfg.data_dir), split)
+    return build_train_set(cfg) if split == "train" else build_test_set(cfg)
 
 
-def _test_scenes(cfg: RunConfig) -> list[ToyScene]:
-    if cfg.data_dir:
-        return load_dataset(Path(cfg.data_dir), "test")
-    return build_test_set(cfg)
-
-
-def cmd_train_denoiser(cfg: RunConfig) -> Path:
-    out_dir = Path(cfg.out)
-    models_dir = out_dir / "models"
+def _models_dir(cfg: RunConfig) -> Path:
+    models_dir = Path(cfg.out) / "models"
     models_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log")
-    model = build_denoiser(cfg, cfg.schedule, _train_scenes(cfg), log)
-    ckpt = models_dir / "denoiser.ckpt"
-    save_checkpoint(ckpt, model)
-    semantic = semantic_anchor(cfg)
-    gridio.save_grid(models_dir / "semantic.f64", semantic.values.reshape(1, -1))
-    write_resolved_config(cfg, out_dir / "resolved-config.txt")
+    return models_dir
+
+
+def cmd_train_denoiser(cfg: RunConfig, log: RunLog) -> Path:
+    ckpt = _models_dir(cfg) / "denoiser.ckpt"
+    save_checkpoint(ckpt, build_denoiser(cfg, cfg.schedule, _scenes(cfg, "train"), log))
+    gridio.save_grid(ckpt.with_name("semantic.f64"), semantic_anchor(cfg).values.reshape(1, -1))
     log.write(f"saved denoiser checkpoint: {ckpt}")
     return ckpt
 
 
-def cmd_train_segmenter(cfg: RunConfig) -> Path:
-    out_dir = Path(cfg.out)
-    models_dir = out_dir / "models"
-    models_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log")
-    model = build_segmenter(cfg, _train_scenes(cfg), log)
-    ckpt = models_dir / "segmenter.ckpt"
-    save_segmenter(ckpt, model)
-    write_resolved_config(cfg, out_dir / "resolved-config.txt")
+def cmd_train_segmenter(cfg: RunConfig, log: RunLog) -> Path:
+    ckpt = _models_dir(cfg) / "segmenter.ckpt"
+    save_segmenter(ckpt, build_segmenter(cfg, _scenes(cfg, "train"), log))
     log.write(f"saved segmenter checkpoint: {ckpt}")
     return ckpt
 
 
 def _load_models(cfg: RunConfig, log: RunLog):
-    train_scenes = None
+    """Load the model files the config names and check that they agree, then
+    build the models it names no file for."""
+    denoiser = semantic = segmenter = None
     if cfg.denoiser_checkpoint:
         denoiser = load_checkpoint(cfg.denoiser_checkpoint, cfg.schedule)
-    else:
-        train_scenes = _train_scenes(cfg)
-        denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
     if cfg.semantic_embedding:
         semantic = ConditionEmbedding(gridio.load_grid(cfg.semantic_embedding).ravel())
-    else:
-        semantic = semantic_anchor(cfg)
     if cfg.segmenter_checkpoint:
         segmenter = load_segmenter(cfg.segmenter_checkpoint)
-    else:
-        if train_scenes is None and cfg.segmenter == "trained":
-            train_scenes = _train_scenes(cfg)
-        segmenter = build_segmenter(cfg, train_scenes or [], log)
-    return denoiser, semantic, segmenter
+    dim = cfg.embedding_dim if denoiser is None else denoiser.embedding_dim
+    if semantic is not None and semantic.dim != dim:
+        raise ConfigError(f"{cfg.semantic_embedding} holds {semantic.dim} values, "
+                          f"but the denoiser's embedding dim is {dim}")
+    if semantic is None and dim != cfg.embedding_dim:
+        raise ConfigError(f"{cfg.denoiser_checkpoint} has embedding dim {dim}, "
+                          f"not embedding_dim {cfg.embedding_dim}")
+    if isinstance(denoiser, AnalyticGaussianDenoiser) and denoiser.shape != (cfg.size,) * 2:
+        raise ConfigError(f"{cfg.denoiser_checkpoint} has grid {denoiser.shape}, "
+                          f"not size {cfg.size}")
+    needs_train = denoiser is None or (segmenter is None and cfg.segmenter == "trained")
+    train_scenes = _scenes(cfg, "train") if needs_train else []
+    if denoiser is None:
+        denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
+    if segmenter is None:
+        segmenter = build_segmenter(cfg, train_scenes, log)
+    return denoiser, semantic if semantic is not None else semantic_anchor(cfg), segmenter
 
 
-def cmd_augment(cfg: RunConfig, count: int = 4) -> Path:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log")
-    scenes = _test_scenes(cfg)[:count]
-    denoiser, semantic, segmenter = _load_models(cfg, log)
-    aug_dir = out_dir / "augment"
+def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
+    scenes = _scenes(cfg, "test")[:count]
+    models = _load_models(cfg, log)
+    aug_dir = Path(cfg.out) / "augment"
     aug_dir.mkdir(exist_ok=True)
-    with open(aug_dir / "metadata.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["image_id", "aug_index", "lambda_r", "mask_stream",
-                         "reconstruction_loss"])
-        for i, scene in enumerate(scenes):
-            rng = SeededRng(cfg.seed, STREAM_EVAL).derive(i).derive(SUBSTREAM_TTGA)
-            relevance_fn = _relevance_fn(cfg, scene, denoiser, semantic, segmenter)
-            image_cfg = cfg.ttga
-            if cfg.nulltext_trace:
-                trace_path = str(aug_dir / f"nulltext_trace_{i:04d}.csv")
-                image_cfg = replace(cfg.ttga, null_opt=replace(cfg.ttga.null_opt,
-                                                               trace_path=trace_path))
-            aset = generate_set(denoiser, scene.image, semantic, image_cfg, rng,
-                                relevance_fn=relevance_fn)
-            gridio.save_grid(aug_dir / f"original_{i:04d}.f64", aset.original)
-            for j, aug in enumerate(aset.augmented):
-                gridio.save_grid(aug_dir / f"aug_{i:04d}_{j:02d}.f64", aug)
-                if cfg.dump_images:
-                    gridio.save_pgm(aug_dir / f"aug_{i:04d}_{j:02d}.pgm", aug)
-            for j, item in enumerate(aset.per_item):
-                writer.writerow([i, j, fmt(item.lambda_r), item.mask_stream,
-                                 fmt(item.reconstruction_loss)])
-    write_resolved_config(cfg, out_dir / "resolved-config.txt")
+    metadata = []
+    for i, scene in enumerate(scenes):
+        aset = ttga_set(i, scene, cfg, *models, trace_dir=aug_dir if cfg.nulltext_trace else None)
+        gridio.save_grid(aug_dir / f"original_{i:04d}.f64", aset.original)
+        for j, aug in enumerate(aset.augmented):
+            gridio.save_grid(aug_dir / f"aug_{i:04d}_{j:02d}.f64", aug)
+            if cfg.dump_images:
+                gridio.save_pgm(aug_dir / f"aug_{i:04d}_{j:02d}.pgm", aug)
+        metadata += augment_metadata(i, aset)
+    write_augment_metadata(aug_dir / "metadata.csv", metadata)
     log.write(f"augmented {len(scenes)} images x {cfg.n_augment}")
     return aug_dir
 
 
-def cmd_evaluate(cfg: RunConfig) -> Path:
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log")
-    scenes = _test_scenes(cfg)
-    denoiser, semantic, segmenter = _load_models(cfg, log)
-    run_evaluation(cfg, scenes, denoiser, semantic, segmenter, out_dir, log)
-    write_resolved_config(cfg, out_dir / "resolved-config.txt")
-    return out_dir / "eval" / "aggregate.csv"
+def cmd_evaluate(cfg: RunConfig, log: RunLog) -> Path:
+    scenes = _scenes(cfg, "test")
+    run_evaluation(cfg, scenes, *_load_models(cfg, log), Path(cfg.out), log)
+    return Path(cfg.out) / "eval" / "aggregate.csv"
 
 
-def cmd_full_pipeline(cfg: RunConfig) -> Path:
-    """Dataset -> models -> evaluation, all from one seed, all artifacts under
-    the output directory."""
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log = RunLog(out_dir / "run.log")
-    data_dir = cmd_make_data(cfg)
-    train_scenes = load_dataset(data_dir, "train")
-    test_scenes = load_dataset(data_dir, "test")
-    models_dir = out_dir / "models"
-    models_dir.mkdir(exist_ok=True)
-    denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
-    save_checkpoint(models_dir / "denoiser.ckpt", denoiser)
-    semantic = semantic_anchor(cfg)
-    gridio.save_grid(models_dir / "semantic.f64", semantic.values.reshape(1, -1))
-    segmenter = build_segmenter(cfg, train_scenes, log)
-    save_segmenter(models_dir / "segmenter.ckpt", segmenter)
-    run_evaluation(cfg, test_scenes, denoiser, semantic, segmenter, out_dir, log)
-    write_resolved_config(cfg, out_dir / "resolved-config.txt")
+def cmd_full_pipeline(cfg: RunConfig, log: RunLog) -> Path:
+    """make-data, train-denoiser, train-segmenter and evaluate in turn, each
+    step reading the files that the steps before it wrote."""
+    cfg = replace(cfg, data_dir=str(cmd_make_data(cfg, log)))
+    denoiser_ckpt = cmd_train_denoiser(cfg, log)
+    segmenter_ckpt = cmd_train_segmenter(cfg, log)
+    cfg = replace(cfg, denoiser_checkpoint=str(denoiser_ckpt),
+                  segmenter_checkpoint=str(segmenter_ckpt),
+                  semantic_embedding=str(denoiser_ckpt.with_name("semantic.f64")))
+    aggregate = cmd_evaluate(cfg, log)
     log.write("full pipeline complete")
-    return out_dir / "eval" / "aggregate.csv"
+    return aggregate
 
 
 # ---- cross-run report ----

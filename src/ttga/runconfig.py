@@ -16,7 +16,7 @@ from pathlib import Path
 from .denoiser import DenoiserTrainConfig
 from .engine import TtgaConfig
 from .errors import ConfigError
-from .evalbench import SegTrainConfig
+from .evalbench import Difficulty, SegTrainConfig
 from .guidance import GuidanceConfig
 from .masks import MaskPolicy
 from .nulltext import NullOptConfig
@@ -120,6 +120,13 @@ class RunConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.data_std < math.inf:
             raise ConfigError(f"data_std must be finite and > 0, got {self.data_std}")
+        if not 0.0 <= self.tta_jitter < math.inf:
+            raise ConfigError(f"tta_jitter must be finite and >= 0, got {self.tta_jitter}")
+        for split in ("train", "test"):
+            try:
+                Difficulty(*(getattr(self, f"{split}_{k}") for k in ("occlusion", "blur", "noise")))
+            except ConfigError as exc:
+                raise ConfigError(f"{split}_{exc}") from None
         if not 0 <= self.seed < 2**64:
             raise ConfigError(f"seed must fit in 64 bits, got {self.seed}")
         schedule = build_schedule(self.total_steps, self.beta_start, self.beta_end)

@@ -79,7 +79,10 @@ def build_schedule(
     alpha_bars[1:] = np.cumprod(alphas)
     gammas = np.empty(total_steps + 1, dtype=np.float64)
     gammas[0] = 0.0
-    gammas[1:] = np.sqrt((1.0 - alpha_bars[1:]) / alpha_bars[1:])
+    with np.errstate(divide="ignore", over="ignore"):
+        gammas[1:] = np.sqrt((1.0 - alpha_bars[1:]) / alpha_bars[1:])
+    if not np.isfinite(gammas[-1]):
+        raise ConfigError(f"beta_end={beta_end} over {total_steps} steps drives alpha_bar to 0")
     return NoiseSchedule(total_steps, alphas, alpha_bars, gammas)
 
 

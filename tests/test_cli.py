@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttga import gridio
 from ttga.cli import main
 from ttga.errors import ConfigError
 from ttga.runconfig import RunConfig, load_config_file, resolve_config, write_resolved_config
@@ -64,6 +65,9 @@ BAD_SETTINGS = [("evaluate", [s]) for s in (
     "omega=1", "omega=-1", "lambda_c=-1", "p_m=2", "relevance_quantile=1",
     "inversion_interval=0", "data_std=0", "size=0", "seg_epochs=0", "tta_views=0",
     "n_augment=0", "club_stride=0", "lambda_r_low=2", "invert_with=foo",
+    "nulltext_lr=nan", "nulltext_max_steps=-5", "nulltext_early_stop=nan", "beta_end=0.9",
+    "test_blur=nan", "train_noise=nan", "test_occlusion=2", "train_occlusion=-1",
+    "tta_jitter=nan", "tta_jitter=-1",
 )] + [("train-denoiser", ["denoiser=trainable", s])
       for s in ("denoiser_batch=0", "denoiser_hidden=0")]
 
@@ -275,23 +279,61 @@ def test_trainable_denoiser_pipeline_path(tmp_path):
         assert len(list(csv.reader(f))) == 7
 
 
-def test_evaluate_reuses_checkpoints(tmp_path):
+def test_evaluate_reuses_checkpoints(tmp_path, pipeline_run):
     out = tmp_path / "train_run"
-    assert run_cli("make-data", "--out", out, "--seed", 6, *TINY) == 0
-    assert run_cli("train-denoiser", "--out", out, "--seed", 6, *TINY,
+    assert run_cli("make-data", "--out", out, "--seed", 3, *TINY) == 0
+    assert run_cli("train-denoiser", "--out", out, "--seed", 3, *TINY,
                    "--set", f"data_dir={out / 'data'}") == 0
-    assert run_cli("train-segmenter", "--out", out, "--seed", 6, *TINY,
+    assert run_cli("train-segmenter", "--out", out, "--seed", 3, *TINY,
                    "--set", f"data_dir={out / 'data'}") == 0
     eval_out = tmp_path / "eval_run"
     code = run_cli(
-        "evaluate", "--out", eval_out, "--seed", 6, *TINY,
+        "evaluate", "--out", eval_out, "--seed", 3, *TINY,
         "--set", f"data_dir={out / 'data'}",
         "--set", f"denoiser_checkpoint={out / 'models' / 'denoiser.ckpt'}",
         "--set", f"segmenter_checkpoint={out / 'models' / 'segmenter.ckpt'}",
         "--set", f"semantic_embedding={out / 'models' / 'semantic.f64'}",
     )
     assert code == 0
-    assert (eval_out / "eval" / "aggregate.csv").exists()
+    # the staged commands are what full-pipeline runs, so they give its bytes
+    for name in ("per_image.csv", "aggregate.csv", "augment_metadata.csv"):
+        assert read_text(eval_out / "eval" / name) == read_text(pipeline_run / "eval" / name)
+
+
+@pytest.fixture(scope="module")
+def dim8_models(tmp_path_factory):
+    """An analytic checkpoint and a semantic embedding of dim 8 on 24x24 grids."""
+    out = tmp_path_factory.mktemp("dim8")
+    assert run_cli("train-denoiser", "--out", out, *TINY, "--set", "embedding_dim=8") == 0
+    return out / "models"
+
+
+def test_checkpoint_and_semantic_that_agree_run_at_default_dim(tmp_path, dim8_models):
+    default_dim = [a for pair in zip(TINY[::2], TINY[1::2]) if pair[1] != "embedding_dim=64"
+                   for a in pair]
+    assert run_cli("evaluate", "--out", tmp_path / "x", *default_dim,
+                   "--set", "segmenter=threshold",
+                   "--set", f"denoiser_checkpoint={dim8_models / 'denoiser.ckpt'}",
+                   "--set", f"semantic_embedding={dim8_models / 'semantic.f64'}") == 0
+
+
+@pytest.mark.parametrize("case", ["checkpoint_dim", "semantic_length", "analytic_grid"])
+def test_disagreeing_model_files_exit_3_before_training(tmp_path, capsys, dim8_models, case):
+    ckpt = dim8_models / "denoiser.ckpt"
+    if case == "checkpoint_dim":
+        named, sets = ckpt, [f"denoiser_checkpoint={ckpt}"]
+    elif case == "semantic_length":
+        named = tmp_path / "semantic5.f64"
+        gridio.save_grid(named, np.ones((1, 5)))
+        sets = [f"semantic_embedding={named}"]
+    else:
+        named, sets = ckpt, [f"denoiser_checkpoint={ckpt}", "embedding_dim=8", "size=16"]
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY,
+                   *[a for s in sets for a in ("--set", s)]) == 3
+    err = capsys.readouterr().err
+    assert f"invalid config: {named}" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
 
 
 @pytest.mark.parametrize("field", ["denoiser_checkpoint", "segmenter_checkpoint",

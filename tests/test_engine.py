@@ -21,13 +21,9 @@ from ttga import (
     optimize_null_text,
     to_xbar,
 )
-from ttga.engine import (
-    augmentation_path_step,
-    blend,
-    compute_identity_noise,
-    entropy_bits,
-    identity_path_step,
-)
+from ttga.engine import augmentation_path_step, blend, entropy_bits
+from ttga.guidance import cfg_single
+from ttga.nulltext import jump_from_tau
 from ttga.errors import ConfigError, ContractError, NumericalAbort
 from ttga.masks import MaskPair, consistency_relevance
 
@@ -64,36 +60,40 @@ def small_cfg(**kwargs):
 # ---- path steps ----
 
 
-def test_identity_step_at_t1_equals_one_step_reconstruction(setup, schedule):
+def test_identity_path_jumps_along_identity_noise(setup, schedule):
     model, c, x0, traj, null_opt = setup
-    got = identity_path_step(model, traj.x_tau, traj.tau, 1, null_opt, c, 2.0, schedule)
+    cfg = small_cfg(club_stride=7, mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.5))
+    records = []
+    generate_one(model, x0, null_opt, c, cfg, SeededRng(12), trajectory=traj,
+                 record_steps=records)
+    xbar_tau = to_xbar(traj.x_tau, traj.tau, schedule)
+    for rec in records:
+        expected = jump_from_tau(xbar_tau, traj.tau, rec["t_out"], null_opt.identity_noise,
+                                 schedule)
+        assert np.array_equal(rec["spade"], expected)
+    assert records[-1]["t_out"] == 0
     rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding,
                                2.0, schedule)
-    assert np.array_equal(got, rec)
+    assert np.array_equal(records[-1]["spade"], rec)
 
 
-def test_identity_step_cache_equivalence(setup, schedule):
-    model, c, x0, traj, null_opt = setup
-    eps_dot = compute_identity_noise(model, traj.x_tau, traj.tau, null_opt, c, 2.0)
-    for t in (1, 25, 60):
-        with_cache = identity_path_step(model, traj.x_tau, traj.tau, t, null_opt, c,
-                                        2.0, schedule, eps_dot=eps_dot)
-        without = identity_path_step(model, traj.x_tau, traj.tau, t, null_opt, c,
-                                     2.0, schedule)
-        assert np.array_equal(with_cache, without)
+def _conv_setup(schedule):
+    rng = SeededRng(57)
+    model = ConvDenoiser(schedule, channels=1, embedding_dim=8, hidden=6, rng=rng.derive(1))
+    c = ConditionEmbedding(rng.derive(2).normal(8))
+    x0 = 0.2 + 0.5 * rng.derive(3).random((8, 8))
+    traj = ddim_invert(model, x0, 20, 10, c, schedule)
+    null_opt = optimize_null_text(model, traj, c, 2.0, schedule,
+                                  NullOptConfig(lr=0.1, max_steps=5, early_stop=0.0))
+    return model, c, x0, traj, null_opt
 
 
-def test_identity_step_zero_eps_is_rescale(setup, schedule):
-    model, c, x0, traj, null_opt = setup
-    out = identity_path_step(model, traj.x_tau, traj.tau, 30, null_opt, c, 2.0,
-                             schedule, eps_dot=np.zeros((8, 8)))
-    assert np.array_equal(out, to_xbar(traj.x_tau, traj.tau, schedule))
-
-
-def test_identity_step_range_check(setup, schedule):
-    model, c, x0, traj, null_opt = setup
-    with pytest.raises(ContractError):
-        identity_path_step(model, traj.x_tau, traj.tau, 0, null_opt, c, 2.0, schedule)
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+def test_identity_noise_is_guided_noise_of_best_embedding(setup, schedule, kind):
+    model, c, x0, traj, null_opt = setup if kind == "analytic" else _conv_setup(schedule)
+    expected = cfg_single(model.predict(traj.x_tau, traj.tau, null_opt.embedding),
+                          model.predict(traj.x_tau, traj.tau, c), 2.0)
+    assert np.array_equal(null_opt.identity_noise, expected)
 
 
 def test_augmentation_step_reduces_to_conditional_ddim(setup, schedule):

@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # Byte-level regression check: runs `ttga full-pipeline --seed 7` from the
 # sources under SRC on two tiny configurations (the analytic denoiser, and a
-# trained conv denoiser with masks redrawn at every step), and `ttga augment
-# --seed 7` with null-text traces on the analytic one, and writes the sha256
-# digests of the evaluation CSVs, both model checkpoints, the augmentation
-# metadata and the traces to OUT.
+# trained conv denoiser with masks redrawn at every step), `ttga augment
+# --seed 7` with null-text traces on the analytic one, and make-data,
+# train-denoiser, train-segmenter and evaluate in turn on the analytic one;
+# and writes the sha256 digests of the evaluation CSVs, both model
+# checkpoints, the augmentation metadata and the traces to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -43,6 +44,14 @@ run() {
 run full-pipeline analytic "${tiny[@]}"
 run full-pipeline trainable "${tiny[@]}" "${trainable[@]}"
 run augment augment "${tiny[@]}" --count 2 --set nulltext_trace=true
+staged="$runs/staged"
+run make-data staged "${tiny[@]}"
+run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
+run train-segmenter staged "${tiny[@]}" --set data_dir="$staged/data"
+run evaluate staged/run "${tiny[@]}" --set data_dir="$staged/data" \
+    --set denoiser_checkpoint="$staged/models/denoiser.ckpt" \
+    --set segmenter_checkpoint="$staged/models/segmenter.ckpt" \
+    --set semantic_embedding="$staged/models/semantic.f64"
 
 files=()
 for name in analytic trainable; do
@@ -53,5 +62,8 @@ for name in analytic trainable; do
 done
 for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
     files+=("augment/augment/$rel")
+done
+for rel in per_image.csv aggregate.csv augment_metadata.csv; do
+    files+=("staged/run/eval/$rel")
 done
 (cd "$runs" && sha256sum "${files[@]}") > "$out"
