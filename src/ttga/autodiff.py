@@ -10,6 +10,7 @@ mean/sum reductions. Gradients accumulate on leaf tensors after
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -192,12 +193,11 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     """(B,H,W,C) -> (B,H,W,k*k*C) patches under zero 'same' padding."""
     b, h, w, c = x.shape
     pad = k // 2
-    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    cols = np.empty((b, h, w, k * k, c), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            cols[:, :, :, i * k + j, :] = xp[:, i:i + h, j:j + w, :]
-    return cols.reshape(b, h, w, k * k * c)
+    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
+    xp[:, pad:pad + h, pad:pad + w, :] = x
+    # (B, H, W, C, k, k) windows; one copy lays them out as (k row, k col, C)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, :h, :w]
+    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, k * k * c)
 
 
 def _col2im(gcols: np.ndarray, k: int, in_shape: tuple) -> np.ndarray:

@@ -17,7 +17,9 @@ that ``ConvDenoiser`` and the toy segmenter in ``evalbench`` share.
 
 ``predict`` and ``grad_wrt_input`` take one grid, or a stack of grids along a
 new leading item axis; item i of a stacked result equals the single-grid
-call on item i, bit for bit.
+call on item i, bit for bit. ``predict_each`` evaluates several embeddings
+at once and ``predict_vjp`` keeps the forward pass for one gradient; both
+return what ``predict`` and ``grad_wrt_*`` return, bit for bit.
 
 For N(mu, I) data the marginal of x_t is N(sqrt(abar_t)*mu, I), and the
 posterior-mean predictor is
@@ -45,6 +47,11 @@ ROLE_SEMANTIC = "semantic"
 ROLE_NULL = "null"
 ROLE_OPTIMIZED_NULL = "optimized_null"
 _ROLES = (ROLE_SEMANTIC, ROLE_NULL, ROLE_OPTIMIZED_NULL)
+
+
+def _check_wrt(wrt: str) -> None:
+    if wrt not in ("input", "embedding"):
+        raise ContractError(f"wrt must be input|embedding, got {wrt!r}")
 
 
 @dataclass(frozen=True)
@@ -87,6 +94,22 @@ class Denoiser:
 
     def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
         raise NotImplementedError
+
+    def predict_each(
+        self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding]
+    ) -> list[np.ndarray]:
+        """``predict(x, t, e)`` for each embedding, in order."""
+        return [self.predict(x, t, e) for e in embeddings]
+
+    def predict_vjp(
+        self, x: np.ndarray, t: int, e: ConditionEmbedding, wrt: str = "input"
+    ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
+        """``predict(x, t, e)`` and a function of ``loss_grad`` that returns
+        ``grad_wrt_input`` (wrt="input") or ``grad_wrt_embedding``
+        (wrt="embedding") at the same (x, t, e)."""
+        _check_wrt(wrt)
+        grad = self.grad_wrt_input if wrt == "input" else self.grad_wrt_embedding
+        return self.predict(x, t, e), lambda loss_grad: grad(loss_grad, x, t, e)
 
     def grad_wrt_embedding(
         self, loss_grad: np.ndarray, x: np.ndarray, t: int, e: ConditionEmbedding
@@ -194,7 +217,9 @@ class AnalyticGaussianDenoiser(Denoiser):
 
     def grad_wrt_embedding(self, loss_grad, x, t, e):
         self._check_call(x, t, e)
-        return self.projection.T @ np.asarray(loss_grad, dtype=np.float64).ravel()
+        # a stack's items share the embedding, so their gradients add up
+        g = np.asarray(loss_grad, dtype=np.float64).reshape(-1, self.projection.shape[0])
+        return self.projection.T @ g.sum(axis=0)
 
     def grad_wrt_input(self, loss_grad, x, t, e):
         self._check_call(x, t, e)
@@ -328,33 +353,51 @@ class ConvDenoiser(ConvStack, Denoiser):
             out = out[..., 0]
         return out if stacked else out[0]
 
-    def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
-        self._check_call(x, t, e)
-        xb, stacked = self._prepare(x)
+    def _forward(self, xb: Tensor, t: int, emb: Tensor) -> Tensor:
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
-        emb = Tensor(e.values.reshape(1, 1, 1, -1))
-        out = self.forward(self._assemble(Tensor(xb), feats, emb))
-        return self._restore(out.data, stacked)
+        return self.forward(self._assemble(xb, feats, emb))
 
-    def _vjp(self, loss_grad, x, t, e, wrt: str) -> np.ndarray:
+    def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
+        return self.predict_each(x, t, [e])[0]
+
+    def predict_each(self, x, t, embeddings):
+        """One forward pass over the (k*N, H, W) batch that repeats the N
+        items of ``x`` once per embedding, each copy with its own embedding."""
+        for e in embeddings:
+            self._check_call(x, t, e)
         xb, stacked = self._prepare(x)
-        g, _ = self._prepare(np.asarray(loss_grad, dtype=np.float64))
+        k, n = len(embeddings), xb.shape[0]
+        rows = np.repeat([e.values for e in embeddings], n, axis=0)
+        out = self._forward(Tensor(np.concatenate([xb] * k)), t,
+                            Tensor(rows.reshape(k * n, 1, 1, -1)))
+        return [self._restore(part, stacked) for part in np.split(out.data, k)]
+
+    def predict_vjp(self, x, t, e, wrt="input"):
+        """One forward pass that keeps its graph; each call of the returned
+        function runs one backward pass over it."""
+        self._check_call(x, t, e)
+        _check_wrt(wrt)
+        xb, stacked = self._prepare(x)
         xt = Tensor(xb, requires_grad=(wrt == "input"))
-        feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
         emb = Tensor(e.values.reshape(1, 1, 1, -1), requires_grad=(wrt == "embedding"))
-        out = self.forward(self._assemble(xt, feats, emb))
-        out.backward(seed=g)
-        if wrt == "embedding":
-            return emb.grad.reshape(self.embedding_dim)
-        return self._restore(xt.grad, stacked)
+        out = self._forward(xt, t, emb)
+        leaf = xt if wrt == "input" else emb
+
+        def vjp(loss_grad: np.ndarray) -> np.ndarray:
+            g, _ = self._prepare(np.asarray(loss_grad, dtype=np.float64))
+            leaf.grad = None
+            out.backward(seed=g)
+            if wrt == "embedding":
+                return leaf.grad.reshape(self.embedding_dim)
+            return self._restore(leaf.grad, stacked)
+
+        return self._restore(out.data, stacked), vjp
 
     def grad_wrt_embedding(self, loss_grad, x, t, e):
-        self._check_call(x, t, e)
-        return self._vjp(loss_grad, x, t, e, wrt="embedding")
+        return self.predict_vjp(x, t, e, "embedding")[1](loss_grad)
 
     def grad_wrt_input(self, loss_grad, x, t, e):
-        self._check_call(x, t, e)
-        return self._vjp(loss_grad, x, t, e, wrt="input")
+        return self.predict_vjp(x, t, e, "input")[1](loss_grad)
 
 
 # ---- training ----

@@ -16,9 +16,12 @@ A binary mask pair then selects, per pixel, which path's value survives:
     xbar_{t-1} = spade_mask * spade_value + club_mask * club_value.
 
 The N augmentations of a set share one loop: their latents are one
-(N, *grid) stack, each step makes one denoiser call per guidance condition
-and one identity-path jump, and each item draws its lambda_r and masks from
-its own random stream, so an item's output does not depend on N.
+(N, *grid) stack, each step makes one identity-path jump and one denoiser
+call over the three guidance conditions, and each item draws its lambda_r
+and masks from its own random stream, so an item's output does not depend
+on N. A step that redraws relevance masks predicts the semantic condition
+on its own, keeping the graph for the relevance's input gradient, and the
+other two conditions in one call.
 
 The ensemble averages member probability grids and reads per-pixel
 uncertainty from the Shannon entropy of the averaged distribution.
@@ -44,9 +47,10 @@ from .schedule import NoiseSchedule, from_xbar, to_xbar
 INVERT_WITH_SEMANTIC = "semantic"
 INVERT_WITH_NULL = "null"
 
-# relevance provider: (grid or (N, *grid) stack, t) -> one (H, W) map for
-# all items, or an (N, H, W) stack of maps
-RelevanceFn = Callable[[np.ndarray, int], np.ndarray]
+# relevance provider: (grid or (N, *grid) stack, t, pred) -> one (H, W) map
+# for all items, or an (N, H, W) stack of maps; pred is
+# model.predict_vjp(x, t, c) when the loop has computed it, else None
+RelevanceFn = Callable[[np.ndarray, int, tuple | None], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -124,16 +128,20 @@ def augmentation_path_step(
     schedule: NoiseSchedule,
     t_out: int | None = None,
     lambda_r: np.ndarray | None = None,
+    eps_sem: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescaled augmentation-path value at step t_out (default t-1); three
-    denoiser evaluations feed the multi-condition guidance. ``x_t`` may be a
-    stack of latents, with one ``lambda_r`` per item."""
+    denoiser evaluations, in one call, feed the multi-condition guidance.
+    ``x_t`` may be a stack of latents, with one ``lambda_r`` per item.
+    ``eps_sem``, when given, is ``model.predict(x_t, t, c)``."""
     if t < 1:
         raise ContractError(f"augmentation path needs t >= 1, got {t}")
     t_out = t - 1 if t_out is None else t_out
-    eps_null = model.predict(x_t, t, model.null_embedding())
-    eps_sem = model.predict(x_t, t, c)
-    eps_id = model.predict(x_t, t, null_opt.embedding)
+    null, identity = model.null_embedding(), null_opt.embedding
+    if eps_sem is None:
+        eps_null, eps_sem, eps_id = model.predict_each(x_t, t, [null, c, identity])
+    else:
+        eps_null, eps_id = model.predict_each(x_t, t, [null, identity])
     mixed = cfg_multi(eps_null, eps_sem, eps_id, g, lambda_r)
     xbar = to_xbar(x_t, t, schedule)
     return xbar + (schedule.gammas[t_out] - schedule.gammas[t]) * mixed
@@ -185,20 +193,23 @@ def _generate(
     lambda_r = np.array(lambdas)
 
     if relevance_fn is None:
-        relevance_fn = lambda x, t: saliency_relevance(model, x, t, c)
+        relevance_fn = lambda x, t, pred: saliency_relevance(model, x, t, c, pred)
 
     policy = cfg.mask_policy
     mask_shape = x_tau.shape[:2]
+    # steps that redraw relevance masks share the semantic forward with them
+    share_semantic = policy.resample_per_step and policy.needs_relevance
 
-    def draw_masks(x: np.ndarray, t: int) -> tuple[list[MaskPair], np.ndarray]:
-        relevance = relevance_fn(x, t) if policy.needs_relevance else None
+    def draw_masks(x: np.ndarray, t: int,
+                   pred: tuple | None) -> tuple[list[MaskPair], np.ndarray]:
+        relevance = relevance_fn(x, t, pred) if policy.needs_relevance else None
         if relevance is None or np.ndim(relevance) == 2:
             relevance = [relevance] * n
         masks = [make_mask(policy, mask_shape, rng, r) for rng, r in zip(rngs, relevance)]
         return masks, np.stack([m.spade for m in masks]).astype(bool)
 
     if not policy.resample_per_step:
-        masks, spade_sel = draw_masks(x_tau, tau)
+        masks, spade_sel = draw_masks(x_tau, tau, None)
 
     xbar_tau = to_xbar(x_tau, tau, schedule)
     xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
@@ -208,12 +219,13 @@ def _generate(
         t_out = max(t - cfg.club_stride, 0)
         spade_bar = jump_from_tau(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
         x_t = from_xbar(xbar, t, schedule)
+        pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         club_bar = augmentation_path_step(
             model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
-            lambda_r=lambda_r,
+            lambda_r=lambda_r, eps_sem=None if pred is None else pred[0],
         )
         if policy.resample_per_step:
-            masks, spade_sel = draw_masks(x_t, t)
+            masks, spade_sel = draw_masks(x_t, t, pred)
         xbar = blend(spade_bar, club_bar, spade_sel)
         if not np.all(np.isfinite(xbar)):
             raise NumericalAbort(f"non-finite blended latent at step {t_out}")

@@ -122,25 +122,25 @@ def make_mask(
     return hybrid_mask(mb, mp)
 
 
-def saliency_relevance(model, x: np.ndarray, t: int, e) -> np.ndarray:
+def saliency_relevance(model, x: np.ndarray, t: int, e, pred=None) -> np.ndarray:
     """Input-gradient saliency |d ||eps||^2 / dx|, box-smoothed 3x3.
 
     Default relevance provider for models without an internal attention map.
     High values mark pixels whose content most strongly drives the noise
     prediction, i.e. where the latent deviates from what the model expects.
     A stack of grids (one more axis than the model's grids) gives one map
-    per item.
+    per item. ``pred``, when given, is ``model.predict_vjp(x, t, e)``, which
+    is then not computed again.
     """
-    eps = model.predict(x, t, e)
-    grad = model.grad_wrt_input(2.0 * eps, x, t, e)
-    sal = np.abs(grad)
+    eps, vjp = model.predict_vjp(x, t, e) if pred is None else pred
+    sal = np.abs(vjp(2.0 * eps))
     stacked = sal.ndim > model.grid_ndim
     if model.grid_ndim == 3:
         sal = sal.mean(axis=-1)
     return ndimage.uniform_filter(sal, size=(1, 3, 3) if stacked else 3, mode="nearest")
 
 
-def consistency_relevance(model, x: np.ndarray, t: int, e) -> np.ndarray:
+def consistency_relevance(model, x: np.ndarray, t: int, e, pred=None) -> np.ndarray:
     """Negated saliency: high where the latent agrees with the model's
     learned content under the given condition.
 
@@ -148,4 +148,4 @@ def consistency_relevance(model, x: np.ndarray, t: int, e) -> np.ndarray:
     condition accounts for; content the model cannot explain (clutter,
     occluders) scores low and is routed to the augmentation path.
     """
-    return -saliency_relevance(model, x, t, e)
+    return -saliency_relevance(model, x, t, e, pred)

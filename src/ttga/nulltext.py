@@ -134,13 +134,16 @@ def optimize_null_text(
     xbar_tau = to_xbar(x_tau, tau, schedule)
 
     def evaluate(values: np.ndarray):
+        # the prediction keeps its graph, so the next iteration's gradient
+        # needs no second forward pass
         e = ConditionEmbedding(values, role=ROLE_OPTIMIZED_NULL)
-        eps_dot = cfg_single(model.predict(x_tau, tau, e), eps_c, omega)
+        eps_e, vjp = model.predict_vjp(x_tau, tau, e, "embedding")
+        eps_dot = cfg_single(eps_e, eps_c, omega)
         recon = jump_from_tau(xbar_tau, tau, 0, eps_dot, schedule)
-        return e, eps_dot, recon, reconstruction_loss(recon, x0)
+        return e, vjp, eps_dot, recon, reconstruction_loss(recon, x0)
 
     values = np.zeros(model.embedding_dim)
-    current_e, eps_dot, recon, loss = evaluate(values)
+    current_e, vjp, eps_dot, recon, loss = evaluate(values)
     best_e, best_eps, best_loss = current_e, eps_dot, loss
     trace = [(0, loss)]
     state = AdamState(dim=values.size, lr=opt_config.lr)
@@ -148,10 +151,9 @@ def optimize_null_text(
     while loss > opt_config.early_stop and iterations < opt_config.max_steps:
         # dL/de via the chain recon -> eps_dot -> eps(x_tau, tau, e)
         upstream = (2.0 / n) * (recon - x0) * (-gamma_tau) * (1.0 - omega)
-        grad = model.grad_wrt_embedding(upstream, x_tau, tau, current_e)
-        values = adam_step(state, values, grad)
+        values = adam_step(state, values, vjp(upstream))
         iterations += 1
-        current_e, eps_dot, recon, loss = evaluate(values)
+        current_e, vjp, eps_dot, recon, loss = evaluate(values)
         trace.append((iterations, loss))
         if loss < best_loss:
             best_e, best_eps, best_loss = current_e, eps_dot, loss

@@ -220,10 +220,10 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
     the original image, or raw denoiser saliency."""
     if cfg.relevance_provider == "segmenter":
         relevance = segmenter.segment(scene.image)[:, :, 1]
-        return lambda x, t: relevance
+        return lambda x, t, pred: relevance
     if cfg.relevance_provider == "saliency":
-        return lambda x, t: saliency_relevance(denoiser, x, t, semantic)
-    return lambda x, t: consistency_relevance(denoiser, x, t, semantic)
+        return lambda x, t, pred: saliency_relevance(denoiser, x, t, semantic, pred)
+    return lambda x, t, pred: consistency_relevance(denoiser, x, t, semantic, pred)
 
 
 def ttga_set(image_id: int, scene: ToyScene, cfg: RunConfig, denoiser: Denoiser,

@@ -1,7 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from ttga import SeededRng, build_schedule
+from ttga.autodiff import Tensor
+from ttga.denoiser import ConvStack
 
 
 @pytest.fixture(scope="session")
@@ -31,3 +35,16 @@ def central_difference(f, x, h=1e-4):
         step.flat[i] = h
         grad.flat[i] = (f(x + step) - f(x - step)) / (2 * h)
     return grad
+
+
+@pytest.fixture()
+def conv_passes(monkeypatch):
+    """Counts of conv-stack forward passes ("forward") and autodiff backward
+    passes ("backward") made while the test runs."""
+    counts = Counter()
+    for owner, name in ((ConvStack, "forward"), (Tensor, "backward")):
+        def counted(*args, _original=getattr(owner, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, counted)
+    return counts

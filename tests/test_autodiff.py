@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, relative_gradient_match
-from ttga.autodiff import Tensor, concat_channels, conv2d
+from ttga.autodiff import Tensor, _im2col, concat_channels, conv2d
 from ttga.rng import SeededRng
 
 
@@ -103,3 +103,23 @@ def test_conv2d_same_padding_shape(rng):
     out = conv2d(Tensor(rng.normal((2, 7, 6, 3))), Tensor(rng.normal((9 * 3, 4))),
                  Tensor(np.zeros(4)), 3)
     assert out.shape == (2, 7, 6, 4)
+
+
+def _im2col_loops(x, k):
+    """Reference im2col: one strided copy per kernel position."""
+    b, h, w, c = x.shape
+    pad = k // 2
+    xp = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    cols = np.empty((b, h, w, k * k, c), dtype=np.float64)
+    for i in range(k):
+        for j in range(k):
+            cols[:, :, :, i * k + j, :] = xp[:, i:i + h, j:j + w, :]
+    return cols.reshape(b, h, w, k * k * c)
+
+
+@pytest.mark.parametrize("shape", [(2, 9, 9, 16), (3, 8, 7, 12), (1, 6, 5, 3),
+                                   (4, 5, 6, 1), (1, 4, 4, 1)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_im2col_equals_loop_reference(rng, shape, k):
+    x = rng.normal(shape)
+    assert np.array_equal(_im2col(x, k), _im2col_loops(x, k))

@@ -106,6 +106,53 @@ def test_stacked_calls_equal_single_grid_calls(kind, schedule, conv_model, rng):
             assert np.array_equal(got, want)
 
 
+@pytest.fixture(scope="module")
+def conditioned_conv(schedule):
+    """A conv model whose embedding channels carry weight, unlike a new one's."""
+    model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=6, rng=SeededRng(23))
+    flat = model.flat_parameters()
+    model.set_flat_parameters(flat + 0.1 * SeededRng(24).normal(flat.shape))
+    return model
+
+
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+@pytest.mark.parametrize("stacked", [False, True])
+def test_predict_vjp_equals_predict_and_gradients(kind, stacked, schedule, conditioned_conv,
+                                                  rng):
+    m = make_analytic(schedule, mu=0.3) if kind == "analytic" else conditioned_conv
+    shape = (3, 8, 8) if stacked else (8, 8)
+    x, g = rng.normal(shape), rng.normal(shape)
+    e = ConditionEmbedding(rng.normal(m.embedding_dim))
+    for t in (1, 300):
+        for wrt, grad in (("input", m.grad_wrt_input), ("embedding", m.grad_wrt_embedding)):
+            pred, vjp = m.predict_vjp(x, t, e, wrt)
+            assert np.array_equal(pred, m.predict(x, t, e))
+            first = vjp(g)
+            assert np.array_equal(first, grad(g, x, t, e))
+            assert np.array_equal(vjp(g), first)
+
+
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+def test_predict_each_equals_one_predict_per_embedding(kind, stacked, k, schedule,
+                                                       conditioned_conv, rng):
+    m = make_analytic(schedule, mu=0.3) if kind == "analytic" else conditioned_conv
+    x = rng.normal((4, 8, 8) if stacked else (8, 8))
+    embeddings = [m.null_embedding()] + [ConditionEmbedding(rng.normal(m.embedding_dim))
+                                         for _ in range(k - 1)]
+    got = m.predict_each(x, 250, embeddings)
+    assert len(got) == k
+    for pred, e in zip(got, embeddings):
+        assert np.array_equal(pred, m.predict(x, 250, e))
+
+
+def test_predict_vjp_rejects_unknown_wrt(schedule, conv_model, rng):
+    for m in (make_analytic(schedule), conv_model):
+        with pytest.raises(ContractError, match="wrt"):
+            m.predict_vjp(rng.normal((8, 8)), 10, m.null_embedding(), "weights")
+
+
 def test_predict_rejects_bad_grid_shape(schedule, conv_model, rng):
     e = ConditionEmbedding(rng.normal(6))
     with pytest.raises(ContractError, match="shape"):

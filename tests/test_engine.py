@@ -21,11 +21,12 @@ from ttga import (
     optimize_null_text,
     to_xbar,
 )
+from ttga.denoiser import Denoiser
 from ttga.engine import augmentation_path_step, blend, entropy_bits
 from ttga.guidance import cfg_single
 from ttga.nulltext import jump_from_tau
 from ttga.errors import ConfigError, ContractError, NumericalAbort
-from ttga.masks import MaskPair, consistency_relevance
+from ttga.masks import MaskPair, consistency_relevance, saliency_relevance
 
 
 @pytest.fixture(scope="module")
@@ -211,7 +212,7 @@ def test_generate_one_recomputes_missing_trajectory(setup):
 def test_generate_one_aborts_on_nonfinite(setup, schedule):
     model, c, x0, traj, null_opt = setup
 
-    class ExplodingModel:
+    class ExplodingModel(Denoiser):
         kind = "exploding"
 
         def __init__(self, base, sched):
@@ -338,7 +339,7 @@ def test_generate_set_equals_single_generations_held_hybrid(setup):
                                            relevance_quantile=0.3))
     _set_equals_single_generations(
         model, x0, c, cfg, SeededRng(53, 4),
-        lambda x, t: consistency_relevance(model, x, t, c),
+        lambda x, t, pred: consistency_relevance(model, x, t, c, pred),
     )
 
 
@@ -364,8 +365,37 @@ def test_generate_set_equals_single_generations_conv(schedule):
                     null_opt=NullOptConfig(lr=0.1, max_steps=10, early_stop=1e-7))
     _set_equals_single_generations(
         model, x0, c, cfg, SeededRng(56),
-        lambda x, t: consistency_relevance(model, x, t, c),
+        lambda x, t, pred: consistency_relevance(model, x, t, c, pred),
     )
+
+
+@pytest.mark.parametrize("resample", [True, False])
+def test_conv_step_forward_and_backward_counts(schedule, conv_passes, resample):
+    model, c, x0, traj, null_opt = _conv_setup(schedule)
+    cfg = small_cfg(tau=20, mask_policy=MaskPolicy(scheme="hybrid", resample_per_step=resample))
+    conv_passes.clear()
+    generate_one(model, x0, null_opt, c, cfg, SeededRng(59), trajectory=traj)
+    if resample:
+        # per step: the semantic prediction, whose graph the relevance's input
+        # gradient reuses, and one call for the null and identity conditions
+        assert conv_passes == {"forward": 2 * cfg.tau, "backward": cfg.tau}
+    else:
+        # one relevance at x_tau, then one call for all three conditions a step
+        assert conv_passes == {"forward": cfg.tau + 1, "backward": 1}
+
+
+def test_shared_semantic_prediction_leaves_generation_unchanged(schedule):
+    model, c, x0, traj, null_opt = _conv_setup(schedule)
+    cfg = small_cfg(tau=20, mask_policy=MaskPolicy(scheme="hybrid", resample_per_step=True))
+
+    def run(relevance_fn):
+        return generate_one(model, x0, null_opt, c, cfg, SeededRng(60), trajectory=traj,
+                            relevance_fn=relevance_fn)
+
+    assert np.array_equal(run(None),
+                          run(lambda x, t, pred: saliency_relevance(model, x, t, c)))
+    assert np.array_equal(run(lambda x, t, pred: consistency_relevance(model, x, t, c, pred)),
+                          run(lambda x, t, pred: consistency_relevance(model, x, t, c)))
 
 
 def test_config_validation():

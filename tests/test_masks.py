@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 
 from ttga import (
     AnalyticGaussianDenoiser,
+    ConditionEmbedding,
+    ConvDenoiser,
     MaskPair,
     MaskPolicy,
     SeededRng,
@@ -14,7 +16,7 @@ from ttga import (
     hybrid_mask,
 )
 from ttga.errors import ConfigError, ContractError
-from ttga.masks import make_mask, saliency_relevance
+from ttga.masks import consistency_relevance, make_mask, saliency_relevance
 
 
 def test_bernoulli_degenerate_probabilities():
@@ -159,3 +161,19 @@ def test_saliency_relevance_stack_is_per_item():
     e = model.null_embedding()
     got = saliency_relevance(model, xs, 250, e)
     assert np.array_equal(got, np.stack([saliency_relevance(model, x, 250, e) for x in xs]))
+
+
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+@pytest.mark.parametrize("shape", [(10, 10), (3, 10, 10)])
+def test_relevance_reuses_a_passed_prediction(kind, shape):
+    schedule = build_schedule()
+    if kind == "analytic":
+        model = AnalyticGaussianDenoiser(schedule, (10, 10), 4, mu=0.3, rng=SeededRng(9))
+    else:
+        model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=6, rng=SeededRng(9))
+    x = SeededRng(12).normal(shape)
+    e = ConditionEmbedding(SeededRng(13).normal(4))
+    for relevance in (saliency_relevance, consistency_relevance):
+        want = relevance(model, x, 250, e)
+        got = relevance(model, x, 250, e, model.predict_vjp(x, 250, e))
+        assert np.array_equal(got, want)

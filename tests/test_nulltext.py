@@ -222,6 +222,21 @@ def test_null_loss_gradient_matches_fd_conv(schedule):
     assert relative_gradient_match(analytic, numeric)
 
 
+def test_conv_null_text_iteration_runs_one_forward_and_one_backward(schedule, conv_passes):
+    rng = SeededRng(58)
+    model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=6, rng=rng.derive(1))
+    c = ConditionEmbedding(rng.normal(4))
+    traj = ddim_invert(model, 0.2 + 0.5 * rng.derive(2).random((8, 8)), 20, 10, c, schedule)
+    conv_passes.clear()
+    k = 7
+    result = optimize_null_text(model, traj, c, 2.0, schedule,
+                                NullOptConfig(lr=0.1, max_steps=k, early_stop=0.0))
+    assert result.iterations_used == k
+    # the semantic prediction, the starting embedding, then one of each per
+    # iteration: each prediction keeps the graph its gradient is taken from
+    assert conv_passes == {"forward": k + 2, "backward": k}
+
+
 def test_omega_one_is_rejected(schedule):
     model, c, traj = _invert_scene(schedule)
     with pytest.raises(DegenerateGuidanceError):

@@ -2,10 +2,12 @@
 # Byte-level regression check: runs `ttga full-pipeline --seed 7` from the
 # sources under SRC on two tiny configurations (the analytic denoiser, and a
 # trained conv denoiser with masks redrawn at every step), `ttga augment
-# --seed 7` with null-text traces on the analytic one, and make-data,
-# train-denoiser, train-segmenter and evaluate in turn on the analytic one;
-# and writes the sha256 digests of the evaluation CSVs, both model
-# checkpoints, the augmentation metadata and the traces to OUT.
+# --seed 7` with null-text traces on the analytic one and on the conv one
+# (masks held, saliency relevance, a fixed number of null-text iterations),
+# and make-data, train-denoiser, train-segmenter and evaluate in turn on the
+# analytic one; and writes the sha256 digests of the evaluation CSVs, both
+# model checkpoints, the augmentation metadata, the traces and the conv
+# run's augmented grids to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -44,6 +46,9 @@ run() {
 run full-pipeline analytic "${tiny[@]}"
 run full-pipeline trainable "${tiny[@]}" "${trainable[@]}"
 run augment augment "${tiny[@]}" --count 2 --set nulltext_trace=true
+run augment augment-conv "${tiny[@]}" "${trainable[@]}" --count 2 \
+    --set resample_masks_per_step=false --set relevance_provider=saliency \
+    --set nulltext_early_stop=0 --set nulltext_max_steps=20 --set nulltext_trace=true
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
@@ -62,6 +67,14 @@ for name in analytic trainable; do
 done
 for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
     files+=("augment/augment/$rel")
+done
+for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
+    files+=("augment-conv/augment/$rel")
+done
+for i in 0000 0001; do
+    for j in 00 01 02 03; do
+        files+=("augment-conv/augment/aug_${i}_$j.f64")
+    done
 done
 for rel in per_image.csv aggregate.csv augment_metadata.csv; do
     files+=("staged/run/eval/$rel")
