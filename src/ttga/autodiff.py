@@ -1,10 +1,10 @@
 """Minimal reverse-mode automatic differentiation on float64 ndarrays.
 
-Just enough machinery for the small convolutional models in this package:
-elementwise arithmetic with numpy broadcasting, matmul, tanh/sigmoid,
-channel concatenation, spatial 3x3-style convolution (im2col), and
-mean/sum reductions. Gradients accumulate on leaf tensors after
-``backward()``; the graph is rebuilt on every forward pass.
+Just the ops that the small convolutional models in this package build:
+subtraction and multiplication with numpy broadcasting, tanh/sigmoid,
+broadcast_to, channel concatenation, spatial 3x3-style convolution (im2col)
+and the mean. Gradients accumulate on leaf tensors after ``backward()``; the
+graph is rebuilt on every forward pass.
 """
 
 from __future__ import annotations
@@ -54,22 +54,11 @@ class Tensor:
 
     # ---- elementwise ----
 
-    def __add__(self, other):
-        other = self._lift(other)
-        def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(g, other.shape))
-        return self._make(self.data + other.data, (self, other), backward)
-
-    __radd__ = __add__
-
     def __sub__(self, other):
         other = self._lift(other)
         def backward(g):
             return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
         return self._make(self.data - other.data, (self, other), backward)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
 
     def __mul__(self, other):
         other = self._lift(other)
@@ -79,11 +68,6 @@ class Tensor:
                 _unbroadcast(g * self.data, other.shape),
             )
         return self._make(self.data * other.data, (self, other), backward)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return self * -1.0
 
     def tanh(self):
         y = np.tanh(self.data)
@@ -99,36 +83,13 @@ class Tensor:
 
     # ---- shape ----
 
-    def reshape(self, *shape):
-        old = self.shape
-        def backward(g):
-            return (g.reshape(old),)
-        return self._make(self.data.reshape(*shape), (self,), backward)
-
     def broadcast_to(self, shape):
         old = self.shape
         def backward(g):
             return (_unbroadcast(g, old),)
         return self._make(np.broadcast_to(self.data, shape).copy(), (self,), backward)
 
-    # ---- linear algebra ----
-
-    def matmul(self, other):
-        other = self._lift(other)
-        def backward(g):
-            return (g @ other.data.T, self.data.T @ g)
-        return self._make(self.data @ other.data, (self, other), backward)
-
-    def __matmul__(self, other):
-        return self.matmul(other)
-
-    # ---- reductions ----
-
-    def sum(self):
-        shape = self.shape
-        def backward(g):
-            return (np.broadcast_to(g, shape).copy(),)
-        return self._make(self.data.sum(), (self,), backward)
+    # ---- reduction ----
 
     def mean(self):
         n = self.data.size

@@ -15,11 +15,12 @@ Two implementations share one interface:
 ``ConvStack`` and ``fit`` are the conv layers and the Adam mini-batch loop
 that ``ConvDenoiser`` and the toy segmenter in ``evalbench`` share.
 
-``predict`` and ``grad_wrt_input`` take one grid, or a stack of grids along a
-new leading item axis; item i of a stacked result equals the single-grid
-call on item i, bit for bit. ``predict_each`` evaluates several embeddings
-at once and ``predict_vjp`` keeps the forward pass for one gradient; both
-return what ``predict`` and ``grad_wrt_*`` return, bit for bit.
+A denoiser implements two methods: ``predict_each`` evaluates several
+embeddings at once, and ``predict_vjp`` returns one prediction with its
+vector-Jacobian product. ``Denoiser`` derives ``predict`` and
+``grad_wrt_input``/``grad_wrt_embedding`` from them. Each takes one grid, or a
+stack of grids along a new leading item axis; item i of a stacked prediction
+or input gradient equals the single-grid call on item i, bit for bit.
 
 For N(mu, I) data the marginal of x_t is N(sqrt(abar_t)*mu, I), and the
 posterior-mean predictor is
@@ -30,13 +31,12 @@ posterior-mean predictor is
 from __future__ import annotations
 
 import functools
-import struct
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import checkpoint
 from .autodiff import Tensor, concat_channels, conv2d
 from .errors import CapabilityError, ConfigError, ContractError, CorruptFileError
 from .optim import AdamState, adam_step
@@ -81,7 +81,8 @@ class ConditionEmbedding:
 
 
 class Denoiser:
-    """Interface shared by all noise predictors.
+    """Interface shared by all noise predictors. Subclasses implement
+    ``predict_each`` and, if they are differentiable, ``predict_vjp``.
 
     One grid has ``grid_ndim`` axes; an input with one more axis is a stack
     of grids, item by item along the leading axis.
@@ -92,36 +93,30 @@ class Denoiser:
     grid_ndim: int
     schedule: NoiseSchedule
 
-    def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
-        raise NotImplementedError
-
     def predict_each(
         self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding]
     ) -> list[np.ndarray]:
-        """``predict(x, t, e)`` for each embedding, in order."""
-        return [self.predict(x, t, e) for e in embeddings]
+        """The noise predicted at (x, t) under each embedding, in order."""
+        raise NotImplementedError
 
     def predict_vjp(
         self, x: np.ndarray, t: int, e: ConditionEmbedding, wrt: str = "input"
     ) -> tuple[np.ndarray, Callable[[np.ndarray], np.ndarray]]:
-        """``predict(x, t, e)`` and a function of ``loss_grad`` that returns
-        ``grad_wrt_input`` (wrt="input") or ``grad_wrt_embedding``
-        (wrt="embedding") at the same (x, t, e)."""
-        _check_wrt(wrt)
-        grad = self.grad_wrt_input if wrt == "input" else self.grad_wrt_embedding
-        return self.predict(x, t, e), lambda loss_grad: grad(loss_grad, x, t, e)
+        """``predict(x, t, e)`` and the vector-Jacobian product at (x, t, e):
+        a function of ``loss_grad`` that returns d<loss_grad, predict>/d x
+        (wrt="input") or d<loss_grad, predict>/d e (wrt="embedding")."""
+        raise CapabilityError(f"{self.kind} does not support gradients")
 
-    def grad_wrt_embedding(
-        self, loss_grad: np.ndarray, x: np.ndarray, t: int, e: ConditionEmbedding
-    ) -> np.ndarray:
-        """Vector-Jacobian product d<loss_grad, predict>/d e."""
-        raise CapabilityError(f"{self.kind} does not support embedding gradients")
+    def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
+        return self.predict_each(x, t, [e])[0]
 
-    def grad_wrt_input(
-        self, loss_grad: np.ndarray, x: np.ndarray, t: int, e: ConditionEmbedding
-    ) -> np.ndarray:
-        """Vector-Jacobian product d<loss_grad, predict>/d x."""
-        raise CapabilityError(f"{self.kind} does not support input gradients")
+    def grad_wrt_embedding(self, loss_grad: np.ndarray, x: np.ndarray, t: int,
+                           e: ConditionEmbedding) -> np.ndarray:
+        return self.predict_vjp(x, t, e, "embedding")[1](loss_grad)
+
+    def grad_wrt_input(self, loss_grad: np.ndarray, x: np.ndarray, t: int,
+                       e: ConditionEmbedding) -> np.ndarray:
+        return self.predict_vjp(x, t, e, "input")[1](loss_grad)
 
     def null_embedding(self) -> ConditionEmbedding:
         """The unconditional embedding; the same object on every call, so
@@ -208,22 +203,29 @@ class AnalyticGaussianDenoiser(Denoiser):
         abar = self.schedule.alpha_bars[t]
         return np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
 
-    def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
-        self._check_call(x, t, e)
+    def predict_each(self, x, t, embeddings):
+        """``scale*(x - sqrt(abar)*mu)`` once, plus ``P @ e`` per embedding."""
+        for e in embeddings:
+            self._check_call(x, t, e)
         if x.shape != self.shape and x.shape[1:] != self.shape:
             raise ContractError(f"grid shape {x.shape} != model shape {self.shape}")
         abar = self.schedule.alpha_bars[t]
-        return self._scale(t) * (x - np.sqrt(abar) * self.mu) + self._projected(e)
+        base = self._scale(t) * (x - np.sqrt(abar) * self.mu)
+        return [base + self._projected(e) for e in embeddings]
 
-    def grad_wrt_embedding(self, loss_grad, x, t, e):
-        self._check_call(x, t, e)
-        # a stack's items share the embedding, so their gradients add up
-        g = np.asarray(loss_grad, dtype=np.float64).reshape(-1, self.projection.shape[0])
-        return self.projection.T @ g.sum(axis=0)
+    def predict_vjp(self, x, t, e, wrt="input"):
+        _check_wrt(wrt)
+        pred = self.predict_each(x, t, [e])[0]
+        if wrt == "input":
+            scale = self._scale(t)
+            return pred, lambda loss_grad: scale * np.asarray(loss_grad, dtype=np.float64)
 
-    def grad_wrt_input(self, loss_grad, x, t, e):
-        self._check_call(x, t, e)
-        return self._scale(t) * np.asarray(loss_grad, dtype=np.float64)
+        def vjp(loss_grad: np.ndarray) -> np.ndarray:
+            # a stack's items share the embedding, so their gradients add up
+            g = np.asarray(loss_grad, dtype=np.float64).reshape(-1, self.projection.shape[0])
+            return self.projection.T @ g.sum(axis=0)
+
+        return pred, vjp
 
 
 _TIME_FREQS = np.array([1.0, 2.0, 4.0, 8.0])
@@ -357,9 +359,6 @@ class ConvDenoiser(ConvStack, Denoiser):
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
         return self.forward(self._assemble(xb, feats, emb))
 
-    def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
-        return self.predict_each(x, t, [e])[0]
-
     def predict_each(self, x, t, embeddings):
         """One forward pass over the (k*N, H, W) batch that repeats the N
         items of ``x`` once per embedding, each copy with its own embedding."""
@@ -393,12 +392,6 @@ class ConvDenoiser(ConvStack, Denoiser):
 
         return self._restore(out.data, stacked), vjp
 
-    def grad_wrt_embedding(self, loss_grad, x, t, e):
-        return self.predict_vjp(x, t, e, "embedding")[1](loss_grad)
-
-    def grad_wrt_input(self, loss_grad, x, t, e):
-        return self.predict_vjp(x, t, e, "input")[1](loss_grad)
-
 
 # ---- training ----
 
@@ -423,31 +416,9 @@ class DenoiserTrainConfig:
 
 @dataclass
 class TrainStats:
-    initial_mse: float
-    final_mse: float = float("nan")
     epoch_losses: list[float] = field(default_factory=list)
     null_substitutions: int = 0
     examples_seen: int = 0
-
-
-def denoising_mse(
-    model: Denoiser,
-    dataset: Sequence[tuple[np.ndarray, ConditionEmbedding]],
-    rng: SeededRng,
-    n_draws: int = 1,
-) -> float:
-    """Mean squared noise-prediction error over a dataset at random timesteps."""
-    s = model.schedule
-    total, count = 0.0, 0
-    for x0, emb in dataset:
-        for _ in range(n_draws):
-            t = int(rng.integers(1, s.total_steps + 1))
-            z = rng.normal(np.asarray(x0).shape)
-            xt = np.sqrt(s.alpha_bars[t]) * x0 + np.sqrt(1.0 - s.alpha_bars[t]) * z
-            pred = model.predict(xt, t, emb)
-            total += float(np.mean((pred - z) ** 2))
-            count += 1
-    return total / count
 
 
 def fit(
@@ -522,10 +493,7 @@ def train_toy_denoiser(
             rng=rng.derive(0xC0DE),
         )
     null = model.null_embedding()
-
-    eval_rng = rng.derive(0xE7A1)
-    stats = TrainStats(initial_mse=denoising_mse(model, dataset, eval_rng))
-
+    stats = TrainStats()
     s = schedule
 
     def batch_loss(idx: np.ndarray) -> Tensor:
@@ -555,43 +523,10 @@ def train_toy_denoiser(
 
     stats.epoch_losses = fit(model, len(dataset), batch_loss, config.epochs,
                              config.batch_size, config.lr, rng)
-    stats.final_mse = denoising_mse(model, dataset, rng.derive(0xE7A2))
     return model, stats
 
 
 # ---- checkpoints ----
-
-CHECKPOINT_MAGIC = b"TTGM"
-_KIND_CODES = {"analytic_gaussian": 1, "trainable_net": 2}
-_CKPT_HEADER = struct.Struct("<4sIIIIIIQ")
-
-
-def write_checkpoint(path, kind_code: int, fields: tuple, params: np.ndarray) -> None:
-    """Header (magic, kind code, five u32 fields, parameter count) + f64
-    parameters; the container shared by model and segmenter checkpoints."""
-    with open(path, "wb") as f:
-        f.write(_CKPT_HEADER.pack(CHECKPOINT_MAGIC, kind_code, *fields, params.size))
-        f.write(params.astype("<f8").tobytes())
-
-
-def read_checkpoint(path) -> tuple[int, tuple, np.ndarray]:
-    """(kind code, five header fields, parameters) of a checkpoint file.
-
-    Raises CorruptFileError when the file is shorter than its header, has the
-    wrong magic, or holds a different number of parameters than it declares.
-    """
-    data = Path(path).read_bytes()
-    if len(data) < _CKPT_HEADER.size:
-        raise CorruptFileError(
-            f"{path}: truncated checkpoint, {len(data)} bytes < {_CKPT_HEADER.size}-byte header"
-        )
-    magic, kind_code, *fields, count = _CKPT_HEADER.unpack_from(data)
-    if magic != CHECKPOINT_MAGIC:
-        raise CorruptFileError(f"{path}: bad checkpoint magic {magic!r}")
-    body = len(data) - _CKPT_HEADER.size
-    if body != 8 * count:
-        raise CorruptFileError(f"{path}: expected {count} parameters, found {body} bytes of them")
-    return kind_code, tuple(fields), np.frombuffer(data, dtype="<f8", offset=_CKPT_HEADER.size)
 
 
 def save_checkpoint(path, model: Denoiser) -> None:
@@ -609,12 +544,13 @@ def save_checkpoint(path, model: Denoiser) -> None:
         params = model.flat_parameters()
     else:
         raise CapabilityError(f"cannot checkpoint model kind {model.kind!r}")
-    write_checkpoint(path, _KIND_CODES[model.kind], (model.embedding_dim, h, w, c, aux), params)
+    checkpoint.write(path, model.kind, (model.embedding_dim, h, w, c, aux), params)
 
 
 def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
-    kind_code, (dim, h, w, c, aux), params = read_checkpoint(path)
-    if kind_code == 1:
+    kind, (dim, h, w, c, aux), params = checkpoint.read(
+        path, (AnalyticGaussianDenoiser.kind, ConvDenoiser.kind))
+    if kind == AnalyticGaussianDenoiser.kind:
         shape = (h, w) if c == 1 else (h, w, c)
         n = h * w * c
         if params.size != 1 + n + n * dim:
@@ -625,10 +561,8 @@ def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
         return AnalyticGaussianDenoiser(
             schedule, shape, dim, mu=mu, projection=projection, data_std=data_std
         )
-    if kind_code == 2:
-        model = ConvDenoiser(schedule, channels=c, embedding_dim=dim, hidden=aux)
-        if params.size != model.flat_parameters().size:
-            raise CorruptFileError(f"{path}: {params.size} parameters do not fit the network")
-        model.set_flat_parameters(np.array(params))
-        return model
-    raise CorruptFileError(f"{path}: unknown model kind code {kind_code}")
+    model = ConvDenoiser(schedule, channels=c, embedding_dim=dim, hidden=aux)
+    if params.size != model.flat_parameters().size:
+        raise CorruptFileError(f"{path}: {params.size} parameters do not fit the network")
+    model.set_flat_parameters(np.array(params))
+    return model

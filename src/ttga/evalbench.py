@@ -18,7 +18,8 @@ from scipy import ndimage
 
 # conv2d and adam_step stay module attributes: perfbench's tracer wraps them here by name
 from .autodiff import Tensor, conv2d  # noqa: F401
-from .denoiser import ConvStack, fit, read_checkpoint, write_checkpoint
+from . import checkpoint
+from .denoiser import ConvStack, fit
 from .engine import EnsembleResult, ensemble
 from .errors import ConfigError, ContractError, CorruptFileError
 from .optim import adam_step  # noqa: F401
@@ -189,8 +190,6 @@ def train_toy_segmenter(
 
 # ---- segmenter checkpoints (same container as denoiser checkpoints) ----
 
-_SEG_KIND_CODES = {"threshold": 3, "trained_net": 4}
-
 
 def save_segmenter(path, model: Segmenter) -> None:
     if model.kind == "threshold":
@@ -199,21 +198,20 @@ def save_segmenter(path, model: Segmenter) -> None:
     else:
         params = model.flat_parameters()
         aux = model.hidden
-    write_checkpoint(path, _SEG_KIND_CODES[model.kind], (0, 0, 0, 1, aux), params)
+    checkpoint.write(path, model.kind, (0, 0, 0, 1, aux), params)
 
 
 def load_segmenter(path) -> Segmenter:
-    kind_code, (_dim, _h, _w, _c, aux), params = read_checkpoint(path)
-    if kind_code == 3 and params.size == 2:
+    kind, (_dim, _h, _w, _c, aux), params = checkpoint.read(
+        path, (ThresholdSegmenter.kind, ConvSegmenter.kind))
+    if kind == ThresholdSegmenter.kind and params.size == 2:
         return ThresholdSegmenter(threshold=params[0], sharpness=params[1])
-    if kind_code == 4:
+    if kind == ConvSegmenter.kind:
         model = ConvSegmenter(hidden=aux)
         if params.size == model.flat_parameters().size:
             model.set_flat_parameters(np.array(params))
             return model
-    raise CorruptFileError(
-        f"{path}: kind code {kind_code} with {params.size} parameters is not a segmenter"
-    )
+    raise CorruptFileError(f"{path}: {params.size} parameters do not fit a {kind} segmenter")
 
 
 # ---- geometric test-time augmentation baseline ----

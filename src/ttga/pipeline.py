@@ -35,6 +35,8 @@ from .evalbench import (
     ToyScene,
     load_segmenter,
     make_dataset,
+    render_scene,
+    sample_scene_params,
     save_segmenter,
     train_toy_segmenter,
     tta_baseline,
@@ -114,8 +116,6 @@ def build_test_set(cfg: RunConfig) -> list[ToyScene]:
     scenes = []
     for i in range(cfg.n_test):
         diff = occluded if (i % 2 == 0 and cfg.test_occlusion > 0) else clean
-        from .evalbench import render_scene, sample_scene_params
-
         scenes.append(render_scene(sample_scene_params(rng.derive(i), diff, cfg.size)))
     return scenes
 
@@ -149,15 +149,22 @@ def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str, dump_images
     return rows
 
 
-def load_dataset(data_dir: Path, split: str) -> list[ToyScene]:
+def load_dataset(data_dir: Path, split: str, size: int) -> list[ToyScene]:
+    """The split's scenes in a make-data directory. Each manifest row's files
+    are read from ``data_dir/<split>/``, wherever make-data wrote them from;
+    ConfigError names the first grid that is not ``size`` x ``size``."""
     scenes = []
     with open(data_dir / "manifest.csv", newline="") as f:
         for row in csv.DictReader(f):
             if row["split"] != split:
                 continue
-            image = gridio.load_grid(row["image_path"])
-            gt = gridio.load_grid(row["gt_path"]).astype(np.uint8)
-            scenes.append(ToyScene(image=image, gt_mask=gt, params=json.loads(row["params"])))
+            paths = [data_dir / split / Path(row[key]).name for key in ("image_path", "gt_path")]
+            image, gt = [gridio.load_grid(path) for path in paths]
+            for path, grid in zip(paths, (image, gt)):
+                if grid.shape != (size, size):
+                    raise ConfigError(f"{path} has shape {grid.shape}, not size {size}")
+            scenes.append(ToyScene(image=image, gt_mask=gt.astype(np.uint8),
+                                   params=json.loads(row["params"])))
     return scenes
 
 
@@ -200,7 +207,9 @@ def build_denoiser(cfg: RunConfig, schedule: NoiseSchedule, train_scenes: list[T
     )
     model, stats = train_toy_denoiser(dataset, schedule, rng.derive(2), cfg.denoiser_train,
                                       model=model)
-    log.write(f"denoiser trained: mse {stats.initial_mse:.4f} -> {stats.final_mse:.4f}")
+    losses = stats.epoch_losses
+    if losses:
+        log.write(f"denoiser trained: loss {losses[0]:.4f} -> {losses[-1]:.4f}")
     return model
 
 
@@ -436,7 +445,7 @@ def cmd_make_data(cfg: RunConfig, log: RunLog) -> Path:
 
 def _scenes(cfg: RunConfig, split: str) -> list[ToyScene]:
     if cfg.data_dir:
-        return load_dataset(Path(cfg.data_dir), split)
+        return load_dataset(Path(cfg.data_dir), split, cfg.size)
     return build_train_set(cfg) if split == "train" else build_test_set(cfg)
 
 

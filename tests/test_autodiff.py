@@ -21,26 +21,20 @@ def _check_scalar_graph(build, x0, rtol=1e-6):
     assert relative_gradient_match(leaf.grad, numeric, rtol=rtol)
 
 
-def test_add_mul_grad(rng):
+def test_sub_mul_grad(rng):
     x0 = rng.normal((3, 4))
     other = rng.normal((3, 4))
-    _check_scalar_graph(lambda x: ((x + other) * (x * 2.0 - 1.0)).sum(), x0)
+    _check_scalar_graph(lambda x: ((x - other) * (x * 2.0 - 1.0)).mean(), x0)
 
 
-def test_broadcast_add_grad(rng):
+def test_broadcast_sub_grad(rng):
     x0 = rng.normal((4,))
     other = rng.normal((3, 4))
 
     def build(x):
-        return (x.reshape(1, 4).broadcast_to((3, 4)) * other + x.reshape(1, 4)).sum()
+        return (x.broadcast_to((3, 4)) * other - x).mean()
 
     _check_scalar_graph(build, x0)
-
-
-def test_matmul_grad(rng):
-    x0 = rng.normal((3, 5))
-    w = rng.normal((5, 2))
-    _check_scalar_graph(lambda x: (x @ Tensor(w)).sum(), x0)
 
 
 def test_tanh_sigmoid_grad(rng):
@@ -51,7 +45,7 @@ def test_tanh_sigmoid_grad(rng):
 def test_concat_channels_grad(rng):
     x0 = rng.normal((2, 2, 3))
     other = Tensor(rng.normal((2, 2, 2)))
-    _check_scalar_graph(lambda x: (concat_channels([x, other]) * 1.5).sum(), x0)
+    _check_scalar_graph(lambda x: (concat_channels([x, other]) * 1.5).mean(), x0)
 
 
 def test_conv2d_grad_input_and_weights(rng):
@@ -65,32 +59,31 @@ def test_conv2d_grad_input_and_weights(rng):
     conv = conv2d(Tensor(x0, requires_grad=True), frozen_w, frozen_b, 3)
     _, gw, gb = conv._backward(np.ones(conv.shape))
     assert gw is None and gb is None
-    _check_scalar_graph(lambda x: conv2d(x, frozen_w, frozen_b, 3).sum(), x0)
+    _check_scalar_graph(lambda x: conv2d(x, frozen_w, frozen_b, 3).mean(), x0)
     assert frozen_w.grad is None and frozen_b.grad is None
 
     # weight gradient; the input does not require grad, so none is computed for it
     def f_w(flat):
-        return float(conv2d(Tensor(x0), Tensor(flat.reshape(w.shape)), Tensor(b), 3).sum().data)
+        return float(conv2d(Tensor(x0), Tensor(flat.reshape(w.shape)), Tensor(b), 3).mean().data)
 
     wt = Tensor(w, requires_grad=True)
     conv = conv2d(Tensor(x0), wt, Tensor(b), 3)
     assert conv._backward(np.ones(conv.shape))[0] is None
-    conv.sum().backward()
+    conv.mean().backward()
     numeric = central_difference(f_w, w.ravel(), h=1e-5).reshape(w.shape)
     assert relative_gradient_match(wt.grad, numeric, rtol=1e-6)
 
     # bias gradient is the spatial sum of upstream ones
     bt = Tensor(b, requires_grad=True)
-    out = conv2d(Tensor(x0), Tensor(w), bt, 3).sum()
-    out.backward()
+    conv2d(Tensor(x0), Tensor(w), bt, 3).backward(seed=np.ones((1, 5, 5, 3)))
     assert np.allclose(bt.grad, 5 * 5, rtol=1e-12)
 
 
 def test_grad_accumulates_over_reuse(rng):
     x = Tensor(rng.normal((4,)), requires_grad=True)
-    out = (x * x + x * 3.0).sum()
+    out = (x * x - x * 3.0).mean()
     out.backward()
-    assert np.allclose(x.grad, 2 * x.data + 3.0, rtol=1e-12)
+    assert np.allclose(x.grad, (2 * x.data - 3.0) / 4, rtol=1e-12)
 
 
 def test_backward_requires_scalar():

@@ -369,6 +369,33 @@ def test_truncated_scene_file_exit_6(tmp_path, capsys):
     assert "scene_0000.f64" in err and "Traceback" not in err
 
 
+def test_evaluate_reads_data_made_from_another_directory(tmp_path, monkeypatch):
+    """make-data writes paths relative to where it ran; evaluate finds the
+    files under data_dir from any directory, with the same bytes."""
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+    monkeypatch.chdir(tmp_path / "a")
+    assert run_cli("make-data", "--out", "d16", "--seed", 4, *TINY) == 0
+    data_dir = tmp_path / "a" / "d16" / "data"
+    evaluate = ("evaluate", "--seed", 4, *TINY, "--set", "segmenter=threshold",
+                "--set", f"data_dir={data_dir}")
+    assert run_cli(*evaluate, "--out", tmp_path / "here") == 0
+    monkeypatch.chdir(tmp_path / "b")
+    assert run_cli(*evaluate, "--out", tmp_path / "there") == 0
+    assert (read_text(tmp_path / "there" / "eval" / "per_image.csv")
+            == read_text(tmp_path / "here" / "eval" / "per_image.csv"))
+
+
+def test_data_of_another_size_exits_3_before_training(tmp_path, capsys):
+    data = tmp_path / "d16"
+    assert run_cli("make-data", "--out", data, "--seed", 4, *TINY, "--set", "size=16") == 0
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY, "--set", f"data_dir={data / 'data'}") == 3
+    err = capsys.readouterr().err
+    assert "scene_0000.f64" in err and "size 24" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
 def test_nulltext_trace_emitted_in_augment(tmp_path):
     out = tmp_path / "trace_run"
     assert run_cli("augment", "--out", out, "--seed", 2, "--count", 1, *TINY,

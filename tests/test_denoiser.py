@@ -13,7 +13,7 @@ from ttga import (
     save_checkpoint,
     train_toy_denoiser,
 )
-from ttga.denoiser import Denoiser, denoising_mse
+from ttga.denoiser import Denoiser
 from ttga.errors import CapabilityError, ConfigError, ContractError, CorruptFileError
 
 
@@ -181,8 +181,8 @@ def test_base_class_capability_error(schedule):
         def __init__(self):
             self.schedule = schedule
 
-        def predict(self, x, t, e):
-            return x
+        def predict_each(self, x, t, embeddings):
+            return [x for _ in embeddings]
 
     with pytest.raises(CapabilityError):
         Opaque().grad_wrt_embedding(np.zeros((2, 2)), np.zeros((2, 2)), 1,
@@ -254,14 +254,30 @@ def _disk_dataset(n, rng, size=12, dim=4):
     return out
 
 
+def denoising_mse(model, dataset, rng):
+    """Mean squared noise-prediction error over a dataset, one random
+    timestep per example."""
+    s = model.schedule
+    total = 0.0
+    for x0, emb in dataset:
+        t = int(rng.integers(1, s.total_steps + 1))
+        z = rng.normal(np.asarray(x0).shape)
+        xt = np.sqrt(s.alpha_bars[t]) * x0 + np.sqrt(1.0 - s.alpha_bars[t]) * z
+        total += float(np.mean((model.predict(xt, t, emb) - z) ** 2))
+    return total / len(dataset)
+
+
 def test_training_halves_denoising_mse(schedule):
     rng = SeededRng(99)
     dataset = _disk_dataset(120, rng)
     config = DenoiserTrainConfig(epochs=4, batch_size=16, drop_p=0.1, lr=3e-3)
     model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=8,
                          rng=rng.derive(1))
-    model, stats = train_toy_denoiser(dataset, schedule, rng.derive(2), config, model=model)
-    assert stats.final_mse <= 0.5 * stats.initial_mse
+    train_rng = rng.derive(2)
+    initial_mse = denoising_mse(model, dataset, train_rng.derive(0xE7A1))
+    model, stats = train_toy_denoiser(dataset, schedule, train_rng, config, model=model)
+    final_mse = denoising_mse(model, dataset, train_rng.derive(0xE7A2))
+    assert final_mse <= 0.5 * initial_mse
     held_out = _disk_dataset(30, SeededRng(123))
     untrained = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=8,
                              rng=SeededRng(99).derive(1))

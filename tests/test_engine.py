@@ -223,8 +223,8 @@ def test_generate_one_aborts_on_nonfinite(setup, schedule):
         def null_embedding(self):
             return self._base.null_embedding()
 
-        def predict(self, x, t, e):
-            return np.full_like(x, np.inf)
+        def predict_each(self, x, t, embeddings):
+            return [np.full_like(x, np.inf) for _ in embeddings]
 
     cfg = small_cfg(mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.0))
     with pytest.raises(NumericalAbort, match="step"):

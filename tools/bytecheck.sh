@@ -6,8 +6,8 @@
 # (masks held, saliency relevance, a fixed number of null-text iterations),
 # and make-data, train-denoiser, train-segmenter and evaluate in turn on the
 # analytic one; and writes the sha256 digests of the evaluation CSVs, both
-# model checkpoints, the augmentation metadata, the traces and the conv
-# run's augmented grids to OUT.
+# model checkpoints, the augmentation metadata, the traces and both augment
+# runs' augmented grids to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -67,6 +67,11 @@ for name in analytic trainable; do
 done
 for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
     files+=("augment/augment/$rel")
+done
+for i in 0000 0001; do
+    for j in 00 01 02 03 04 05 06 07 08 09; do
+        files+=("augment/augment/aug_${i}_$j.f64")
+    done
 done
 for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
     files+=("augment-conv/augment/$rel")
