@@ -4,7 +4,8 @@ Just the ops that the small convolutional models in this package build:
 subtraction and multiplication with numpy broadcasting, tanh/sigmoid,
 broadcast_to, channel concatenation, spatial 3x3-style convolution (im2col)
 and the mean. Gradients accumulate on leaf tensors after ``backward()``; the
-graph is rebuilt on every forward pass.
+graph is rebuilt on every forward pass. No graph holds a reference cycle, so
+each one is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
@@ -107,16 +108,23 @@ class Tensor:
             seed = np.ones_like(self.data)
         seed = np.asarray(seed, dtype=np.float64)
 
+        # Depth-first post-order with an explicit stack: no recursion limit on
+        # deep graphs, and no self-referencing closure whose cycle would keep
+        # every node (and each conv's im2col columns) alive until a cyclic GC.
         order: list[Tensor] = []
-        seen = set()
-        def visit(node: Tensor):
-            if id(node) in seen or not node.requires_grad:
-                return
-            seen.add(id(node))
-            for p in node._parents:
-                visit(p)
-            order.append(node)
-        visit(self)
+        if self.requires_grad:
+            seen = {id(self)}
+            stack = [(self, iter(self._parents))]
+            while stack:
+                node, parents = stack[-1]
+                for p in parents:
+                    if p.requires_grad and id(p) not in seen:
+                        seen.add(id(p))
+                        stack.append((p, iter(p._parents)))
+                        break
+                else:
+                    stack.pop()
+                    order.append(node)
 
         grads = {id(self): seed}
         for node in reversed(order):
@@ -186,10 +194,12 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
         out.requires_grad = True
         out._parents = (x, weight, bias)
         # gradients are computed only for the inputs that require them
-        need_x, need_w, need_b = x.requires_grad, weight.requires_grad, bias.requires_grad
+        need_x, need_b = x.requires_grad, bias.requires_grad
+        # only the weight gradient reads the columns; otherwise they die here
+        wcols = flat if weight.requires_grad else None
         def backward(g):
             gflat = g.reshape(-1, cout)
-            gw = flat.T @ gflat if need_w else None
+            gw = wcols.T @ gflat if wcols is not None else None
             gb = g.sum(axis=(0, 1, 2)) if need_b else None
             gx = None
             if need_x:

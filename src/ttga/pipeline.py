@@ -223,7 +223,7 @@ def build_segmenter(cfg: RunConfig, train_scenes: list[ToyScene], log: RunLog) -
 
 
 def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
-                  semantic: ConditionEmbedding, segmenter: Segmenter):
+                  semantic: ConditionEmbedding, segmenter: Segmenter | None):
     """Relevance provider for attention/hybrid masks, per configuration:
     model-consistency (default), the segmenter's foreground probability on
     the original image, or raw denoiser saliency."""
@@ -236,7 +236,7 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
 
 
 def ttga_set(image_id: int, scene: ToyScene, cfg: RunConfig, denoiser: Denoiser,
-             semantic: ConditionEmbedding, segmenter: Segmenter,
+             semantic: ConditionEmbedding, segmenter: Segmenter | None,
              trace_dir: Path | None = None) -> AugmentationSet:
     """Image ``image_id``'s TTGA set, on its own stream with the configured
     relevance; with ``trace_dir``, its null-text trace is written there."""
@@ -470,9 +470,10 @@ def cmd_train_segmenter(cfg: RunConfig, log: RunLog) -> Path:
     return ckpt
 
 
-def _load_models(cfg: RunConfig, log: RunLog):
+def _load_models(cfg: RunConfig, log: RunLog, with_segmenter: bool = True):
     """Load the model files the config names and check that they agree, then
-    build the models it names no file for."""
+    build the models it names no file for; the segmenter only
+    ``with_segmenter`` (else it is None unless loaded)."""
     denoiser = semantic = segmenter = None
     if cfg.denoiser_checkpoint:
         denoiser = load_checkpoint(cfg.denoiser_checkpoint, cfg.schedule)
@@ -490,18 +491,23 @@ def _load_models(cfg: RunConfig, log: RunLog):
     if isinstance(denoiser, AnalyticGaussianDenoiser) and denoiser.shape != (cfg.size,) * 2:
         raise ConfigError(f"{cfg.denoiser_checkpoint} has grid {denoiser.shape}, "
                           f"not size {cfg.size}")
-    needs_train = denoiser is None or (segmenter is None and cfg.segmenter == "trained")
+    make_segmenter = segmenter is None and with_segmenter
+    needs_train = denoiser is None or (make_segmenter and cfg.segmenter == "trained")
     train_scenes = _scenes(cfg, "train") if needs_train else []
     if denoiser is None:
         denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
-    if segmenter is None:
+    if make_segmenter:
         segmenter = build_segmenter(cfg, train_scenes, log)
     return denoiser, semantic if semantic is not None else semantic_anchor(cfg), segmenter
 
 
 def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
+    """Augment the first ``count`` test scenes. Only the segmenter relevance
+    reads the segmenter, so no other provider builds one."""
+    if count < 1:
+        raise ConfigError(f"count must be at least 1, got {count} (flag: --count)")
     scenes = _scenes(cfg, "test")[:count]
-    models = _load_models(cfg, log)
+    models = _load_models(cfg, log, with_segmenter=cfg.relevance_provider == "segmenter")
     aug_dir = Path(cfg.out) / "augment"
     aug_dir.mkdir(exist_ok=True)
     metadata = []

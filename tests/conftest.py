@@ -1,3 +1,4 @@
+import gc
 from collections import Counter
 
 import numpy as np
@@ -16,6 +17,18 @@ def default_schedule():
 @pytest.fixture()
 def rng():
     return SeededRng(1234)
+
+
+@pytest.fixture()
+def no_cyclic_gc():
+    """Cyclic garbage collection off while the test runs, so that only
+    reference counting frees objects."""
+    gc.collect()
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def relative_gradient_match(analytic, numeric, rtol=1e-4, atol=1e-8):

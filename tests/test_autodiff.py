@@ -1,3 +1,7 @@
+import sys
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -90,6 +94,49 @@ def test_backward_requires_scalar():
     x = Tensor(np.ones((2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
         (x * 2.0).backward()
+
+
+def test_backward_through_a_chain_deeper_than_the_recursion_limit():
+    x = Tensor(np.array(0.5), requires_grad=True)
+    out, ys = x, []
+    for _ in range(sys.getrecursionlimit() + 500):
+        out = out.tanh()
+        ys.append(out.data)
+    out.backward()
+    expected = 1.0
+    for y in reversed(ys):
+        expected = expected * (1.0 - y * y)
+    assert np.isfinite(x.grad) and x.grad == expected != 0.0
+
+
+def test_graph_is_freed_when_its_last_reference_goes(rng, no_cyclic_gc):
+    x = Tensor(rng.normal((2, 6, 6, 3)), requires_grad=True)
+    hidden = conv2d(x, Tensor(rng.normal((27, 4))), Tensor(np.zeros(4)), 3).tanh()
+    loss = (hidden * hidden).mean()
+    hidden_data = weakref.ref(hidden.data)
+    del hidden
+    loss.backward()
+    assert hidden_data() is not None  # still held by the graph of loss
+    del loss
+    assert hidden_data() is None
+
+
+@pytest.mark.parametrize("weight_grad", [False, True])
+def test_conv2d_keeps_columns_only_for_a_weight_gradient(rng, no_cyclic_gc, weight_grad):
+    b, h, w, c = 2, 16, 16, 8
+    x = Tensor(rng.normal((b, h, w, c)), requires_grad=True)
+    weight = Tensor(rng.normal((9 * c, 1)), requires_grad=weight_grad)
+    bias = Tensor(np.zeros(1))
+    columns_bytes = b * h * w * 9 * c * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = conv2d(x, weight, bias, 3)
+        grown = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert out.requires_grad
+    assert (grown >= columns_bytes) == weight_grad
 
 
 def test_conv2d_same_padding_shape(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttga import gridio
+from ttga import gridio, pipeline
 from ttga.cli import main
 from ttga.errors import ConfigError
 from ttga.runconfig import RunConfig, load_config_file, resolve_config, write_resolved_config
@@ -219,6 +219,30 @@ def test_augment_command_metadata(tmp_path):
     lam = [float(r["lambda_r"]) for r in rows]
     assert all(0.5 <= v <= 1.5 for v in lam)
     assert list((out / "augment").glob("aug_*.f64"))
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_augment_rejects_count_below_one(tmp_path, capsys, monkeypatch, count):
+    def no_models(*args, **kwargs):
+        raise AssertionError("models loaded before --count was checked")
+    monkeypatch.setattr(pipeline, "_load_models", no_models)
+    out = tmp_path / "aug_run"
+    assert run_cli("augment", "--out", out, "--count", count, *TINY) == 3
+    err = capsys.readouterr().err
+    assert "count must be at least 1" in err and "Traceback" not in err
+    assert not (out / "augment").exists() and not (out / "run.log").exists()
+
+
+def test_augment_trains_a_segmenter_only_for_segmenter_relevance(tmp_path, monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("augment trained a segmenter")
+    monkeypatch.setattr(pipeline, "train_toy_segmenter", no_training)
+    out = tmp_path / "aug_run"
+    assert run_cli("augment", "--out", out, "--seed", 2, "--count", 1, *TINY) == 0
+    assert "segmenter" not in (out / "run.log").read_text()
+    with pytest.raises(AssertionError, match="augment trained a segmenter"):
+        run_cli("augment", "--out", tmp_path / "seg_run", "--count", 1, *TINY,
+                "--set", "relevance_provider=segmenter")
 
 
 def test_mask_scheme_flag_applies(tmp_path):

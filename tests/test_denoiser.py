@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,8 @@ from ttga import (
     save_checkpoint,
     train_toy_denoiser,
 )
-from ttga.denoiser import Denoiser
+from ttga.autodiff import Tensor
+from ttga.denoiser import ConvStack, Denoiser, fit
 from ttga.errors import CapabilityError, ConfigError, ContractError, CorruptFileError
 
 
@@ -301,6 +304,23 @@ def test_training_ignores_earlier_inference_gradients(schedule):
         return model.flat_parameters()
 
     assert np.array_equal(trained(True), trained(False))
+
+
+def test_fit_frees_each_batch_graph_before_building_the_next(no_cyclic_gc):
+    model = ConvStack([(1, 3), (3, 1)], SeededRng(5))
+    data = SeededRng(6).normal((6, 5, 5, 1))
+    previous, still_alive = [], []
+
+    def batch_loss(idx):
+        if previous:
+            still_alive.append(previous[-1]() is not None)
+        out = model.forward(Tensor(data[idx]))
+        loss = (out * out).mean()
+        previous.append(weakref.ref(loss.data))
+        return loss
+
+    fit(model, 6, batch_loss, epochs=2, batch_size=2, lr=1e-2, rng=SeededRng(7))
+    assert len(still_alive) == 5 and not any(still_alive)
 
 
 def test_drop_p_zero_never_substitutes_null(schedule):
