@@ -2,10 +2,10 @@
 
 Just the ops that the small convolutional models in this package build:
 subtraction and multiplication with numpy broadcasting, tanh/sigmoid,
-broadcast_to, channel concatenation, spatial 3x3-style convolution (im2col)
-and the mean. Gradients accumulate on leaf tensors after ``backward()``; the
-graph is rebuilt on every forward pass. No graph holds a reference cycle, so
-each one is freed as soon as its last reference goes.
+channel concatenation with broadcasting, spatial 3x3-style convolution
+(im2col) and the mean. Gradients accumulate on leaf tensors after
+``backward()``; the graph is rebuilt on every forward pass. No graph holds a
+reference cycle, so each one is freed as soon as its last reference goes.
 """
 
 from __future__ import annotations
@@ -82,14 +82,6 @@ class Tensor:
             return (g * y * (1.0 - y),)
         return self._make(y, (self,), backward)
 
-    # ---- shape ----
-
-    def broadcast_to(self, shape):
-        old = self.shape
-        def backward(g):
-            return (_unbroadcast(g, old),)
-        return self._make(np.broadcast_to(self.data, shape).copy(), (self,), backward)
-
     # ---- reduction ----
 
     def mean(self):
@@ -141,19 +133,33 @@ class Tensor:
                 grads[key] = pg if key not in grads else grads[key] + pg
 
 
+class _Concat(Tensor):
+    """The output of ``concat_channels``: ``parts`` holds each part with the
+    channel range [lo, hi) it fills."""
+
+    __slots__ = ("parts",)
+
+
 def concat_channels(tensors: list[Tensor]) -> Tensor:
-    """Concatenate along the last (channel) axis."""
-    sizes = [t.shape[-1] for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=-1)
-    out = Tensor(data)
+    """Concatenate along the last (channel) axis, broadcasting the leading
+    axes of every part to their common shape.
+
+    A ``conv2d`` over the result differentiates straight to the parts, so a
+    part that needs no gradient costs its backward nothing.
+    """
+    lead = np.broadcast_shapes(*(t.shape[:-1] for t in tensors))
+    bounds = np.cumsum([0] + [t.shape[-1] for t in tensors]).tolist()
+    parts = tuple(zip(tensors, bounds[:-1], bounds[1:]))
+    data = np.empty(lead + (bounds[-1],))
+    for t, lo, hi in parts:
+        data[..., lo:hi] = t.data
+    out = _Concat(data)
+    out.parts = parts
     if any(t.requires_grad for t in tensors):
         out.requires_grad = True
         out._parents = tuple(tensors)
-        offsets = np.cumsum([0] + sizes)
         def backward(g):
-            return tuple(
-                g[..., offsets[i]:offsets[i + 1]] for i in range(len(tensors))
-            )
+            return tuple(_unbroadcast(g[..., lo:hi], t.shape) for t, lo, hi in parts)
         out._backward = backward
     return out
 
@@ -182,28 +188,40 @@ def _col2im(gcols: np.ndarray, k: int, in_shape: tuple) -> np.ndarray:
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
-    """Stride-1 'same' convolution. x: (B,H,W,Cin); weight: (k*k*Cin, Cout)."""
+    """Stride-1 'same' convolution. x: (B,H,W,Cin); weight: (k*k*Cin, Cout).
+
+    Over a ``concat_channels`` output the graph parents are its parts: each
+    part that requires a gradient gets one from its own weight rows, scattered
+    over its own channels only.
+    """
     cols = _im2col(x.data, k)
-    b, h, w, _ = x.data.shape
+    b, h, w, cin = x.data.shape
     cout = weight.data.shape[1]
     flat = cols.reshape(-1, cols.shape[-1])
     out_data = (flat @ weight.data).reshape(b, h, w, cout) + bias.data
 
     out = Tensor(out_data)
-    if x.requires_grad or weight.requires_grad or bias.requires_grad:
+    parts = x.parts if isinstance(x, _Concat) else ((x, 0, cin),)
+    if weight.requires_grad or bias.requires_grad or any(p.requires_grad for p, _, _ in parts):
         out.requires_grad = True
-        out._parents = (x, weight, bias)
-        # gradients are computed only for the inputs that require them
-        need_x, need_b = x.requires_grad, bias.requires_grad
+        out._parents = (*(p for p, _, _ in parts), weight, bias)
+        need_b = bias.requires_grad
         # only the weight gradient reads the columns; otherwise they die here
         wcols = flat if weight.requires_grad else None
         def backward(g):
             gflat = g.reshape(-1, cout)
             gw = wcols.T @ gflat if wcols is not None else None
             gb = g.sum(axis=(0, 1, 2)) if need_b else None
-            gx = None
-            if need_x:
-                gx = _col2im((gflat @ weight.data.T).reshape(b, h, w, -1), k, x.data.shape)
-            return (gx, gw, gb)
+            # weight rows are ordered (kernel position, input channel)
+            rows = weight.data.reshape(k * k, cin, cout)
+            gparts = []
+            for p, lo, hi in parts:
+                gx = None
+                if p.requires_grad:
+                    wp = rows[:, lo:hi].reshape(-1, cout)
+                    gcols = (gflat @ wp.T).reshape(b, h, w, -1)
+                    gx = _unbroadcast(_col2im(gcols, k, (b, h, w, hi - lo)), p.shape)
+                gparts.append(gx)
+            return (*gparts, gw, gb)
         out._backward = backward
     return out

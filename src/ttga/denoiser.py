@@ -329,13 +329,8 @@ class ConvDenoiser(ConvStack, Denoiser):
 
     def _assemble(self, x: Tensor, feats: Tensor, emb: Tensor) -> Tensor:
         """Network input: the image channels, then the embedding and the time
-        features broadcast over the (B, H, W) grid."""
-        b, h, w, _ = x.shape
-        return concat_channels([
-            x,
-            emb.broadcast_to((b, h, w, self.embedding_dim)),
-            feats.broadcast_to((b, h, w, TIME_FEATURES)),
-        ])
+        features, (B|1, 1, 1, C) each, broadcast over the (B, H, W) grid."""
+        return concat_channels([x, emb, feats])
 
     def _prepare(self, x: np.ndarray):
         """(B, H, W, C) batch of the input, and whether it was a stack."""

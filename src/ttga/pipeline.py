@@ -73,7 +73,7 @@ AGGREGATE_HEADER = [
 
 
 class SchemaMismatch(RuntimeError):
-    """Aggregate CSVs being merged do not share a schema."""
+    """An aggregate CSV being merged does not follow the aggregate schema."""
 
 
 def fmt(value: float | None) -> str:
@@ -547,11 +547,25 @@ def cmd_full_pipeline(cfg: RunConfig, log: RunLog) -> Path:
 # ---- cross-run report ----
 
 
-def _read_aggregate(run_dir: Path) -> tuple[list[str], list[list[str]]]:
-    with open(run_dir / "eval" / "aggregate.csv", newline="") as f:
-        reader = csv.reader(f)
-        header = next(reader)
-        return header, list(reader)
+def _read_aggregate(run_dir: Path) -> list[list[str]]:
+    """The rows of a run's aggregate table. A table without the aggregate
+    header, with a row of the wrong length or with a value cell that is not
+    a number raises SchemaMismatch naming the file."""
+    path = run_dir / "eval" / "aggregate.csv"
+    with open(path, newline="") as f:
+        table = list(csv.reader(f))
+    if not table or table[0] != AGGREGATE_HEADER:
+        raise SchemaMismatch(f"{path}: header {table[0] if table else []} != {AGGREGATE_HEADER}")
+    for lineno, row in enumerate(table[1:], 2):
+        if len(row) != len(AGGREGATE_HEADER):
+            raise SchemaMismatch(
+                f"{path}: line {lineno} has {len(row)} cells, expected {len(AGGREGATE_HEADER)}")
+        for cell in filter(None, row[2:]):
+            try:
+                float(cell)
+            except ValueError:
+                raise SchemaMismatch(f"{path}: line {lineno}: {cell!r} is not a number") from None
+    return table[1:]
 
 
 def compare_report(run_dirs: list[str], out_path: str, plot: bool = False) -> Path:
@@ -560,16 +574,9 @@ def compare_report(run_dirs: list[str], out_path: str, plot: bool = False) -> Pa
     if not run_dirs:
         raise ConfigError("compare_report needs at least one run directory")
     labels, tables = [], []
-    ref_header = None
     for d in run_dirs:
         run_dir = Path(d)
-        header, rows = _read_aggregate(run_dir)
-        if ref_header is None:
-            ref_header = header
-        elif header != ref_header:
-            raise SchemaMismatch(
-                f"{run_dir}: aggregate schema {header} != {ref_header}"
-            )
+        rows = _read_aggregate(run_dir)
         labels.append(run_dir.name)
         tables.append({(r[0], r[1]): r for r in rows})
 

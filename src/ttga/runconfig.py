@@ -115,7 +115,8 @@ class RunConfig:
         for m in self.method_list():
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} in methods")
-        for name in ("size", "embedding_dim", "denoiser_hidden", "tta_views"):
+        for name in ("size", "n_train", "n_test", "embedding_dim", "denoiser_hidden",
+                     "tta_views"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0.0 < self.data_std < math.inf:

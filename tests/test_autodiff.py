@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, relative_gradient_match
+import ttga.autodiff as autodiff
 from ttga.autodiff import Tensor, _im2col, concat_channels, conv2d
+from ttga.denoiser import ConditionEmbedding, ConvDenoiser
 from ttga.rng import SeededRng
+from ttga.schedule import build_schedule
 
 
 def _check_scalar_graph(build, x0, rtol=1e-6):
@@ -32,13 +35,15 @@ def test_sub_mul_grad(rng):
 
 
 def test_broadcast_sub_grad(rng):
-    x0 = rng.normal((4,))
+    # x broadcasts against (3, 4) in both the product and the difference,
+    # so its gradient is summed back to its own shape
     other = rng.normal((3, 4))
 
     def build(x):
-        return (x.broadcast_to((3, 4)) * other - x).mean()
+        return (x * other - x).mean()
 
-    _check_scalar_graph(build, x0)
+    for shape in [(4,), (3, 1), (1, 4)]:
+        _check_scalar_graph(build, rng.normal(shape))
 
 
 def test_tanh_sigmoid_grad(rng):
@@ -50,6 +55,65 @@ def test_concat_channels_grad(rng):
     x0 = rng.normal((2, 2, 3))
     other = Tensor(rng.normal((2, 2, 2)))
     _check_scalar_graph(lambda x: (concat_channels([x, other]) * 1.5).mean(), x0)
+
+
+def test_concat_channels_broadcasts_its_parts(rng):
+    x = rng.normal((3, 5, 4, 1))
+    e = rng.normal((3, 1, 1, 6))
+    f = rng.normal((1, 1, 1, 8))
+    out = concat_channels([Tensor(x), Tensor(e), Tensor(f)])
+    expected = np.concatenate(
+        [x, np.broadcast_to(e, (3, 5, 4, 6)), np.broadcast_to(f, (3, 5, 4, 8))], axis=-1)
+    assert out.shape == (3, 5, 4, 15)
+    assert np.array_equal(out.data, expected)
+
+
+def _layer0_parts(rng, b, e_rows):
+    """Image, embedding and time-feature parts shaped like a denoiser's layer-0 input."""
+    return (rng.normal((b, 6, 5, 1)), rng.normal((e_rows, 1, 1, 16)),
+            rng.normal((1, 1, 1, 8)))
+
+
+@pytest.mark.parametrize("b", [1, 2, 6])
+@pytest.mark.parametrize("cout", [1, 16])
+@pytest.mark.parametrize("wrt", ["x", "e"])
+def test_conv2d_part_gradients_equal_the_concatenated_input_gradient(rng, b, cout, wrt):
+    # A part's gradient comes from a product with its own weight rows. That
+    # it has the same bits as those columns of the full product depends on
+    # the BLAS kernels, not on the arithmetic; this checks it at layer-0 shapes.
+    x, e, f = _layer0_parts(rng, b, b)
+    weight, bias = Tensor(rng.normal((9 * 25, cout))), Tensor(rng.normal((cout,)))
+    seed = rng.normal((b, 6, 5, cout))
+
+    parts = [Tensor(x, requires_grad=wrt == "x"), Tensor(e, requires_grad=wrt == "e"),
+             Tensor(f)]
+    conv2d(concat_channels(parts), weight, bias, 3).backward(seed=seed)
+
+    whole = Tensor(np.concatenate([x, np.broadcast_to(e, (b, 6, 5, 16)),
+                                   np.broadcast_to(f, (b, 6, 5, 8))], axis=-1),
+                   requires_grad=True)
+    conv2d(whole, weight, bias, 3).backward(seed=seed)
+    if wrt == "x":
+        assert np.array_equal(parts[0].grad, whole.grad[..., :1])
+        assert parts[1].grad is None
+    else:
+        assert np.array_equal(parts[1].grad,
+                              whole.grad[..., 1:17].sum(axis=(1, 2), keepdims=True))
+        assert parts[0].grad is None
+    assert parts[2].grad is None
+
+
+def test_conv2d_grad_through_a_broadcast_concat_part(rng):
+    x, e0, f = _layer0_parts(rng, 3, 1)
+    w = Tensor(rng.normal((9 * 25, 4)) / 15.0)
+    w2 = Tensor(rng.normal((9 * 4, 2)) / 6.0)
+    zero4, zero2 = Tensor(np.zeros(4)), Tensor(np.zeros(2))
+
+    def build(e):
+        hidden = conv2d(concat_channels([Tensor(x), e, Tensor(f)]), w, zero4, 3).tanh()
+        return conv2d(hidden, w2, zero2, 3).mean()
+
+    _check_scalar_graph(build, e0)
 
 
 def test_conv2d_grad_input_and_weights(rng):
@@ -163,3 +227,22 @@ def _im2col_loops(x, k):
 def test_im2col_equals_loop_reference(rng, shape, k):
     x = rng.normal(shape)
     assert np.array_equal(_im2col(x, k), _im2col_loops(x, k))
+
+
+@pytest.mark.parametrize("wrt", ["input", "embedding"])
+def test_predict_vjp_scatters_only_the_channels_it_differentiates(rng, monkeypatch, wrt):
+    model = ConvDenoiser(build_schedule(50, 1e-4, 0.02), embedding_dim=5, hidden=7,
+                         rng=SeededRng(4))
+    channels_seen = []
+    col2im = autodiff._col2im
+
+    def recording_col2im(gcols, k, in_shape):
+        channels_seen.append(in_shape[-1])
+        return col2im(gcols, k, in_shape)
+
+    monkeypatch.setattr(autodiff, "_col2im", recording_col2im)
+    x = rng.normal((2, 6, 6))
+    _, vjp = model.predict_vjp(x, 10, ConditionEmbedding(rng.normal(5)), wrt)
+    vjp(rng.normal((2, 6, 6)))
+    # layers 3, 2, 1 scatter their hidden inputs; layer 0 only the part asked for
+    assert channels_seen == [7, 7, 7, 1 if wrt == "input" else 5]

@@ -131,6 +131,34 @@ def test_compare_schema_mismatch_exit_code(tmp_path, pipeline_run):
                    "--out", tmp_path / "cmp.csv") == 5
 
 
+MALFORMED_AGGREGATES = {
+    "empty": lambda text: "",
+    "non_numeric_cell": lambda text: text.replace(text.splitlines()[1].split(",")[2], "high", 1),
+    "short_row": lambda text: text + "ttga,segmentation,0.5\n",
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_AGGREGATES))
+def test_compare_malformed_aggregate_exits_5_naming_the_file(tmp_path, capsys, pipeline_run, case):
+    text = (pipeline_run / "eval" / "aggregate.csv").read_text()
+    bad = tmp_path / "bad" / "eval" / "aggregate.csv"
+    bad.parent.mkdir(parents=True)
+    bad.write_text(MALFORMED_AGGREGATES[case](text))
+    assert run_cli("compare-report", pipeline_run, bad.parent.parent,
+                   "--out", tmp_path / "cmp.csv") == 5
+    err = capsys.readouterr().err
+    assert str(bad) in err and "Traceback" not in err
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+@pytest.mark.parametrize("setting", ["n_test=-3", "n_test=0", "n_train=0"])
+def test_empty_dataset_split_exits_3_before_training(tmp_path, capsys, setting):
+    out = tmp_path / "x"
+    assert run_cli("full-pipeline", "--out", out, *TINY, "--set", setting) == 3
+    assert f"invalid config: {setting.split('=')[0]}" in capsys.readouterr().err
+    assert not (out / "models").exists()
+
+
 # ---- artifacts ----
 
 
