@@ -5,6 +5,14 @@ null-text optimization, masked dual-path generation, and a synthetic
 segmentation benchmark with ensemble-entropy error estimation.
 """
 
+import os
+
+# One BLAS thread unless the caller set otherwise, before numpy loads: every
+# matrix product here is small, so one thread sums in the same order on every
+# machine, and a busy second core no longer slows each product.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 from .denoiser import (
     AnalyticGaussianDenoiser,
     ConditionEmbedding,

@@ -1,11 +1,12 @@
 """Minimal reverse-mode automatic differentiation on float64 ndarrays.
 
 Just the ops that the small convolutional models in this package build:
-subtraction and multiplication with numpy broadcasting, tanh/sigmoid,
-channel concatenation with broadcasting, spatial 3x3-style convolution
-(im2col) and the mean. Gradients accumulate on leaf tensors after
-``backward()``; the graph is rebuilt on every forward pass. No graph holds a
-reference cycle, so each one is freed as soon as its last reference goes.
+tanh/sigmoid, channel concatenation with broadcasting and spatial 3x3-style
+convolution (im2col). The loss stays outside the graph: ``backward(seed)``
+takes the loss's gradient with respect to the output, and gradients
+accumulate on leaf tensors. The graph is rebuilt on every forward pass. No
+graph holds a reference cycle, so each one is freed as soon as its last
+reference goes.
 """
 
 from __future__ import annotations
@@ -41,10 +42,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @staticmethod
-    def _lift(x) -> "Tensor":
-        return x if isinstance(x, Tensor) else Tensor(x)
-
     def _make(self, data, parents, backward) -> "Tensor":
         out = Tensor(data)
         if any(p.requires_grad for p in parents):
@@ -54,21 +51,6 @@ class Tensor:
         return out
 
     # ---- elementwise ----
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        def backward(g):
-            return (_unbroadcast(g, self.shape), _unbroadcast(-g, other.shape))
-        return self._make(self.data - other.data, (self, other), backward)
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        def backward(g):
-            return (
-                _unbroadcast(g * other.data, self.shape),
-                _unbroadcast(g * self.data, other.shape),
-            )
-        return self._make(self.data * other.data, (self, other), backward)
 
     def tanh(self):
         y = np.tanh(self.data)
@@ -82,22 +64,11 @@ class Tensor:
             return (g * y * (1.0 - y),)
         return self._make(y, (self,), backward)
 
-    # ---- reduction ----
-
-    def mean(self):
-        n = self.data.size
-        shape = self.shape
-        def backward(g):
-            return (np.broadcast_to(g / n, shape).copy(),)
-        return self._make(self.data.mean(), (self,), backward)
-
     # ---- graph ----
 
-    def backward(self, seed=None):
-        if seed is None:
-            if self.data.size != 1:
-                raise ValueError("backward() without a seed requires a scalar output")
-            seed = np.ones_like(self.data)
+    def backward(self, seed) -> None:
+        """Accumulate d<seed, self>/d leaf on every leaf that requires a
+        gradient; ``seed`` has this tensor's shape."""
         seed = np.asarray(seed, dtype=np.float64)
 
         # Depth-first post-order with an explicit stack: no recursion limit on

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorruptFileError
+from .errors import CorruptFileError, NumericalAbort
 
 MAGIC = b"TTGM"
 KIND_CODES = {"analytic_gaussian": 1, "trainable_net": 2, "threshold": 3, "trained_net": 4}
@@ -20,6 +20,10 @@ _HEADER = struct.Struct("<4sIIIIIIQ")
 
 
 def write(path, kind: str, fields: tuple, params: np.ndarray) -> None:
+    """Write a checkpoint; NumericalAbort, and no file, if a parameter is not
+    finite, as after a training run that diverged."""
+    if not np.all(np.isfinite(params)):
+        raise NumericalAbort(f"{path}: non-finite {kind} parameters; training diverged")
     with open(path, "wb") as f:
         f.write(_HEADER.pack(MAGIC, KIND_CODES[kind], *fields, params.size))
         f.write(params.astype("<f8").tobytes())
@@ -29,8 +33,8 @@ def read(path, kinds: tuple[str, ...]) -> tuple[str, tuple, np.ndarray]:
     """(kind, five header fields, parameters) of a checkpoint file.
 
     Raises CorruptFileError when the file is shorter than its header, has the
-    wrong magic, holds a kind not in ``kinds``, or holds a different number of
-    parameters than it declares.
+    wrong magic, holds a kind not in ``kinds``, holds a different number of
+    parameters than it declares, or holds a parameter that is not finite.
     """
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
@@ -46,4 +50,7 @@ def read(path, kinds: tuple[str, ...]) -> tuple[str, tuple, np.ndarray]:
     body = len(data) - _HEADER.size
     if body != 8 * count:
         raise CorruptFileError(f"{path}: expected {count} parameters, found {body} bytes of them")
-    return kind, tuple(fields), np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    params = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    if not np.all(np.isfinite(params)):
+        raise CorruptFileError(f"{path}: holds non-finite parameters")
+    return kind, tuple(fields), params

@@ -5,7 +5,7 @@ full-pipeline, compare-report. Configuration precedence: command-line flags
 override config-file values override built-in defaults.
 
 Exit codes: 0 success; 2 missing file; 3 invalid configuration; 4 numerical
-abort; 5 report schema mismatch; 6 corrupt checkpoint or grid file.
+abort; 5 report schema mismatch; 6 corrupt checkpoint, grid or manifest file.
 """
 
 from __future__ import annotations
@@ -107,7 +107,10 @@ def main(argv: list[str] | None = None) -> int:
             "full-pipeline": cmd_full_pipeline,
         }[args.command]
         out_dir = Path(cfg.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except (FileExistsError, NotADirectoryError):
+            raise ConfigError(f"out: {out_dir} is a file or lies under one") from None
         print(handler(cfg, RunLog(out_dir / "run.log")))
         write_resolved_config(cfg, out_dir / "resolved-config.txt")
         return EXIT_OK
@@ -124,7 +127,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: schema mismatch: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
     except CorruptFileError as exc:
-        print(f"error: corrupt checkpoint or grid file: {exc}", file=sys.stderr)
+        print(f"error: corrupt checkpoint, grid or manifest file: {exc}", file=sys.stderr)
         return EXIT_CORRUPT_FILE
 
 

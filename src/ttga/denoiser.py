@@ -13,14 +13,16 @@ Two implementations share one interface:
   channels, sinusoidal time features), differentiated by the autodiff module.
 
 ``ConvStack`` and ``fit`` are the conv layers and the Adam mini-batch loop
-that ``ConvDenoiser`` and the toy segmenter in ``evalbench`` share.
+with its mean-squared-error loss that ``ConvDenoiser`` and the toy segmenter
+in ``evalbench`` share.
 
 A denoiser implements two methods: ``predict_each`` evaluates several
 embeddings at once, and ``predict_vjp`` returns one prediction with its
 vector-Jacobian product. ``Denoiser`` derives ``predict`` and
-``grad_wrt_input``/``grad_wrt_embedding`` from them. Each takes one grid, or a
-stack of grids along a new leading item axis; item i of a stacked prediction
-or input gradient equals the single-grid call on item i, bit for bit.
+``grad_wrt_input``/``grad_wrt_embedding`` from them. Each takes one
+single-channel (H, W) grid, or an (N, H, W) stack of them; item i of a
+stacked prediction or input gradient equals the single-grid call on item i,
+bit for bit.
 
 For N(mu, I) data the marginal of x_t is N(sqrt(abar_t)*mu, I), and the
 posterior-mean predictor is
@@ -85,13 +87,11 @@ class Denoiser:
     """Interface shared by all noise predictors. Subclasses implement
     ``predict_each`` and, if they are differentiable, ``predict_vjp``.
 
-    One grid has ``grid_ndim`` axes; an input with one more axis is a stack
-    of grids, item by item along the leading axis.
+    A grid is (H, W); an (N, H, W) input is a stack of N grids.
     """
 
     kind: str
     embedding_dim: int
-    grid_ndim: int
     schedule: NoiseSchedule
 
     def predict_each(
@@ -166,6 +166,8 @@ class AnalyticGaussianDenoiser(Denoiser):
     ):
         self.schedule = schedule
         self.shape = tuple(shape)
+        if len(self.shape) != 2:
+            raise ContractError(f"grid shape must be (H, W), got {self.shape}")
         self.embedding_dim = int(embedding_dim)
         if data_std <= 0.0:
             raise ContractError(f"data_std must be positive, got {data_std}")
@@ -195,10 +197,6 @@ class AnalyticGaussianDenoiser(Denoiser):
         value = (self.projection @ e.values).reshape(self.shape)
         self._proj_cache[e.role] = (e, value)
         return value
-
-    @property
-    def grid_ndim(self) -> int:
-        return len(self.shape)
 
     def _scale(self, t: int) -> float:
         abar = self.schedule.alpha_bars[t]
@@ -292,13 +290,12 @@ class ConvStack:
 class ConvDenoiser(ConvStack, Denoiser):
     """Small conditional convnet: 4 stride-1 'same' 3x3 convolutions with tanh.
 
-    Input channels are the image channels, the condition embedding broadcast
-    over space, and sinusoidal time features. The first layer's weights on
-    the condition channels start at zero, so an untrained (or never-trained
+    Input channels are the image, the condition embedding broadcast over
+    space, and sinusoidal time features. The first layer's weights on the
+    condition channels start at zero, so an untrained (or never-trained
     because drop_p = 1) conditioning pathway is exactly inert.
 
-    A one-channel model reads (H, W) grids and (N, H, W) stacks; a C-channel
-    model reads (H, W, C) grids and (N, H, W, C) stacks.
+    It reads (H, W) grids and (N, H, W) stacks; ``channels`` must be 1.
     """
 
     kind = "trainable_net"
@@ -311,45 +308,34 @@ class ConvDenoiser(ConvStack, Denoiser):
         hidden: int = 48,
         rng: SeededRng | None = None,
     ):
+        if channels != 1:
+            raise ContractError(f"ConvDenoiser reads one-channel grids, got channels={channels}")
         self.schedule = schedule
-        self.channels = int(channels)
         self.embedding_dim = int(embedding_dim)
         self.hidden = int(hidden)
-        in_ch = self.channels + self.embedding_dim + TIME_FEATURES
-        super().__init__(
-            [(in_ch, hidden), (hidden, hidden), (hidden, hidden), (hidden, self.channels)], rng
-        )
+        in_ch = 1 + self.embedding_dim + TIME_FEATURES
+        super().__init__([(in_ch, hidden), (hidden, hidden), (hidden, hidden), (hidden, 1)], rng)
         # layer-0 rows are ordered (kernel position, input channel)
         w0 = self.weights[0].data.reshape(self.KERNEL * self.KERNEL, in_ch, hidden)
-        w0[:, self.channels:self.channels + self.embedding_dim] = 0.0
-
-    @property
-    def grid_ndim(self) -> int:
-        return 2 if self.channels == 1 else 3
+        w0[:, 1:1 + self.embedding_dim] = 0.0
 
     def _assemble(self, x: Tensor, feats: Tensor, emb: Tensor) -> Tensor:
-        """Network input: the image channels, then the embedding and the time
+        """Network input: the image channel, then the embedding and the time
         features, (B|1, 1, 1, C) each, broadcast over the (B, H, W) grid."""
         return concat_channels([x, emb, feats])
 
-    def _prepare(self, x: np.ndarray):
-        """(B, H, W, C) batch of the input, and whether it was a stack."""
+    @staticmethod
+    def _prepare(x: np.ndarray):
+        """(B, H, W, 1) batch of the input, and whether it was a stack."""
         arr = np.asarray(x, dtype=np.float64)
-        stacked = arr.ndim == self.grid_ndim + 1
-        if arr.ndim != self.grid_ndim and not stacked:
-            raise ContractError(
-                f"expected a {self.grid_ndim}-D grid or a stack of them, got shape {arr.shape}"
-            )
-        if self.channels == 1:
-            arr = arr[..., None]
-        elif arr.shape[-1] != self.channels:
-            raise ContractError(f"grid channels {arr.shape[-1]} != model channels {self.channels}")
-        return (arr if stacked else arr[None]), stacked
+        if arr.ndim not in (2, 3):
+            raise ContractError(f"expected an (H, W) grid or (N, H, W) stack, got {arr.shape}")
+        stacked = arr.ndim == 3
+        return (arr if stacked else arr[None])[..., None], stacked
 
-    def _restore(self, out: np.ndarray, stacked: bool) -> np.ndarray:
-        if self.channels == 1:
-            out = out[..., 0]
-        return out if stacked else out[0]
+    @staticmethod
+    def _restore(out: np.ndarray, stacked: bool) -> np.ndarray:
+        return out[..., 0] if stacked else out[0, ..., 0]
 
     def _forward(self, xb: Tensor, t: int, emb: Tensor) -> Tensor:
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
@@ -445,19 +431,19 @@ def _keep_freed_batches() -> None:
 def fit(
     model: ConvStack,
     n: int,
-    batch_loss: Callable[[np.ndarray], Tensor],
+    batch: Callable[[np.ndarray], tuple[Tensor, np.ndarray]],
     epochs: int,
     batch_size: int,
     lr: float,
     rng: SeededRng,
 ) -> list[float]:
-    """Shuffled mini-batch Adam over ``n`` examples; the mean batch loss of
-    each epoch.
+    """Shuffled mini-batch Adam on the mean squared error of ``model.forward``
+    over ``n`` examples; the mean batch loss of each epoch.
 
-    Each epoch draws a permutation from ``rng`` and calls ``batch_loss`` with
-    the indices of each mini-batch in turn; it returns the scalar loss Tensor
-    of those examples, built through ``model``. The model's parameters
-    require gradients only while this runs.
+    Each epoch draws a permutation from ``rng`` and calls ``batch`` with the
+    indices of each mini-batch in turn; it returns the network input and the
+    target of those examples. The model's parameters require gradients only
+    while this runs.
     """
     _keep_freed_batches()
     params = model.flat_parameters()
@@ -470,10 +456,17 @@ def fit(
             order = rng.permutation(n)
             epoch_loss, batches = 0.0, 0
             for start in range(0, n, batch_size):
-                loss = batch_loss(order[start:start + batch_size])
-                loss.backward()
-                epoch_loss += float(loss.data)
-                del loss  # free this batch's graph before the next one is built
+                inputs, target = batch(order[start:start + batch_size])
+                out = model.forward(inputs)
+                # the graph holds the parts of a concatenated input, not its buffer
+                del inputs
+                diff = out.data - target
+                epoch_loss += float(np.mean(diff * diff))
+                # d mean(diff^2) / d out, summed in the order a graph of the loss would
+                h = (1.0 / diff.size) * diff
+                out.backward(seed=h + h)
+                # free this batch's arrays and graph before the next one is built
+                del target, out, diff, h
                 grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
                 for p in model.parameters():
                     p.grad = None
@@ -493,9 +486,11 @@ def train_toy_denoiser(
     schedule: NoiseSchedule,
     rng: SeededRng,
     config: DenoiserTrainConfig | None = None,
-    model: ConvDenoiser | None = None,
+    *,
+    model: ConvDenoiser,
 ) -> tuple[ConvDenoiser, TrainStats]:
-    """Standard denoising objective with condition dropout.
+    """Train ``model`` on the standard denoising objective with condition
+    dropout; each example is an (H, W) grid and its embedding.
 
     Each example is noised to a uniformly drawn timestep; with probability
     ``drop_p`` the condition embedding is replaced by the null embedding so
@@ -505,27 +500,15 @@ def train_toy_denoiser(
     if not dataset:
         raise ConfigError("dataset must be nonempty (field: dataset)")
     config = config or DenoiserTrainConfig()
-
-    first_grid = np.asarray(dataset[0][0], dtype=np.float64)
-    channels = 1 if first_grid.ndim == 2 else first_grid.shape[-1]
-    if model is None:
-        model = ConvDenoiser(
-            schedule,
-            channels=channels,
-            embedding_dim=dataset[0][1].dim,
-            rng=rng.derive(0xC0DE),
-        )
     null = model.null_embedding()
     stats = TrainStats()
     s = schedule
 
-    def batch_loss(idx: np.ndarray) -> Tensor:
+    def batch(idx: np.ndarray) -> tuple[Tensor, np.ndarray]:
         xs, feats, embs, zs = [], [], [], []
         for i in idx:
             x0, emb = dataset[i]
-            x0 = np.asarray(x0, dtype=np.float64)
-            if x0.ndim == 2:
-                x0 = x0[:, :, None]
+            x0 = np.asarray(x0, dtype=np.float64)[:, :, None]
             t = int(rng.integers(1, s.total_steps + 1))
             z = rng.normal(x0.shape)
             xt = np.sqrt(s.alpha_bars[t]) * x0 + np.sqrt(1.0 - s.alpha_bars[t]) * z
@@ -541,10 +524,9 @@ def train_toy_denoiser(
         xb = Tensor(np.stack(xs))
         fb = Tensor(np.stack(feats).reshape(b, 1, 1, -1))
         eb = Tensor(np.stack(embs).reshape(b, 1, 1, -1))
-        diff = model.forward(model._assemble(xb, fb, eb)) - Tensor(np.stack(zs))
-        return (diff * diff).mean()
+        return model._assemble(xb, fb, eb), np.stack(zs)
 
-    stats.epoch_losses = fit(model, len(dataset), batch_loss, config.epochs,
+    stats.epoch_losses = fit(model, len(dataset), batch, config.epochs,
                              config.batch_size, config.lr, rng)
     return model, stats
 
@@ -553,38 +535,39 @@ def train_toy_denoiser(
 
 
 def save_checkpoint(path, model: Denoiser) -> None:
-    """Fields (embedding_dim, H, W, C, hidden) + f64 params."""
+    """Fields (embedding_dim, H, W, channels = 1, hidden) + f64 params."""
     if model.kind == "analytic_gaussian":
-        shape = model.shape if len(model.shape) == 3 else model.shape + (1,)
-        h, w, c = shape
+        (h, w), aux = model.shape, 0
         params = np.concatenate([[model.data_std], model.mu.ravel(),
                                  model.projection.ravel()])
-        aux = 0
     elif model.kind == "trainable_net":
         h = w = 0
-        c = model.channels
         aux = model.hidden
         params = model.flat_parameters()
     else:
         raise CapabilityError(f"cannot checkpoint model kind {model.kind!r}")
-    checkpoint.write(path, model.kind, (model.embedding_dim, h, w, c, aux), params)
+    checkpoint.write(path, model.kind, (model.embedding_dim, h, w, 1, aux), params)
 
 
 def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
+    """The denoiser in a checkpoint file; CorruptFileError if its header or
+    parameters do not describe a single-channel model this package builds."""
     kind, (dim, h, w, c, aux), params = checkpoint.read(
         path, (AnalyticGaussianDenoiser.kind, ConvDenoiser.kind))
+    if c != 1:
+        raise CorruptFileError(f"{path}: {c} grid channels; only single-channel grids are read")
     if kind == AnalyticGaussianDenoiser.kind:
-        shape = (h, w) if c == 1 else (h, w, c)
-        n = h * w * c
+        n = h * w
         if params.size != 1 + n + n * dim:
-            raise CorruptFileError(f"{path}: {params.size} parameters do not fit shape {shape}")
-        data_std = float(params[0])
-        mu = params[1:1 + n].reshape(shape)
-        projection = params[1 + n:].reshape(n, dim)
-        return AnalyticGaussianDenoiser(
-            schedule, shape, dim, mu=mu, projection=projection, data_std=data_std
-        )
-    model = ConvDenoiser(schedule, channels=c, embedding_dim=dim, hidden=aux)
+            raise CorruptFileError(f"{path}: {params.size} parameters do not fit shape {(h, w)}")
+        if not params[0] > 0.0:
+            raise CorruptFileError(f"{path}: data_std {params[0]} is not positive")
+        return AnalyticGaussianDenoiser(schedule, (h, w), dim, mu=params[1:1 + n].reshape(h, w),
+                                        projection=params[1 + n:].reshape(n, dim),
+                                        data_std=float(params[0]))
+    if aux < 1:
+        raise CorruptFileError(f"{path}: hidden width {aux} is not positive")
+    model = ConvDenoiser(schedule, embedding_dim=dim, hidden=aux)
     if params.size != model.flat_parameters().size:
         raise CorruptFileError(f"{path}: {params.size} parameters do not fit the network")
     model.set_flat_parameters(np.array(params))

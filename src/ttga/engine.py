@@ -153,8 +153,6 @@ def blend(spade_value: np.ndarray, club_value: np.ndarray,
     or a boolean spade selection with one (H, W) layer per item of a stacked
     ``club_value``."""
     sel = mask.spade.astype(bool) if isinstance(mask, MaskPair) else mask
-    if club_value.ndim > sel.ndim:
-        sel = sel[..., None]
     return np.where(sel, spade_value, club_value)
 
 

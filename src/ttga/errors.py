@@ -27,4 +27,6 @@ class DegenerateGuidanceError(ValueError):
 
 class CorruptFileError(ValueError):
     """A checkpoint or grid file is truncated, has the wrong magic or kind,
-    or holds a different number of values than its header declares."""
+    holds a different number of values than its header declares, or
+    describes no model this package builds; or a dataset manifest line lacks
+    a value or holds params that are not a JSON object."""

@@ -178,13 +178,11 @@ def train_toy_segmenter(
     config = config or SegTrainConfig()
     model = ConvSegmenter(hidden=config.hidden, rng=rng.derive(0x5E6))
 
-    def batch_loss(idx: np.ndarray) -> Tensor:
+    def batch(idx: np.ndarray) -> tuple[Tensor, np.ndarray]:
         xb = Tensor(np.stack([scenes[i].image for i in idx])[:, :, :, None])
-        yb = Tensor(np.stack([scenes[i].gt_mask for i in idx]).astype(np.float64)[:, :, :, None])
-        diff = model.forward(xb) - yb
-        return (diff * diff).mean()
+        return xb, np.stack([scenes[i].gt_mask for i in idx]).astype(np.float64)[:, :, :, None]
 
-    losses = fit(model, len(scenes), batch_loss, config.epochs, config.batch_size, config.lr, rng)
+    losses = fit(model, len(scenes), batch, config.epochs, config.batch_size, config.lr, rng)
     return model, losses
 
 
@@ -206,12 +204,13 @@ def load_segmenter(path) -> Segmenter:
         path, (ThresholdSegmenter.kind, ConvSegmenter.kind))
     if kind == ThresholdSegmenter.kind and params.size == 2:
         return ThresholdSegmenter(threshold=params[0], sharpness=params[1])
-    if kind == ConvSegmenter.kind:
+    if kind == ConvSegmenter.kind and aux >= 1:
         model = ConvSegmenter(hidden=aux)
         if params.size == model.flat_parameters().size:
             model.set_flat_parameters(np.array(params))
             return model
-    raise CorruptFileError(f"{path}: {params.size} parameters do not fit a {kind} segmenter")
+    raise CorruptFileError(
+        f"{path}: {params.size} parameters do not fit a {kind} segmenter of hidden width {aux}")
 
 
 # ---- geometric test-time augmentation baseline ----

@@ -128,16 +128,12 @@ def saliency_relevance(model, x: np.ndarray, t: int, e, pred=None) -> np.ndarray
     Default relevance provider for models without an internal attention map.
     High values mark pixels whose content most strongly drives the noise
     prediction, i.e. where the latent deviates from what the model expects.
-    A stack of grids (one more axis than the model's grids) gives one map
-    per item. ``pred``, when given, is ``model.predict_vjp(x, t, e)``, which
-    is then not computed again.
+    An (N, H, W) stack gives one map per item. ``pred``, when given, is
+    ``model.predict_vjp(x, t, e)``, which is then not computed again.
     """
     eps, vjp = model.predict_vjp(x, t, e) if pred is None else pred
     sal = np.abs(vjp(2.0 * eps))
-    stacked = sal.ndim > model.grid_ndim
-    if model.grid_ndim == 3:
-        sal = sal.mean(axis=-1)
-    return ndimage.uniform_filter(sal, size=(1, 3, 3) if stacked else 3, mode="nearest")
+    return ndimage.uniform_filter(sal, size=(1, 3, 3) if sal.ndim == 3 else 3, mode="nearest")
 
 
 def consistency_relevance(model, x: np.ndarray, t: int, e, pred=None) -> np.ndarray:

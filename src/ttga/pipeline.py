@@ -27,7 +27,7 @@ from .denoiser import (
     train_toy_denoiser,
 )
 from .engine import AugmentationSet, ensemble, entropy_bits, error_estimate_map, generate_set
-from .errors import ConfigError
+from .errors import ConfigError, CorruptFileError
 from .evalbench import (
     Difficulty,
     Segmenter,
@@ -151,20 +151,36 @@ def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str, dump_images
 
 def load_dataset(data_dir: Path, split: str, size: int) -> list[ToyScene]:
     """The split's scenes in a make-data directory. Each manifest row's files
-    are read from ``data_dir/<split>/``, wherever make-data wrote them from;
-    ConfigError names the first grid that is not ``size`` x ``size``."""
+    are read from ``data_dir/<split>/``, wherever make-data wrote them from.
+    CorruptFileError names the first manifest line that lacks a value or
+    whose params are not a JSON object; ConfigError names the first grid that
+    is not ``size`` x ``size``, or a split with no scenes."""
+    manifest = data_dir / "manifest.csv"
     scenes = []
-    with open(data_dir / "manifest.csv", newline="") as f:
-        for row in csv.DictReader(f):
+    with open(manifest, newline="") as f:
+        reader = csv.DictReader(f)
+        for row in reader:
+            where = f"{manifest}: line {reader.line_num}"
+            missing = [key for key in ("split", "params", "image_path", "gt_path")
+                       if row.get(key) is None]
+            if missing:
+                raise CorruptFileError(f"{where}: no {', '.join(missing)} value")
             if row["split"] != split:
                 continue
+            try:
+                params = json.loads(row["params"])
+            except json.JSONDecodeError:
+                params = None
+            if not isinstance(params, dict):
+                raise CorruptFileError(f"{where}: params is not a JSON object")
             paths = [data_dir / split / Path(row[key]).name for key in ("image_path", "gt_path")]
             image, gt = [gridio.load_grid(path) for path in paths]
             for path, grid in zip(paths, (image, gt)):
                 if grid.shape != (size, size):
                     raise ConfigError(f"{path} has shape {grid.shape}, not size {size}")
-            scenes.append(ToyScene(image=image, gt_mask=gt.astype(np.uint8),
-                                   params=json.loads(row["params"])))
+            scenes.append(ToyScene(image=image, gt_mask=gt.astype(np.uint8), params=params))
+    if not scenes:
+        raise ConfigError(f"data_dir: {manifest} lists no {split} scenes")
     return scenes
 
 
@@ -552,8 +568,11 @@ def _read_aggregate(run_dir: Path) -> list[list[str]]:
     header, with a row of the wrong length or with a value cell that is not
     a number raises SchemaMismatch naming the file."""
     path = run_dir / "eval" / "aggregate.csv"
-    with open(path, newline="") as f:
-        table = list(csv.reader(f))
+    try:
+        with open(path, newline="", encoding="utf-8") as f:
+            table = list(csv.reader(f))
+    except UnicodeDecodeError as exc:
+        raise SchemaMismatch(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
     if not table or table[0] != AGGREGATE_HEADER:
         raise SchemaMismatch(f"{path}: header {table[0] if table else []} != {AGGREGATE_HEADER}")
     for lineno, row in enumerate(table[1:], 2):
@@ -570,27 +589,29 @@ def _read_aggregate(run_dir: Path) -> list[list[str]]:
 
 def compare_report(run_dirs: list[str], out_path: str, plot: bool = False) -> Path:
     """Merge aggregate tables keyed by (method, task, metric); one value
-    column per run plus mean and sample stddev across runs."""
+    column per run plus mean and sample stddev across runs. Every run must
+    hold the same (method, task) rows."""
     if not run_dirs:
         raise ConfigError("compare_report needs at least one run directory")
+    out_path = Path(out_path)
+    if out_path.is_dir():
+        raise ConfigError(f"--out {out_path} is a directory, not a CSV file path")
     labels, tables = [], []
     for d in run_dirs:
         run_dir = Path(d)
         rows = _read_aggregate(run_dir)
         labels.append(run_dir.name)
         tables.append({(r[0], r[1]): r for r in rows})
+        if tables[-1].keys() != tables[0].keys():
+            raise SchemaMismatch(
+                f"{run_dir}: (method, task) rows {sorted(tables[-1])} differ from "
+                f"{run_dirs[0]}'s {sorted(tables[0])}")
 
     metric_cols = [(2, "dsc"), (4, "auc"), (6, "hd95"), (8, "nsd")]
-    keys = list(tables[0].keys())
     merged_rows = []
-    for key in keys:
+    for key in tables[0]:
         for col, metric in metric_cols:
-            values = []
-            for table in tables:
-                row = table.get(key)
-                if row is None:
-                    raise SchemaMismatch(f"run missing aggregate row {key}")
-                values.append(row[col])
+            values = [table[key][col] for table in tables]
             if all(v == "" for v in values):
                 continue
             floats = [float(v) for v in values if v != ""]
@@ -598,7 +619,6 @@ def compare_report(run_dirs: list[str], out_path: str, plot: bool = False) -> Pa
             std = float(np.std(floats, ddof=1)) if len(floats) > 1 else 0.0
             merged_rows.append([key[0], key[1], metric, *values, fmt(mean), fmt(std)])
 
-    out_path = Path(out_path)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     with open(out_path, "w", newline="", encoding="utf-8") as f:
         writer = csv.writer(f)

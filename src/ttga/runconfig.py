@@ -193,10 +193,14 @@ def _coerce(name: str, raw: str):
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` file; '#' starts a comment."""
+    """Parse a flat ``key = value`` UTF-8 file; '#' starts a comment."""
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except (IsADirectoryError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"--config {path} is not a UTF-8 text file: {exc}") from None
     values = {}
-    for lineno, line in enumerate(path.read_text().splitlines(), 1):
+    for lineno, line in enumerate(text.splitlines(), 1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue

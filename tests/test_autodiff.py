@@ -13,48 +13,33 @@ from ttga.rng import SeededRng
 from ttga.schedule import build_schedule
 
 
-def _check_scalar_graph(build, x0, rtol=1e-6):
-    """Compare autodiff gradient of a scalar-valued graph against central
-    differences in the flattened input."""
+def _check_seeded_graph(build, x0, rng, rtol=1e-6):
+    """Compare the backward pass of a graph seeded with a random ``seed``
+    against central differences of sum(seed * output) in the flattened input."""
     shape = x0.shape
+    seed = rng.normal(build(Tensor(x0)).shape)
 
     def f(flat):
-        return float(build(Tensor(flat.reshape(shape))).data)
+        return float(np.sum(seed * build(Tensor(flat.reshape(shape))).data))
 
     leaf = Tensor(x0, requires_grad=True)
-    out = build(leaf)
-    out.backward()
+    build(leaf).backward(seed=seed)
     numeric = central_difference(f, x0.ravel(), h=1e-5).reshape(shape)
     assert relative_gradient_match(leaf.grad, numeric, rtol=rtol)
 
 
-def test_sub_mul_grad(rng):
-    x0 = rng.normal((3, 4))
-    other = rng.normal((3, 4))
-    _check_scalar_graph(lambda x: ((x - other) * (x * 2.0 - 1.0)).mean(), x0)
-
-
-def test_broadcast_sub_grad(rng):
-    # x broadcasts against (3, 4) in both the product and the difference,
-    # so its gradient is summed back to its own shape
-    other = rng.normal((3, 4))
-
-    def build(x):
-        return (x * other - x).mean()
-
-    for shape in [(4,), (3, 1), (1, 4)]:
-        _check_scalar_graph(build, rng.normal(shape))
-
-
 def test_tanh_sigmoid_grad(rng):
     x0 = rng.normal((6,))
-    _check_scalar_graph(lambda x: (x.tanh() * x.sigmoid()).mean(), x0)
+    for build in (lambda x: x.tanh(), lambda x: x.sigmoid(), lambda x: x.tanh().sigmoid()):
+        _check_seeded_graph(build, x0, rng)
 
 
 def test_concat_channels_grad(rng):
-    x0 = rng.normal((2, 2, 3))
+    # x's leading (1, 2) broadcasts against other's (2, 2), so its gradient
+    # is summed back to its own shape
     other = Tensor(rng.normal((2, 2, 2)))
-    _check_scalar_graph(lambda x: (concat_channels([x, other]) * 1.5).mean(), x0)
+    _check_seeded_graph(lambda x: concat_channels([x, other]), rng.normal((1, 2, 3)), rng)
+    _check_seeded_graph(lambda x: concat_channels([other, x]).tanh(), rng.normal((2, 2, 3)), rng)
 
 
 def test_concat_channels_broadcasts_its_parts(rng):
@@ -111,9 +96,9 @@ def test_conv2d_grad_through_a_broadcast_concat_part(rng):
 
     def build(e):
         hidden = conv2d(concat_channels([Tensor(x), e, Tensor(f)]), w, zero4, 3).tanh()
-        return conv2d(hidden, w2, zero2, 3).mean()
+        return conv2d(hidden, w2, zero2, 3)
 
-    _check_scalar_graph(build, e0)
+    _check_seeded_graph(build, e0, rng)
 
 
 def test_conv2d_grad_input_and_weights(rng):
@@ -127,19 +112,13 @@ def test_conv2d_grad_input_and_weights(rng):
     conv = conv2d(Tensor(x0, requires_grad=True), frozen_w, frozen_b, 3)
     _, gw, gb = conv._backward(np.ones(conv.shape))
     assert gw is None and gb is None
-    _check_scalar_graph(lambda x: conv2d(x, frozen_w, frozen_b, 3).mean(), x0)
+    _check_seeded_graph(lambda x: conv2d(x, frozen_w, frozen_b, 3), x0, rng)
     assert frozen_w.grad is None and frozen_b.grad is None
 
     # weight gradient; the input does not require grad, so none is computed for it
-    def f_w(flat):
-        return float(conv2d(Tensor(x0), Tensor(flat.reshape(w.shape)), Tensor(b), 3).mean().data)
-
-    wt = Tensor(w, requires_grad=True)
-    conv = conv2d(Tensor(x0), wt, Tensor(b), 3)
+    conv = conv2d(Tensor(x0), Tensor(w, requires_grad=True), Tensor(b), 3)
     assert conv._backward(np.ones(conv.shape))[0] is None
-    conv.mean().backward()
-    numeric = central_difference(f_w, w.ravel(), h=1e-5).reshape(w.shape)
-    assert relative_gradient_match(wt.grad, numeric, rtol=1e-6)
+    _check_seeded_graph(lambda wt: conv2d(Tensor(x0), wt, Tensor(b), 3), w, rng)
 
     # bias gradient is the spatial sum of upstream ones
     bt = Tensor(b, requires_grad=True)
@@ -148,16 +127,15 @@ def test_conv2d_grad_input_and_weights(rng):
 
 
 def test_grad_accumulates_over_reuse(rng):
-    x = Tensor(rng.normal((4,)), requires_grad=True)
-    out = (x * x - x * 3.0).mean()
-    out.backward()
-    assert np.allclose(x.grad, (2 * x.data - 3.0) / 4, rtol=1e-12)
-
-
-def test_backward_requires_scalar():
-    x = Tensor(np.ones((2, 2)), requires_grad=True)
-    with pytest.raises(ValueError):
-        (x * 2.0).backward()
+    # x fills both halves of the concatenation, so its gradient is their sum
+    x = Tensor(rng.normal((2, 3, 3, 2)), requires_grad=True)
+    seed = rng.normal((2, 3, 3, 4))
+    concat_channels([x, x]).backward(seed=seed)
+    assert np.array_equal(x.grad, seed[..., :2] + seed[..., 2:])
+    # a conv over that concatenation sends x one gradient per part
+    w, b = Tensor(rng.normal((9 * 4, 3))), Tensor(np.zeros(3))
+    _check_seeded_graph(lambda x: conv2d(concat_channels([x, x]), w, b, 3),
+                        rng.normal((2, 3, 3, 2)), rng)
 
 
 def test_backward_through_a_chain_deeper_than_the_recursion_limit():
@@ -166,7 +144,7 @@ def test_backward_through_a_chain_deeper_than_the_recursion_limit():
     for _ in range(sys.getrecursionlimit() + 500):
         out = out.tanh()
         ys.append(out.data)
-    out.backward()
+    out.backward(seed=1.0)
     expected = 1.0
     for y in reversed(ys):
         expected = expected * (1.0 - y * y)
@@ -176,12 +154,12 @@ def test_backward_through_a_chain_deeper_than_the_recursion_limit():
 def test_graph_is_freed_when_its_last_reference_goes(rng, no_cyclic_gc):
     x = Tensor(rng.normal((2, 6, 6, 3)), requires_grad=True)
     hidden = conv2d(x, Tensor(rng.normal((27, 4))), Tensor(np.zeros(4)), 3).tanh()
-    loss = (hidden * hidden).mean()
+    out = conv2d(hidden, Tensor(rng.normal((36, 1))), Tensor(np.zeros(1)), 3)
     hidden_data = weakref.ref(hidden.data)
     del hidden
-    loss.backward()
-    assert hidden_data() is not None  # still held by the graph of loss
-    del loss
+    out.backward(seed=np.ones(out.shape))
+    assert hidden_data() is not None  # still held by the graph of out
+    del out
     assert hidden_data() is None
 
 

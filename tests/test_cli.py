@@ -1,14 +1,21 @@
 import csv
 import dataclasses
+import os
+import shutil
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttga import gridio, pipeline
+import ttga
+from ttga import checkpoint, gridio, pipeline
 from ttga.cli import main
 from ttga.errors import ConfigError
+from ttga.evalbench import ConvSegmenter, save_segmenter
 from ttga.runconfig import RunConfig, load_config_file, resolve_config, write_resolved_config
 
 TINY = [
@@ -132,9 +139,11 @@ def test_compare_schema_mismatch_exit_code(tmp_path, pipeline_run):
 
 
 MALFORMED_AGGREGATES = {
-    "empty": lambda text: "",
-    "non_numeric_cell": lambda text: text.replace(text.splitlines()[1].split(",")[2], "high", 1),
-    "short_row": lambda text: text + "ttga,segmentation,0.5\n",
+    "empty": lambda text: b"",
+    "non_numeric_cell":
+        lambda text: text.replace(text.splitlines()[1].split(",")[2], "high", 1).encode(),
+    "short_row": lambda text: (text + "ttga,segmentation,0.5\n").encode(),
+    "not_utf8": lambda text: text.encode() + b"tta,segmentation,\xff\n",
 }
 
 
@@ -143,12 +152,64 @@ def test_compare_malformed_aggregate_exits_5_naming_the_file(tmp_path, capsys, p
     text = (pipeline_run / "eval" / "aggregate.csv").read_text()
     bad = tmp_path / "bad" / "eval" / "aggregate.csv"
     bad.parent.mkdir(parents=True)
-    bad.write_text(MALFORMED_AGGREGATES[case](text))
+    bad.write_bytes(MALFORMED_AGGREGATES[case](text))
     assert run_cli("compare-report", pipeline_run, bad.parent.parent,
                    "--out", tmp_path / "cmp.csv") == 5
     err = capsys.readouterr().err
     assert str(bad) in err and "Traceback" not in err
     assert not (tmp_path / "cmp.csv").exists()
+
+
+@pytest.mark.parametrize("partial_first", [True, False])
+def test_compare_report_runs_must_hold_the_same_rows(tmp_path, capsys, pipeline_run,
+                                                     partial_first):
+    text = (pipeline_run / "eval" / "aggregate.csv").read_text()
+    partial = tmp_path / "partial"
+    (partial / "eval").mkdir(parents=True)
+    (partial / "eval" / "aggregate.csv").write_text(
+        "".join(line for line in text.splitlines(True) if not line.startswith("ttga,")))
+    runs = [partial, pipeline_run] if partial_first else [pipeline_run, partial]
+    assert run_cli("compare-report", *runs, "--out", tmp_path / "cmp.csv") == 5
+    err = capsys.readouterr().err
+    assert f"{runs[1]}: (method, task) rows" in err and "Traceback" not in err
+    assert not (tmp_path / "cmp.csv").exists()
+
+
+@pytest.mark.parametrize("case", ["config_directory", "config_not_utf8", "out_is_a_file",
+                                  "out_under_a_file", "compare_out_is_a_directory"])
+def test_unusable_path_exits_3(tmp_path, capsys, pipeline_run, case):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory\n")
+    out = tmp_path / "x"
+    if case == "config_directory":
+        named, args = tmp_path, ("evaluate", "--config", tmp_path, "--out", out)
+    elif case == "config_not_utf8":
+        named = tmp_path / "latin1.cfg"
+        named.write_bytes(b"tau = 40  # caf\xe9\n")
+        args = ("evaluate", "--config", named, "--out", out)
+    elif case == "out_is_a_file":
+        named, args = a_file, ("make-data", "--out", a_file, *TINY)
+    elif case == "out_under_a_file":
+        named, args = a_file / "x", ("make-data", "--out", a_file / "x", *TINY)
+    else:
+        named, args = tmp_path, ("compare-report", pipeline_run, "--out", tmp_path)
+    assert run_cli(*args) == 3
+    err = capsys.readouterr().err
+    assert str(named) in err and "Traceback" not in err
+    assert not out.exists() and a_file.read_text() == "not a directory\n"
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset", [{}, {"OPENBLAS_NUM_THREADS": "3", "MKL_NUM_THREADS": "2"}])
+def test_blas_threads_default_to_one_unless_set(preset):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env.update(preset, PYTHONPATH=str(Path(ttga.__file__).parents[1]))
+    probe = f"import os, ttga; print(*(os.environ[v] for v in {BLAS_VARS!r}))"
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.split() == [preset.get(v, "1") for v in BLAS_VARS]
 
 
 @pytest.mark.parametrize("setting", ["n_test=-3", "n_test=0", "n_train=0"])
@@ -407,6 +468,119 @@ def test_truncated_checkpoint_exit_6(tmp_path, capsys, field):
     assert code == 6
     err = capsys.readouterr().err
     assert "corrupt checkpoint" in err and "Traceback" not in err
+
+
+def _nan_last_parameter(path):
+    """Overwrite a checkpoint's last parameter with NaN, which no writer emits."""
+    path.write_bytes(path.read_bytes()[:-8] + struct.pack("<d", float("nan")))
+
+
+def _write_bad_checkpoint(path, case):
+    """A checkpoint for TINY's 24x24 grids and dim-64 embedding with one defect."""
+    n, dim, hidden = 24 * 24, 64, 4
+    analytic = np.concatenate([[3.0], np.zeros(n), np.zeros(n * dim)])
+    if case == "analytic_data_std_negative":
+        analytic[0] = -1.0
+        checkpoint.write(path, "analytic_gaussian", (dim, 24, 24, 1, 0), analytic)
+    elif case == "analytic_nan":
+        checkpoint.write(path, "analytic_gaussian", (dim, 24, 24, 1, 0), analytic)
+        _nan_last_parameter(path)
+    elif case == "conv_hidden_0":
+        checkpoint.write(path, "trainable_net", (dim, 0, 0, 1, 0), np.zeros(4))
+    elif case == "conv_three_channels":
+        in_ch = 3 + dim + 8
+        count = 9 * in_ch * hidden + hidden + 2 * (9 * hidden + 1) * hidden + 9 * hidden * 3 + 3
+        checkpoint.write(path, "trainable_net", (dim, 0, 0, 3, hidden), np.zeros(count))
+    elif case == "segmenter_hidden_0":
+        checkpoint.write(path, "trained_net", (0, 0, 0, 1, 0), np.zeros(3))
+    else:
+        save_segmenter(path, ConvSegmenter(hidden=hidden))
+        _nan_last_parameter(path)
+
+
+BAD_CHECKPOINTS = {
+    "analytic_data_std_negative": ("denoiser_checkpoint", "data_std -1.0 is not positive"),
+    "analytic_nan": ("denoiser_checkpoint", "non-finite parameters"),
+    "conv_hidden_0": ("denoiser_checkpoint", "hidden width 0"),
+    "conv_three_channels": ("denoiser_checkpoint", "3 grid channels"),
+    "segmenter_hidden_0": ("segmenter_checkpoint", "hidden width 0"),
+    "segmenter_nan": ("segmenter_checkpoint", "non-finite parameters"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CHECKPOINTS))
+def test_bad_checkpoint_exits_6_before_any_work(tmp_path, capsys, case):
+    field, message = BAD_CHECKPOINTS[case]
+    ckpt = tmp_path / f"{case}.ckpt"
+    _write_bad_checkpoint(ckpt, case)
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY, "--set", "segmenter=threshold",
+                   "--set", f"{field}={ckpt}") == 6
+    err = capsys.readouterr().err
+    assert str(ckpt) in err and message in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command, sets", [
+    ("train-segmenter", ["seg_lr=1e308"]),
+    ("train-denoiser", ["denoiser=trainable", "denoiser_hidden=4", "denoiser_lr=1e308"]),
+])
+def test_diverged_training_exits_4_and_writes_no_checkpoint(tmp_path, capsys, command, sets):
+    out = tmp_path / "x"
+    assert run_cli(command, "--out", out, *TINY, "--set", "denoiser_epochs=1",
+                   *[a for s in sets for a in ("--set", s)]) == 4
+    err = capsys.readouterr().err
+    assert "non-finite" in err and "Traceback" not in err
+    assert not list((out / "models").glob("*.ckpt"))
+
+
+@pytest.fixture(scope="module")
+def made_data(tmp_path_factory):
+    out = tmp_path_factory.mktemp("made")
+    assert run_cli("make-data", "--out", out, "--seed", 1, *TINY) == 0
+    return out / "data"
+
+
+def _data_with_manifest(made_data, tmp_path, edit):
+    """A copy of ``made_data`` whose manifest's (columns, rows) are ``edit``-ed."""
+    data = tmp_path / "data"
+    shutil.copytree(made_data, data)
+    with open(data / "manifest.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        fields, rows = edit(reader.fieldnames, list(reader))
+    with open(data / "manifest.csv", "w", newline="") as f:
+        writer = csv.DictWriter(f, fieldnames=fields, extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+    return data
+
+
+@pytest.mark.parametrize("case", ["missing_column", "params_not_json"])
+def test_malformed_manifest_exits_6_naming_the_line(tmp_path, capsys, made_data, case):
+    if case == "missing_column":
+        line, edit = 2, lambda fields, rows: ([c for c in fields if c != "params"], rows)
+    else:
+        line, edit = 47, lambda fields, rows: (fields, rows[:-1] + [{**rows[-1], "params": "{"}])
+    data = _data_with_manifest(made_data, tmp_path, edit)
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY, "--set", f"data_dir={data}") == 6
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.csv'}: line {line}:" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
+@pytest.mark.parametrize("command, split", [("train-denoiser", "train"), ("evaluate", "test"),
+                                            ("augment", "test")])
+def test_empty_data_dir_split_exits_3_before_training(tmp_path, capsys, made_data, command,
+                                                      split):
+    data = _data_with_manifest(made_data, tmp_path, lambda fields, rows: (
+        fields, [r for r in rows if r["split"] != split]))
+    out = tmp_path / "x"
+    assert run_cli(command, "--out", out, *TINY, "--set", f"data_dir={data}") == 3
+    err = capsys.readouterr().err
+    assert f"lists no {split} scenes" in err and "Traceback" not in err
+    assert not (out / "run.log").exists() and not list(out.rglob("*.ckpt"))
 
 
 def test_truncated_scene_file_exit_6(tmp_path, capsys):

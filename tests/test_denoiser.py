@@ -15,6 +15,7 @@ from ttga import (
     save_checkpoint,
     train_toy_denoiser,
 )
+import ttga.denoiser as denoiser_module
 from ttga.autodiff import Tensor
 from ttga.denoiser import ConvStack, Denoiser, fit
 from ttga.errors import CapabilityError, ConfigError, ContractError, CorruptFileError
@@ -164,6 +165,13 @@ def test_predict_rejects_bad_grid_shape(schedule, conv_model, rng):
         conv_model.predict(rng.normal((2, 3, 8, 8)), 10, ConditionEmbedding(rng.normal(4)))
 
 
+def test_models_read_single_channel_grids_only(schedule):
+    with pytest.raises(ContractError, match="channels=3"):
+        ConvDenoiser(schedule, channels=3)
+    with pytest.raises(ContractError, match=r"\(H, W\)"):
+        AnalyticGaussianDenoiser(schedule, (4, 4, 3), 2)
+
+
 def test_predict_rejects_dim_mismatch(schedule, rng):
     m = make_analytic(schedule)
     with pytest.raises(ContractError, match="embedding dim"):
@@ -307,27 +315,58 @@ def test_training_ignores_earlier_inference_gradients(schedule):
 
 
 def test_fit_frees_each_batch_graph_before_building_the_next(no_cyclic_gc):
-    model = ConvStack([(1, 3), (3, 1)], SeededRng(5))
-    data = SeededRng(6).normal((6, 5, 5, 1))
+    """The input, the target and the output of a batch, and so its graph,
+    are gone by the time the next batch is built."""
     previous, still_alive = [], []
 
-    def batch_loss(idx):
-        if previous:
-            still_alive.append(previous[-1]() is not None)
-        out = model.forward(Tensor(data[idx]))
-        loss = (out * out).mean()
-        previous.append(weakref.ref(loss.data))
-        return loss
+    class Recording(ConvStack):
+        def forward(self, x):
+            out = super().forward(x)
+            previous[-1].append(weakref.ref(out.data))
+            return out
 
-    fit(model, 6, batch_loss, epochs=2, batch_size=2, lr=1e-2, rng=SeededRng(7))
-    assert len(still_alive) == 5 and not any(still_alive)
+    model = Recording([(1, 3), (3, 1)], SeededRng(5))
+    data = SeededRng(6).normal((6, 5, 5, 1))
+
+    def batch(idx):
+        if previous:
+            still_alive.append([ref() is not None for ref in previous[-1]])
+        inputs, target = Tensor(data[idx]), -data[idx]
+        previous.append([weakref.ref(inputs.data), weakref.ref(target)])
+        return inputs, target
+
+    fit(model, 6, batch, epochs=2, batch_size=2, lr=1e-2, rng=SeededRng(7))
+    assert still_alive == [[False] * 3] * 5
+
+
+def test_fit_loss_is_the_mean_squared_error_and_its_gradient(monkeypatch):
+    """fit's loss is the mean squared error of the forward pass, and the
+    gradient it hands to Adam matches central differences of that error."""
+    model = ConvStack([(1, 2), (2, 1)], SeededRng(5))
+    x, y = SeededRng(6).normal((2, 4, 4, 1)), SeededRng(8).normal((2, 4, 4, 1))
+    start = model.flat_parameters()
+
+    def mse(flat):
+        model.set_flat_parameters(flat)
+        return float(np.mean((model.forward(Tensor(x)).data - y) ** 2))
+
+    numeric = central_difference(mse, start, h=1e-6)
+    model.set_flat_parameters(start)
+    grads = []
+    monkeypatch.setattr(denoiser_module, "adam_step",
+                        lambda state, params, g: grads.append(g) or params)
+    losses = fit(model, 2, lambda idx: (Tensor(x[idx]), y[idx]), epochs=1, batch_size=2,
+                 lr=1e-2, rng=SeededRng(7))
+    assert losses == [pytest.approx(mse(start), rel=1e-12)]
+    assert relative_gradient_match(grads[0], numeric, rtol=1e-6)
 
 
 def test_drop_p_zero_never_substitutes_null(schedule):
     rng = SeededRng(5)
     dataset = _disk_dataset(20, rng)
     config = DenoiserTrainConfig(epochs=1, batch_size=8, drop_p=0.0, lr=1e-3)
-    _, stats = train_toy_denoiser(dataset, schedule, rng.derive(3), config)
+    model = ConvDenoiser(schedule, embedding_dim=4, hidden=6, rng=SeededRng(10))
+    _, stats = train_toy_denoiser(dataset, schedule, rng.derive(3), config, model=model)
     assert stats.null_substitutions == 0
     assert stats.examples_seen == 20
 
@@ -336,7 +375,8 @@ def test_drop_p_one_conditional_equals_unconditional(schedule):
     rng = SeededRng(6)
     dataset = _disk_dataset(20, rng)
     config = DenoiserTrainConfig(epochs=2, batch_size=8, drop_p=1.0, lr=3e-3)
-    model, stats = train_toy_denoiser(dataset, schedule, rng.derive(3), config)
+    model = ConvDenoiser(schedule, embedding_dim=4, hidden=6, rng=SeededRng(10))
+    model, stats = train_toy_denoiser(dataset, schedule, rng.derive(3), config, model=model)
     assert stats.null_substitutions == stats.examples_seen
     x = SeededRng(8).normal((12, 12))
     e = ConditionEmbedding(SeededRng(9).normal(4))
@@ -347,7 +387,7 @@ def test_drop_p_one_conditional_equals_unconditional(schedule):
 
 def test_empty_dataset_rejected(schedule, rng):
     with pytest.raises(ConfigError, match="dataset"):
-        train_toy_denoiser([], schedule, rng)
+        train_toy_denoiser([], schedule, rng, model=ConvDenoiser(schedule, embedding_dim=4))
 
 
 @pytest.mark.parametrize("kwargs, key", [
