@@ -11,8 +11,11 @@ reference goes.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -146,16 +149,37 @@ def _im2col(x: np.ndarray, k: int) -> np.ndarray:
     return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, k * k * c)
 
 
-def _col2im(gcols: np.ndarray, k: int, in_shape: tuple) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to the input."""
-    b, h, w, c = in_shape
+@functools.cache
+def scatter_matrix(h: int, w: int, k: int) -> sparse.csr_array:
+    """The 0/1 (H*W, H*W*k*k) matrix of _col2im on an (H, W) grid.
+
+    The row of input pixel (y, x) holds, in kernel-position order (i, j), the
+    column of every patch entry that lands on it: entry (i, j) of the patch
+    centred on (y + pad - i, x + pad - j). The product sums each row in stored
+    order from +0, so it adds exactly what a strided add per kernel position
+    adds, in the same order. The indices must stay unsorted.
+    """
     pad = k // 2
-    g = gcols.reshape(b, h, w, k * k, c)
-    gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
-    for i in range(k):
-        for j in range(k):
-            gx[:, i:i + h, j:j + w, :] += g[:, :, :, i * k + j, :]
-    return gx[:, pad:pad + h, pad:pad + w, :]
+    y, x = np.divmod(np.arange(h * w), w)
+    i, j = np.divmod(np.arange(k * k), k)
+    sy = y[:, None] + pad - i
+    sx = x[:, None] + pad - j
+    inside = (sy >= 0) & (sy < h) & (sx >= 0) & (sx < w)
+    cols = (sy * w + sx) * (k * k) + i * k + j
+    indptr = np.concatenate(([0], np.cumsum(inside.sum(axis=1))))
+    return sparse.csr_array((np.ones(int(indptr[-1])), cols[inside], indptr),
+                            shape=(h * w, h * w * k * k))
+
+
+def _col2im(gcols: np.ndarray, k: int, in_shape: tuple) -> np.ndarray:
+    """Adjoint of _im2col: scatter-add patch gradients back to the input, one
+    sparse product per batch item."""
+    b, h, w, c = in_shape
+    scatter = scatter_matrix(h, w, k)
+    gx = np.empty((b, h * w, c))
+    for n, item in enumerate(gcols.reshape(b, h * w * k * k, c)):
+        gx[n] = scatter @ item
+    return gx.reshape(in_shape)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:

@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import checkpoint
-from .autodiff import Tensor, concat_channels, conv2d
+from .autodiff import Tensor, concat_channels, conv2d, scatter_matrix
 from .errors import CapabilityError, ConfigError, ContractError, CorruptFileError
 from .optim import AdamState, adam_step
 from .rng import SeededRng
@@ -457,6 +457,9 @@ def fit(
             epoch_loss, batches = 0.0, 0
             for start in range(0, n, batch_size):
                 inputs, target = batch(order[start:start + batch_size])
+                # the backward's scatter matrix, built once per grid before any batch
+                # graph: built inside one, it would stay between that graph's buffers
+                scatter_matrix(*inputs.shape[1:3], model.KERNEL)
                 out = model.forward(inputs)
                 # the graph holds the parts of a concatenated input, not its buffer
                 del inputs

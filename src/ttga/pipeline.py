@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import datetime
+import io
 import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -149,36 +150,55 @@ def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str, dump_images
     return rows
 
 
+# the scene parameters that scene_embedding reads
+SCENE_KEYS = ("size", "cy", "cx", "radius", "fg_value", "bg_value")
+
+
+def _is_number(value) -> bool:
+    """A JSON number that is a finite float64: not a bool, NaN or infinity."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= np.finfo(np.float64).max)
+
+
 def load_dataset(data_dir: Path, split: str, size: int) -> list[ToyScene]:
     """The split's scenes in a make-data directory. Each manifest row's files
     are read from ``data_dir/<split>/``, wherever make-data wrote them from.
-    CorruptFileError names the first manifest line that lacks a value or
-    whose params are not a JSON object; ConfigError names the first grid that
-    is not ``size`` x ``size``, or a split with no scenes."""
+    CorruptFileError names a manifest that is not UTF-8, or the first line
+    that lacks a value or whose params are not a JSON object with a number
+    for every key ``scene_embedding`` reads; ConfigError names the first grid
+    that is not ``size`` x ``size``, or a split with no scenes."""
     manifest = data_dir / "manifest.csv"
     scenes = []
-    with open(manifest, newline="") as f:
-        reader = csv.DictReader(f)
-        for row in reader:
-            where = f"{manifest}: line {reader.line_num}"
-            missing = [key for key in ("split", "params", "image_path", "gt_path")
-                       if row.get(key) is None]
-            if missing:
-                raise CorruptFileError(f"{where}: no {', '.join(missing)} value")
-            if row["split"] != split:
-                continue
-            try:
-                params = json.loads(row["params"])
-            except json.JSONDecodeError:
-                params = None
-            if not isinstance(params, dict):
-                raise CorruptFileError(f"{where}: params is not a JSON object")
-            paths = [data_dir / split / Path(row[key]).name for key in ("image_path", "gt_path")]
-            image, gt = [gridio.load_grid(path) for path in paths]
-            for path, grid in zip(paths, (image, gt)):
-                if grid.shape != (size, size):
-                    raise ConfigError(f"{path} has shape {grid.shape}, not size {size}")
-            scenes.append(ToyScene(image=image, gt_mask=gt.astype(np.uint8), params=params))
+    try:
+        with open(manifest, newline="", encoding="utf-8") as f:
+            text = f.read()
+    except UnicodeDecodeError as exc:
+        raise CorruptFileError(f"{manifest}: not UTF-8 text at byte {exc.start}") from None
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    for row in reader:
+        where = f"{manifest}: line {reader.line_num}"
+        missing = [key for key in ("split", "params", "image_path", "gt_path")
+                   if row.get(key) is None]
+        if missing:
+            raise CorruptFileError(f"{where}: no {', '.join(missing)} value")
+        if row["split"] != split:
+            continue
+        try:
+            params = json.loads(row["params"])
+        except json.JSONDecodeError:
+            params = None
+        if not isinstance(params, dict):
+            raise CorruptFileError(f"{where}: params is not a JSON object")
+        bad = [key for key in SCENE_KEYS if not _is_number(params.get(key))]
+        if bad or params["size"] <= 0:
+            raise CorruptFileError(f"{where}: params {', '.join(bad) or 'size'} must be "
+                                   "finite numbers, with size > 0")
+        paths = [data_dir / split / Path(row[key]).name for key in ("image_path", "gt_path")]
+        image, gt = [gridio.load_grid(path) for path in paths]
+        for path, grid in zip(paths, (image, gt)):
+            if grid.shape != (size, size):
+                raise ConfigError(f"{path} has shape {grid.shape}, not size {size}")
+        scenes.append(ToyScene(image=image, gt_mask=gt.astype(np.uint8), params=params))
     if not scenes:
         raise ConfigError(f"data_dir: {manifest} lists no {split} scenes")
     return scenes
@@ -472,16 +492,18 @@ def _models_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_train_denoiser(cfg: RunConfig, log: RunLog) -> Path:
+    scenes = _scenes(cfg, "train")
     ckpt = _models_dir(cfg) / "denoiser.ckpt"
-    save_checkpoint(ckpt, build_denoiser(cfg, cfg.schedule, _scenes(cfg, "train"), log))
+    save_checkpoint(ckpt, build_denoiser(cfg, cfg.schedule, scenes, log))
     gridio.save_grid(ckpt.with_name("semantic.f64"), semantic_anchor(cfg).values.reshape(1, -1))
     log.write(f"saved denoiser checkpoint: {ckpt}")
     return ckpt
 
 
 def cmd_train_segmenter(cfg: RunConfig, log: RunLog) -> Path:
+    scenes = _scenes(cfg, "train")
     ckpt = _models_dir(cfg) / "segmenter.ckpt"
-    save_segmenter(ckpt, build_segmenter(cfg, _scenes(cfg, "train"), log))
+    save_segmenter(ckpt, build_segmenter(cfg, scenes, log))
     log.write(f"saved segmenter checkpoint: {ckpt}")
     return ckpt
 

@@ -207,6 +207,43 @@ def test_im2col_equals_loop_reference(rng, shape, k):
     assert np.array_equal(_im2col(x, k), _im2col_loops(x, k))
 
 
+def _col2im_loops(gcols, k, in_shape):
+    """Reference col2im: one strided add per kernel position, in (i, j) order."""
+    b, h, w, c = in_shape
+    pad = k // 2
+    g = gcols.reshape(b, h, w, k * k, c)
+    gx = np.zeros((b, h + 2 * pad, w + 2 * pad, c), dtype=np.float64)
+    for i in range(k):
+        for j in range(k):
+            gx[:, i:i + h, j:j + w, :] += g[:, :, :, i * k + j, :]
+    return gx[:, pad:pad + h, pad:pad + w, :]
+
+
+@pytest.mark.parametrize("shape", [(16, 32, 32, 16), (8, 32, 32, 12), (2, 32, 32, 1),
+                                   (3, 8, 7, 12), (1, 4, 4, 1)])
+@pytest.mark.parametrize("k", [1, 3, 5])
+def test_col2im_is_bit_identical_to_loop_reference(rng, shape, k):
+    """Magnitudes spread over 24 decades, so any other summation order shows;
+    planted signed zeros check that each sum starts from +0."""
+    b, h, w, c = shape
+    cols_shape = (b, h, w, k * k * c)
+    gcols = rng.normal(cols_shape) * 10.0 ** rng.integers(-12, 13, cols_shape)
+    gcols[rng.random(cols_shape) < 0.1] = -0.0
+    gcols[rng.random(cols_shape) < 0.05] = 0.0
+    got = autodiff._col2im(gcols, k, shape)
+    want = np.ascontiguousarray(_col2im_loops(gcols, k, shape))
+    assert got.shape == shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_col2im_caches_one_matrix_per_grid_whatever_the_batch(rng):
+    autodiff.scatter_matrix.cache_clear()
+    for b in (1, 2, 5):
+        for h, w in ((6, 5), (4, 4)):
+            autodiff._col2im(rng.normal((b, h, w, 9 * 2)), 3, (b, h, w, 2))
+    assert autodiff.scatter_matrix.cache_info().currsize == 2
+
+
 @pytest.mark.parametrize("wrt", ["input", "embedding"])
 def test_predict_vjp_scatters_only_the_channels_it_differentiates(rng, monkeypatch, wrt):
     model = ConvDenoiser(build_schedule(50, 1e-4, 0.02), embedding_dim=5, hidden=7,

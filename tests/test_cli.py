@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import json
 import os
 import shutil
 import struct
@@ -570,7 +571,40 @@ def test_malformed_manifest_exits_6_naming_the_line(tmp_path, capsys, made_data,
     assert not (out / "run.log").exists()
 
 
-@pytest.mark.parametrize("command, split", [("train-denoiser", "train"), ("evaluate", "test"),
+@pytest.mark.parametrize("key, value", [("radius", None), ("fg_value", "bright"),
+                                        ("cx", float("nan")), ("size", True), ("size", 0)])
+def test_manifest_params_without_a_scene_number_exit_6_before_training(
+        tmp_path, capsys, made_data, key, value):
+    def edit(fields, rows):
+        params = json.loads(rows[0]["params"])
+        if value is None:
+            del params[key]
+        else:
+            params[key] = value
+        return fields, [{**rows[0], "params": json.dumps(params)}] + rows[1:]
+
+    data = _data_with_manifest(made_data, tmp_path, edit)
+    out = tmp_path / "x"
+    code = run_cli("train-denoiser", "--out", out, *TINY, "--set", "denoiser=trainable",
+                   "--set", f"data_dir={data}")
+    assert code == 6
+    err = capsys.readouterr().err
+    assert f"{data / 'manifest.csv'}: line 2: params {key} " in err and "Traceback" not in err
+    assert not (out / "run.log").exists() and not (out / "models").exists()
+
+
+def test_non_utf8_manifest_exits_6_naming_the_file(tmp_path, capsys, made_data):
+    data = tmp_path / "data"
+    shutil.copytree(made_data, data)
+    manifest = data / "manifest.csv"
+    manifest.write_bytes(manifest.read_bytes().replace(b"test", b"t\xe9st", 1))
+    assert run_cli("evaluate", "--out", tmp_path / "x", *TINY, "--set", f"data_dir={data}") == 6
+    err = capsys.readouterr().err
+    assert f"{manifest}: not UTF-8" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command, split", [("train-denoiser", "train"),
+                                            ("train-segmenter", "train"), ("evaluate", "test"),
                                             ("augment", "test")])
 def test_empty_data_dir_split_exits_3_before_training(tmp_path, capsys, made_data, command,
                                                       split):
@@ -580,7 +614,7 @@ def test_empty_data_dir_split_exits_3_before_training(tmp_path, capsys, made_dat
     assert run_cli(command, "--out", out, *TINY, "--set", f"data_dir={data}") == 3
     err = capsys.readouterr().err
     assert f"lists no {split} scenes" in err and "Traceback" not in err
-    assert not (out / "run.log").exists() and not list(out.rglob("*.ckpt"))
+    assert not (out / "run.log").exists() and not (out / "models").exists()
 
 
 def test_truncated_scene_file_exit_6(tmp_path, capsys):

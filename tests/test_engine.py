@@ -227,9 +227,12 @@ def test_generate_one_aborts_on_nonfinite(setup, schedule):
             return [np.full_like(x, np.inf) for _ in embeddings]
 
     cfg = small_cfg(mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.0))
-    with pytest.raises(NumericalAbort, match="step"):
+    # inf - inf in both guidance terms warns once each before the abort
+    with pytest.warns(RuntimeWarning, match="invalid value encountered in subtract") as caught, \
+            pytest.raises(NumericalAbort, match="step"):
         generate_one(ExplodingModel(model, schedule), x0, null_opt, c, cfg,
                      SeededRng(11), trajectory=traj)
+    assert len(caught) == 2
 
 
 def test_mean_centering_over_mask_randomness(setup, schedule):
