@@ -17,7 +17,8 @@ with its mean-squared-error loss that ``ConvDenoiser`` and the toy segmenter
 in ``evalbench`` share.
 
 A denoiser implements two methods: ``predict_each`` evaluates several
-embeddings at once, and ``predict_vjp`` returns one prediction with its
+embeddings at once, into a caller's buffer if given one, and
+``predict_vjp`` returns one prediction with its
 vector-Jacobian product. ``Denoiser`` derives ``predict`` and
 ``grad_wrt_input``/``grad_wrt_embedding`` from them. Each takes one
 single-channel (H, W) grid, or an (N, H, W) stack of them; item i of a
@@ -95,9 +96,12 @@ class Denoiser:
     schedule: NoiseSchedule
 
     def predict_each(
-        self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding]
+        self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding],
+        out: np.ndarray | None = None,
     ) -> list[np.ndarray]:
-        """The noise predicted at (x, t) under each embedding, in order."""
+        """The noise predicted at (x, t) under each embedding, in order.
+        ``out``, a (len(embeddings), *x.shape) array, receives them if given,
+        and the returned predictions are its items."""
         raise NotImplementedError
 
     def predict_vjp(
@@ -187,30 +191,43 @@ class AnalyticGaussianDenoiser(Denoiser):
             self.projection = rng.normal((n, self.embedding_dim)) / np.sqrt(self.embedding_dim)
         self.mu.setflags(write=False)
         self.projection.setflags(write=False)
-        # P @ e of the last embedding seen in each role, matched by identity
-        self._proj_cache: dict[str, tuple[ConditionEmbedding, np.ndarray]] = {}
+        # P @ e of the last embedding seen in each (role, input shape),
+        # matched by identity
+        self._proj_cache: dict[tuple, tuple[ConditionEmbedding, np.ndarray]] = {}
 
-    def _projected(self, e: ConditionEmbedding) -> np.ndarray:
-        hit = self._proj_cache.get(e.role)
+    def _projected(self, e: ConditionEmbedding, shape: tuple) -> np.ndarray:
+        """``P @ e`` as a grid, or repeated into a stack of ``shape``: adding
+        a stack runs about a third faster than broadcasting a grid over it."""
+        hit = self._proj_cache.get((e.role, shape))
         if hit is not None and hit[0] is e:
             return hit[1]
-        value = (self.projection @ e.values).reshape(self.shape)
-        self._proj_cache[e.role] = (e, value)
+        if shape == self.shape:
+            value = (self.projection @ e.values).reshape(self.shape)
+        else:
+            value = np.broadcast_to(self._projected(e, self.shape), shape).copy()
+        self._proj_cache[e.role, shape] = (e, value)
         return value
 
     def _scale(self, t: int) -> float:
         abar = self.schedule.alpha_bars[t]
         return np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
 
-    def predict_each(self, x, t, embeddings):
-        """``scale*(x - sqrt(abar)*mu)`` once, plus ``P @ e`` per embedding."""
+    def predict_each(self, x, t, embeddings, out=None):
+        """``scale*(x - sqrt(abar)*mu)`` once, in the last prediction's
+        buffer, plus ``P @ e`` per embedding."""
         for e in embeddings:
             self._check_call(x, t, e)
         if x.shape != self.shape and x.shape[1:] != self.shape:
             raise ContractError(f"grid shape {x.shape} != model shape {self.shape}")
-        abar = self.schedule.alpha_bars[t]
-        base = self._scale(t) * (x - np.sqrt(abar) * self.mu)
-        return [base + self._projected(e) for e in embeddings]
+        if out is None:
+            out = np.empty((len(embeddings),) + x.shape)
+        if len(out):
+            abar = self.schedule.alpha_bars[t]
+            base = np.subtract(x, np.sqrt(abar) * self.mu, out=out[-1])
+            base *= self._scale(t)
+            for e, pred in zip(embeddings, out):
+                np.add(base, self._projected(e, x.shape), out=pred)
+        return list(out)
 
     def predict_vjp(self, x, t, e, wrt="input"):
         _check_wrt(wrt)
@@ -341,17 +358,23 @@ class ConvDenoiser(ConvStack, Denoiser):
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
         return self.forward(self._assemble(xb, feats, emb))
 
-    def predict_each(self, x, t, embeddings):
+    def predict_each(self, x, t, embeddings, out=None):
         """One forward pass over the (k*N, H, W) batch that repeats the N
-        items of ``x`` once per embedding, each copy with its own embedding."""
+        items of ``x`` once per embedding, each copy with its own embedding;
+        copied into ``out`` if given."""
         for e in embeddings:
             self._check_call(x, t, e)
         xb, stacked = self._prepare(x)
         k, n = len(embeddings), xb.shape[0]
         rows = np.repeat([e.values for e in embeddings], n, axis=0)
-        out = self._forward(Tensor(np.concatenate([xb] * k)), t,
-                            Tensor(rows.reshape(k * n, 1, 1, -1)))
-        return [self._restore(part, stacked) for part in np.split(out.data, k)]
+        y = self._forward(Tensor(np.concatenate([xb] * k)), t,
+                          Tensor(rows.reshape(k * n, 1, 1, -1)))
+        preds = [self._restore(part, stacked) for part in np.split(y.data, k)]
+        if out is None:
+            return preds
+        for dst, pred in zip(out, preds):
+            dst[...] = pred
+        return list(out)
 
     def predict_vjp(self, x, t, e, wrt="input"):
         """One forward pass that keeps its graph; each call of the returned

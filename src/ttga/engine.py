@@ -23,6 +23,16 @@ on N. A step that redraws relevance masks predicts the semantic condition
 on its own, keeping the graph for the relevance's input gradient, and the
 other two conditions in one call.
 
+The loop allocates one workspace per set and runs every step in it: the
+stacks x_t, the club value and the blended latent, and a (3, N, *grid)
+buffer that receives the three predictions, which the guidance then
+overwrites in place. The blend is a branch-free select on the values' int64
+bit patterns, ``club ^ ((club ^ spade) & words)``, where the words are all
+ones on spade pixels and are built once per mask draw; it copies bits as
+``np.where`` does, but does not stall on random masks. Every step computes
+the same values with the same operations as the allocating functions, bit
+for bit.
+
 The ensemble averages member probability grids and reads per-pixel
 uncertainty from the Shannon entropy of the averaged distribution.
 """
@@ -129,31 +139,67 @@ def augmentation_path_step(
     t_out: int | None = None,
     lambda_r: np.ndarray | None = None,
     eps_sem: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    pred_buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescaled augmentation-path value at step t_out (default t-1); three
     denoiser evaluations, in one call, feed the multi-condition guidance.
     ``x_t`` may be a stack of latents, with one ``lambda_r`` per item.
-    ``eps_sem``, when given, is ``model.predict(x_t, t, c)``."""
+    ``eps_sem``, when given, is ``model.predict(x_t, t, c)`` and is left
+    unchanged. The value is written to ``out`` if given; ``pred_buffer``, a
+    (3, *x_t.shape) scratch array, holds the predictions and the guidance.
+    """
     if t < 1:
         raise ContractError(f"augmentation path needs t >= 1, got {t}")
     t_out = t - 1 if t_out is None else t_out
     null, identity = model.null_embedding(), null_opt.embedding
+    if pred_buffer is None:
+        pred_buffer = np.empty((3,) + x_t.shape)
     if eps_sem is None:
-        eps_null, eps_sem, eps_id = model.predict_each(x_t, t, [null, c, identity])
+        eps_null, eps_sem, eps_id = model.predict_each(
+            x_t, t, [null, c, identity], out=pred_buffer)
     else:
-        eps_null, eps_id = model.predict_each(x_t, t, [null, identity])
-    mixed = cfg_multi(eps_null, eps_sem, eps_id, g, lambda_r)
-    xbar = to_xbar(x_t, t, schedule)
-    return xbar + (schedule.gammas[t_out] - schedule.gammas[t]) * mixed
+        eps_null, eps_id = model.predict_each(x_t, t, [null, identity], out=pred_buffer[::2])
+        pred_buffer[1] = eps_sem
+        eps_sem = pred_buffer[1]
+    mixed = cfg_multi(eps_null, eps_sem, eps_id, g, lambda_r, in_place=True)
+    mixed *= schedule.gammas[t_out] - schedule.gammas[t]
+    xbar = to_xbar(x_t, t, schedule, out=out)
+    xbar += mixed
+    return xbar
+
+
+def select_words(spade: np.ndarray) -> np.ndarray:
+    """The int64 words of a 0/1 spade mask: all bits set where the spade
+    path is selected, none elsewhere."""
+    return -np.asarray(spade, dtype=np.int64)
 
 
 def blend(spade_value: np.ndarray, club_value: np.ndarray,
-          mask: MaskPair | np.ndarray) -> np.ndarray:
-    """Per-pixel selection; exact where the masks are 1. ``mask`` is a pair,
-    or a boolean spade selection with one (H, W) layer per item of a stacked
-    ``club_value``."""
-    sel = mask.spade.astype(bool) if isinstance(mask, MaskPair) else mask
-    return np.where(sel, spade_value, club_value)
+          mask: MaskPair | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Per-pixel selection of ``spade_value`` where the spade mask is 1 and
+    ``club_value`` elsewhere, copying each value's bits (signed zeros, NaN
+    payloads). ``mask`` is a pair, a boolean spade selection with one
+    (H, W) layer per item of a stacked ``club_value``, or the int64
+    ``select_words`` of one. The result goes to ``out`` if given, which must
+    not overlap ``club_value``.
+
+    The select is branch-free, ``club ^ ((club ^ spade) & words)`` on the
+    values' int64 bit patterns: ``np.where`` over random masks is bound by
+    branch misprediction."""
+    if isinstance(mask, MaskPair):
+        mask = mask.spade
+    words = mask if mask.dtype == np.int64 else select_words(mask)
+    club = np.asarray(club_value, dtype=np.float64).view(np.int64)
+    spade = np.asarray(spade_value, dtype=np.float64).view(np.int64)
+    if out is None:
+        out = np.empty(np.broadcast_shapes(club.shape, spade.shape, words.shape))
+    elif np.may_share_memory(out, club):
+        raise ContractError("blend output must not overlap the club value")
+    bits = np.bitwise_xor(club, spade, out=out.view(np.int64))
+    bits &= words
+    bits ^= club
+    return out
 
 
 def _invert(model: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
@@ -204,33 +250,37 @@ def _generate(
         if relevance is None or np.ndim(relevance) == 2:
             relevance = [relevance] * n
         masks = [make_mask(policy, mask_shape, rng, r) for rng, r in zip(rngs, relevance)]
-        return masks, np.stack([m.spade for m in masks]).astype(bool)
+        return masks, select_words(np.stack([m.spade for m in masks]))
 
     if not policy.resample_per_step:
-        masks, spade_sel = draw_masks(x_tau, tau, None)
+        masks, words = draw_masks(x_tau, tau, None)
 
     xbar_tau = to_xbar(x_tau, tau, schedule)
     xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
+    # every step runs in this workspace; records take copies
+    x_t, club_bar, blended = (np.empty(xbar.shape) for _ in range(3))
+    pred_buffer = np.empty((3,) + xbar.shape)
 
     t = tau
     while t > 0:
         t_out = max(t - cfg.club_stride, 0)
         spade_bar = jump_from_tau(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
-        x_t = from_xbar(xbar, t, schedule)
+        from_xbar(xbar, t, schedule, out=x_t)
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
-        club_bar = augmentation_path_step(
+        augmentation_path_step(
             model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
             lambda_r=lambda_r, eps_sem=None if pred is None else pred[0],
+            out=club_bar, pred_buffer=pred_buffer,
         )
         if policy.resample_per_step:
-            masks, spade_sel = draw_masks(x_t, t, pred)
-        xbar = blend(spade_bar, club_bar, spade_sel)
-        if not np.all(np.isfinite(xbar)):
+            masks, words = draw_masks(x_t, t, pred)
+        xbar = blend(spade_bar, club_bar, words, out=blended)
+        if not np.isfinite(xbar).all():
             raise NumericalAbort(f"non-finite blended latent at step {t_out}")
         if record_steps is not None:
             record_steps.append(
-                {"t": t, "t_out": t_out, "spade": spade_bar, "club": club_bar,
-                 "masks": masks, "blended": xbar}
+                {"t": t, "t_out": t_out, "spade": spade_bar, "club": club_bar.copy(),
+                 "masks": masks, "blended": xbar.copy()}
             )
         t = t_out
 

@@ -87,6 +87,7 @@ def cfg_multi(
     eps_idnull: np.ndarray,
     g: GuidanceConfig,
     lambda_r: np.ndarray | None = None,
+    in_place: bool = False,
 ) -> np.ndarray:
     """Three-component guidance with the identity condition carried by the
     optimized null embedding's prediction ``eps_idnull``.
@@ -96,25 +97,37 @@ def cfg_multi(
 
     Terms with an exactly zero coefficient are skipped, per item, so
     degenerate scale settings reduce to the remaining inputs bit-for-bit.
+
+    ``in_place`` writes the result into ``eps_null`` and uses ``eps_sem`` and
+    ``eps_idnull`` as scratch, with the same arithmetic and so the same bits.
     """
     _check_shapes(eps_null, eps_sem, eps_idnull)
-    out = eps_null.copy()
-    if g.lambda_c != 0.0:
-        out += g.lambda_c * (eps_sem - eps_null)
     if lambda_r is None:
-        identity_coeff = g.lambda_r * (1.0 - g.omega)
-        if identity_coeff != 0.0:
-            out += identity_coeff * (eps_idnull - eps_sem)
-        return out
-    identity_coeff = np.asarray(lambda_r, dtype=np.float64) * (1.0 - g.omega)
-    if identity_coeff.shape != out.shape[:1]:
-        raise ContractError(
-            f"need one lambda_r per item: {identity_coeff.shape} vs {out.shape[:1]}"
-        )
-    coeff = identity_coeff.reshape(identity_coeff.shape + (1,) * (out.ndim - 1))
-    live = identity_coeff != 0.0
-    if live.all():
-        out += coeff * (eps_idnull - eps_sem)
+        identity_coeff = coeff = g.lambda_r * (1.0 - g.omega)
+    else:
+        identity_coeff = np.asarray(lambda_r, dtype=np.float64) * (1.0 - g.omega)
+        if identity_coeff.shape != eps_null.shape[:1]:
+            raise ContractError(
+                f"need one lambda_r per item: {identity_coeff.shape} vs {eps_null.shape[:1]}"
+            )
+        coeff = identity_coeff.reshape(identity_coeff.shape + (1,) * (eps_null.ndim - 1))
+    live = np.asarray(identity_coeff != 0.0)
+    every = live.all()
+    # the identity difference first, while eps_sem is intact
+    if every:
+        d_id = np.subtract(eps_idnull, eps_sem, out=eps_idnull if in_place else None)
+        d_id *= coeff
     elif live.any():
-        out[live] += coeff[live] * (eps_idnull[live] - eps_sem[live])
+        d_id = coeff[live] * (eps_idnull[live] - eps_sem[live])
+    else:
+        d_id = None
+    out = eps_null if in_place else eps_null.copy()
+    if g.lambda_c != 0.0:
+        d_sem = np.subtract(eps_sem, eps_null, out=eps_sem if in_place else None)
+        d_sem *= g.lambda_c
+        out += d_sem
+    if every:
+        out += d_id
+    elif d_id is not None:
+        out[live] += d_id
     return out

@@ -86,16 +86,19 @@ def build_schedule(
     return NoiseSchedule(total_steps, alphas, alpha_bars, gammas)
 
 
-def to_xbar(x: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
-    """xbar_t = x_t / sqrt(alpha_bar[t])."""
+def to_xbar(x: np.ndarray, t: int, schedule: NoiseSchedule,
+            out: np.ndarray | None = None) -> np.ndarray:
+    """xbar_t = x_t / sqrt(alpha_bar[t]), written to ``out`` if given."""
     schedule.check_step(t)
-    return x / np.sqrt(schedule.alpha_bars[t])
+    return np.divide(x, np.sqrt(schedule.alpha_bars[t]), out=out)
 
 
-def from_xbar(xbar: np.ndarray, t: int, schedule: NoiseSchedule) -> np.ndarray:
-    """x_t = xbar_t * sqrt(alpha_bar[t]); inverse of to_xbar."""
+def from_xbar(xbar: np.ndarray, t: int, schedule: NoiseSchedule,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """x_t = xbar_t * sqrt(alpha_bar[t]), written to ``out`` if given;
+    inverse of to_xbar."""
     schedule.check_step(t)
-    return xbar * np.sqrt(schedule.alpha_bars[t])
+    return np.multiply(xbar, np.sqrt(schedule.alpha_bars[t]), out=out)
 
 
 def ensure_finite(x: np.ndarray, context: str) -> np.ndarray:

@@ -147,8 +147,11 @@ def test_predict_each_equals_one_predict_per_embedding(kind, stacked, k, schedul
                                          for _ in range(k - 1)]
     got = m.predict_each(x, 250, embeddings)
     assert len(got) == k
-    for pred, e in zip(got, embeddings):
+    out = np.full((k,) + x.shape, np.nan)
+    into = m.predict_each(x, 250, embeddings, out=out)
+    for pred, e, buffer, written in zip(got, embeddings, out, into):
         assert np.array_equal(pred, m.predict(x, 250, e))
+        assert np.shares_memory(written, buffer) and np.array_equal(written, pred)
 
 
 def test_predict_vjp_rejects_unknown_wrt(schedule, conv_model, rng):
@@ -192,8 +195,11 @@ def test_base_class_capability_error(schedule):
         def __init__(self):
             self.schedule = schedule
 
-        def predict_each(self, x, t, embeddings):
-            return [x for _ in embeddings]
+        def predict_each(self, x, t, embeddings, out=None):
+            if out is None:
+                out = np.empty((len(embeddings),) + x.shape)
+            out[...] = x
+            return list(out)
 
     with pytest.raises(CapabilityError):
         Opaque().grad_wrt_embedding(np.zeros((2, 2)), np.zeros((2, 2)), 1,

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from ttga import (
     AnalyticGaussianDenoiser,
@@ -15,6 +18,7 @@ from ttga import (
     ddim_step,
     ensemble,
     error_estimate_map,
+    from_xbar,
     generate_one,
     generate_set,
     one_step_reconstruct,
@@ -22,7 +26,7 @@ from ttga import (
     to_xbar,
 )
 from ttga.denoiser import Denoiser
-from ttga.engine import augmentation_path_step, blend, entropy_bits
+from ttga.engine import _generate, augmentation_path_step, blend, entropy_bits, select_words
 from ttga.guidance import cfg_single
 from ttga.nulltext import jump_from_tau
 from ttga.errors import ConfigError, ContractError, NumericalAbort
@@ -133,6 +137,35 @@ def test_blend_is_exact_selection():
     assert np.array_equal(out[~sel], club_val[~sel])
 
 
+# bit patterns of signed zeros, infinities, quiet and signalling NaNs with
+# payloads, subnormals and ordinary values, then any pattern at all
+_SPECIAL_BITS = [int(v) for v in np.array(
+    [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, 1.0, -1.5]
+).view(np.int64)] + [int(np.uint64(b).astype(np.int64)) for b in (
+    0x7FF0000000000001, 0x7FF8000000000ABC, 0xFFF4000000000001, 0xFFFFFFFFFFFFFFFF)]
+_FLOAT_BITS = st.one_of(st.sampled_from(_SPECIAL_BITS), st.integers(-2**63, 2**63 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(1, 4), st.integers(1, 5), st.integers(1, 5))
+def test_blend_copies_the_bits_np_where_selects(data, n, h, w):
+    club = data.draw(arrays(np.int64, (n, h, w), elements=_FLOAT_BITS)).view(np.float64)
+    spade = data.draw(arrays(np.int64, (h, w), elements=_FLOAT_BITS)).view(np.float64)
+    sel = data.draw(arrays(np.bool_, (n, h, w)))
+    pair = MaskPair.from_spade(sel[0].astype(np.uint8))
+    out = np.empty_like(club)
+    for mask, spade_sel in ((sel, sel), (pair, sel[0]), (select_words(sel), sel)):
+        want = np.where(spade_sel, spade, club).view(np.int64)
+        assert np.array_equal(blend(spade, club, mask).view(np.int64), want)
+        assert np.array_equal(blend(spade, club, mask, out=out).view(np.int64), want)
+
+
+def test_blend_rejects_an_output_over_the_club_value():
+    club = np.zeros((2, 3, 3))
+    with pytest.raises(ContractError, match="overlap"):
+        blend(np.ones((3, 3)), club, np.ones((2, 3, 3), dtype=bool), out=club)
+
+
 # ---- generate_one ----
 
 
@@ -193,6 +226,38 @@ def test_blend_partition_holds_at_every_step(setup, schedule):
         assert np.array_equal(blended[~sel], club[~sel])
 
 
+@pytest.mark.parametrize("overrides", [
+    dict(club_stride=7),
+    dict(lambda_r_low=0.0, lambda_r_high=0.0),
+    dict(guidance=GuidanceConfig(omega=2.0, lambda_c=0.0, lambda_r=1.0)),
+    dict(mask_policy=MaskPolicy(resample_per_step=True)),
+], ids=["club_stride", "lambda_r_zero", "lambda_c_zero", "masks_per_step"])
+def test_loop_replays_the_allocating_step_bit_for_bit(setup, schedule, overrides):
+    """Each recorded club value is ``augmentation_path_step``, run without a
+    workspace, from the previous recorded blended latent; each blended latent
+    is ``np.where`` over the recorded masks; the output is the last one
+    unbarred. The loop reuses its buffers, so the records must be copies."""
+    model, c, x0, traj, null_opt = setup
+    cfg = small_cfg(n_augment=3, **overrides)
+    streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+    records = []
+    out, lambdas = _generate(model, traj, null_opt, c, cfg, streams, None, records)
+    assert len(records) == -(-cfg.tau // cfg.club_stride)
+    xbar = np.broadcast_to(to_xbar(traj.x_tau, traj.tau, schedule), out.shape)
+    for rec in records:
+        club = augmentation_path_step(
+            model, from_xbar(xbar, rec["t"], schedule), rec["t"], null_opt, c, cfg.guidance,
+            schedule, t_out=rec["t_out"], lambda_r=np.array(lambdas))
+        assert np.array_equal(rec["club"].view(np.int64), club.view(np.int64))
+        sel = np.stack([m.spade for m in rec["masks"]]).astype(bool)
+        xbar = np.where(sel, rec["spade"], club)
+        assert np.array_equal(rec["blended"].view(np.int64), xbar.view(np.int64))
+    assert np.array_equal(out.view(np.int64), from_xbar(xbar, 0, schedule).view(np.int64))
+    recorded = [rec[key] for rec in records for key in ("spade", "club", "blended")]
+    for i, a in enumerate(recorded):
+        assert not any(np.shares_memory(a, b) for b in recorded[i + 1:])
+
+
 def test_generate_one_deterministic(setup):
     model, c, x0, traj, null_opt = setup
     cfg = small_cfg()
@@ -223,8 +288,11 @@ def test_generate_one_aborts_on_nonfinite(setup, schedule):
         def null_embedding(self):
             return self._base.null_embedding()
 
-        def predict_each(self, x, t, embeddings):
-            return [np.full_like(x, np.inf) for _ in embeddings]
+        def predict_each(self, x, t, embeddings, out=None):
+            if out is None:
+                out = np.empty((len(embeddings),) + x.shape)
+            out[...] = np.inf
+            return list(out)
 
     cfg = small_cfg(mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.0))
     # inf - inf in both guidance terms warns once each before the abort

@@ -4,9 +4,11 @@
 # trained conv denoiser with masks redrawn at every step), `ttga augment
 # --seed 7` with null-text traces on the analytic one and on the conv one
 # (masks held, saliency relevance, a fixed number of null-text iterations),
-# and make-data, train-denoiser, train-segmenter and evaluate in turn on the
-# analytic one; and writes the sha256 digests of the evaluation CSVs, both
-# model checkpoints, the augmentation metadata, the traces and both augment
+# `ttga augment --seed 7` on the analytic one once more with a club stride of
+# 3, masks redrawn at every step and lambda_r fixed at 0, and make-data,
+# train-denoiser, train-segmenter and evaluate in turn on the analytic one;
+# and writes the sha256 digests of the evaluation CSVs, both model
+# checkpoints, the augmentation metadata, the traces and the three augment
 # runs' augmented grids to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
@@ -49,6 +51,8 @@ run augment augment "${tiny[@]}" --count 2 --set nulltext_trace=true
 run augment augment-conv "${tiny[@]}" "${trainable[@]}" --count 2 \
     --set resample_masks_per_step=false --set relevance_provider=saliency \
     --set nulltext_early_stop=0 --set nulltext_max_steps=20 --set nulltext_trace=true
+run augment augment-steps "${tiny[@]}" --count 2 --set club_stride=3 \
+    --set resample_masks_per_step=true --set lambda_r_low=0 --set lambda_r_high=0
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
@@ -79,6 +83,12 @@ done
 for i in 0000 0001; do
     for j in 00 01 02 03; do
         files+=("augment-conv/augment/aug_${i}_$j.f64")
+    done
+done
+files+=("augment-steps/augment/metadata.csv")
+for i in 0000 0001; do
+    for j in 00 01 02 03 04 05 06 07 08 09; do
+        files+=("augment-steps/augment/aug_${i}_$j.f64")
     done
 done
 for rel in per_image.csv aggregate.csv augment_metadata.csv; do
