@@ -30,24 +30,30 @@ SCHEMES = (SCHEME_BERNOULLI, SCHEME_ATTENTION, SCHEME_HYBRID)
 
 @dataclass(frozen=True)
 class MaskPair:
+    """An exact 0/1 partition of the grid. Both masks are read-only copies,
+    so the arrays a caller passes stay its own and writeable."""
     spade: np.ndarray
     club: np.ndarray
 
     def __post_init__(self):
-        if self.spade.shape != self.club.shape:
+        spade, club = np.array(self.spade), np.array(self.club)
+        if spade.shape != club.shape:
             raise ContractError("spade/club shape mismatch")
-        both = np.stack([self.spade, self.club])
-        if not np.isin(both, (0, 1)).all():
+        # a 0/1 spade whose sum with the club is 1 everywhere makes the club 0/1 too
+        if not ((spade == 0) | (spade == 1)).all():
             raise ContractError("masks must be binary")
-        if not np.array_equal(self.spade + self.club, np.ones_like(self.spade)):
+        if not (spade.astype(np.int64) + club == 1).all():
             raise ContractError("spade + club must equal 1 everywhere")
-        self.spade.setflags(write=False)
-        self.club.setflags(write=False)
+        spade.setflags(write=False)
+        club.setflags(write=False)
+        object.__setattr__(self, "spade", spade)
+        object.__setattr__(self, "club", club)
 
-    @staticmethod
-    def from_spade(spade: np.ndarray) -> "MaskPair":
+    @classmethod
+    def from_spade(cls, spade: np.ndarray) -> "MaskPair":
+        """The pair of a 0/1 spade mask, as uint8."""
         spade = np.asarray(spade, dtype=np.uint8)
-        return MaskPair(spade, (1 - spade).astype(np.uint8))
+        return cls(spade, 1 - spade)
 
 
 @dataclass(frozen=True)
@@ -75,8 +81,7 @@ class MaskPolicy:
 def bernoulli_mask(shape, p_m: float, rng: SeededRng) -> MaskPair:
     if not 0.0 <= p_m <= 1.0:
         raise ContractError(f"p_m must be in [0,1], got {p_m}")
-    spade = (rng.random(shape) < p_m).astype(np.uint8)
-    return MaskPair.from_spade(spade)
+    return MaskPair.from_spade(rng.random(shape) < p_m)
 
 
 def attention_mask(relevance: np.ndarray, quantile: float) -> MaskPair:
@@ -93,15 +98,13 @@ def attention_mask(relevance: np.ndarray, quantile: float) -> MaskPair:
         raise ContractError(f"quantile must be in (0,1), got {quantile}")
     lo, hi = float(relevance.min()), float(relevance.max())
     threshold = lo + quantile * (hi - lo)
-    spade = (relevance >= threshold).astype(np.uint8)
-    return MaskPair.from_spade(spade)
+    return MaskPair.from_spade(relevance >= threshold)
 
 
 def hybrid_mask(mb: MaskPair, mp: MaskPair) -> MaskPair:
     if mb.spade.shape != mp.spade.shape:
         raise ContractError("hybrid inputs must share a shape")
-    spade = (mb.spade == mp.spade).astype(np.uint8)
-    return MaskPair.from_spade(spade)
+    return MaskPair.from_spade(mb.spade == mp.spade)
 
 
 def make_mask(

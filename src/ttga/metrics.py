@@ -13,7 +13,6 @@ single-class ground truth returns NaN and the record is flagged upstream.
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 def binarize(prob: np.ndarray, threshold: float = 0.5) -> np.ndarray:
@@ -30,15 +29,34 @@ def dice(pred_binary: np.ndarray, gt_binary: np.ndarray) -> float:
     return 200.0 * int((a & b).sum()) / total
 
 
+def midranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks of a 1-D array, each group of equal values sharing the
+    mean of its ranks. A group starting at sorted position ``start`` with
+    ``count`` members gets ``start + 1 + (count - 1) / 2``, an exact
+    half-integer, so these equal ``scipy.stats.rankdata``'s average ranks
+    bit for bit. Values must not be NaN."""
+    order = np.argsort(values)
+    ordered = values[order]
+    new_group = np.empty(ordered.size, dtype=bool)
+    new_group[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new_group[1:])
+    starts = np.flatnonzero(new_group)
+    counts = np.diff(starts, append=ordered.size)
+    ranks = np.empty(ordered.size)
+    ranks[order] = np.repeat(starts + 1 + (counts - 1) / 2.0, counts)
+    return ranks
+
+
 def roc_auc(score_grid: np.ndarray, gt_binary: np.ndarray) -> float:
-    """Mann-Whitney AUC with midrank tie handling, scaled to 0-100."""
+    """Mann-Whitney AUC with midrank tie handling, scaled to 0-100; NaN if
+    any score is NaN."""
     scores = np.asarray(score_grid, dtype=np.float64).ravel()
     labels = np.asarray(gt_binary, dtype=bool).ravel()
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
+    if n_pos == 0 or n_neg == 0 or np.isnan(scores).any():
         return float("nan")
-    ranks = rankdata(scores)
+    ranks = midranks(scores)
     u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
     return 100.0 * u / (n_pos * n_neg)
 

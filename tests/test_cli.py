@@ -213,6 +213,17 @@ def test_blas_threads_default_to_one_unless_set(preset):
     assert done.stdout.split() == [preset.get(v, "1") for v in BLAS_VARS]
 
 
+def test_ttga_does_not_import_scipy_stats():
+    # scipy.stats costs about 43 MB and 0.7 s at start-up; the tests import it
+    # themselves, so look in a fresh interpreter
+    env = dict(os.environ, PYTHONPATH=str(Path(ttga.__file__).parents[1]))
+    probe = ("import sys, ttga, ttga.cli, ttga.pipeline; "
+             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize("setting", ["n_test=-3", "n_test=0", "n_train=0"])
 def test_empty_dataset_split_exits_3_before_training(tmp_path, capsys, setting):
     out = tmp_path / "x"

@@ -115,6 +115,26 @@ def test_maskpair_rejects_bad_partitions():
         MaskPair(np.ones((2, 2), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8))
     with pytest.raises(ContractError):
         MaskPair(np.full((2, 2), 2, dtype=np.uint8), np.full((2, 2), -1, dtype=np.int8))
+    with pytest.raises(ContractError):
+        MaskPair(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
+    with pytest.raises(ContractError, match="binary"):
+        MaskPair.from_spade(np.array([[0, 1], [2, 1]]))
+
+
+@pytest.mark.parametrize("build", [
+    lambda spade: MaskPair.from_spade(spade),
+    lambda spade: MaskPair(spade, 1 - spade),
+])
+def test_maskpair_keeps_read_only_copies_of_the_callers_arrays(build):
+    spade = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+    before = spade.copy()
+    pair = build(spade)
+    assert spade.flags.writeable and np.array_equal(spade, before)
+    assert not pair.spade.flags.writeable and not pair.club.flags.writeable
+    assert not np.may_share_memory(pair.spade, spade)
+    spade[0, 0] = 1
+    assert pair.spade[0, 0] == 0
+    assert pair.spade.dtype == pair.club.dtype == np.uint8
 
 
 def test_make_mask_dispatch_and_relevance_requirement():

@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from oracles import auc_oracle, dice_oracle, hd95_oracle, nsd_oracle
 from ttga import SeededRng
@@ -10,6 +13,7 @@ from ttga.metrics import (
     error_ground_truth,
     hd95,
     image_diagonal,
+    midranks,
     nsd,
     nsd_tolerance,
     roc_auc,
@@ -50,6 +54,35 @@ def test_auc_trivial_cases():
 def test_auc_degenerate_returns_nan():
     assert np.isnan(roc_auc(np.random.rand(2, 2), np.zeros((2, 2), dtype=np.uint8)))
     assert np.isnan(roc_auc(np.random.rand(2, 2), np.ones((2, 2), dtype=np.uint8)))
+
+
+def test_auc_of_a_nan_score_is_nan():
+    gt = np.array([[0, 1], [1, 0]], dtype=np.uint8)
+    scores = np.array([[0.1, 0.9], [np.nan, 0.2]])
+    assert np.isnan(roc_auc(scores, gt))
+
+
+# few distinct values, so ties are heavy; -0.0 and 0.0 are distinct bits
+# that compare equal
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.5, -np.inf, np.inf])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    dtype=st.sampled_from([np.float64, np.float32]),
+    values=st.one_of(
+        st.lists(TIED_VALUES, min_size=1, max_size=64),
+        st.lists(st.floats(allow_nan=False, width=32), min_size=1, max_size=64),
+        st.builds(lambda v, n: [v] * n, TIED_VALUES, st.integers(1, 40)),
+    ),
+)
+@example(dtype=np.float64, values=[0.3])
+@example(dtype=np.float32, values=[-0.0, 0.0, 1.0, -0.0, 0.0])
+def test_midranks_equal_scipy_rankdata_bit_for_bit(dtype, values):
+    x = np.array(values, dtype=dtype)
+    got, want = midranks(x), rankdata(x)
+    assert got.dtype == want.dtype == np.float64
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_auc_is_asymmetric_in_roles():
