@@ -23,7 +23,9 @@ vector-Jacobian product. ``Denoiser`` derives ``predict`` and
 ``grad_wrt_input``/``grad_wrt_embedding`` from them. Each takes one
 single-channel (H, W) grid, or an (N, H, W) stack of them; item i of a
 stacked prediction or input gradient equals the single-grid call on item i,
-bit for bit.
+bit for bit. A ``pixelwise`` model, whose prediction at a pixel reads only
+that pixel of the input, also implements ``at_pixels``: the same model on a
+column of chosen pixels.
 
 For N(mu, I) data the marginal of x_t is N(sqrt(abar_t)*mu, I), and the
 posterior-mean predictor is
@@ -33,6 +35,7 @@ posterior-mean predictor is
 
 from __future__ import annotations
 
+import copy
 import ctypes
 import functools
 from dataclasses import dataclass, field
@@ -94,6 +97,8 @@ class Denoiser:
     kind: str
     embedding_dim: int
     schedule: NoiseSchedule
+    # each predicted pixel depends on the same input pixel only
+    pixelwise = False
 
     def predict_each(
         self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding],
@@ -114,6 +119,14 @@ class Denoiser:
 
     def predict(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> np.ndarray:
         return self.predict_each(x, t, [e])[0]
+
+    def at_pixels(self, pixels: np.ndarray,
+                  embeddings: Sequence[ConditionEmbedding]) -> "Denoiser":
+        """A pixelwise model restricted to the flat grid positions
+        ``pixels``, as an (L, 1) grid: row k of its prediction under one of
+        ``embeddings`` is this model's prediction at ``pixels[k]``, bit for
+        bit."""
+        raise CapabilityError(f"{self.kind} is not pixelwise")
 
     def grad_wrt_embedding(self, loss_grad: np.ndarray, x: np.ndarray, t: int,
                            e: ConditionEmbedding) -> np.ndarray:
@@ -157,6 +170,7 @@ class AnalyticGaussianDenoiser(Denoiser):
     """
 
     kind = "analytic_gaussian"
+    pixelwise = True
 
     def __init__(
         self,
@@ -202,11 +216,32 @@ class AnalyticGaussianDenoiser(Denoiser):
         if hit is not None and hit[0] is e:
             return hit[1]
         if shape == self.shape:
-            value = (self.projection @ e.values).reshape(self.shape)
+            value = self._product(e)
         else:
             value = np.broadcast_to(self._projected(e, self.shape), shape).copy()
         self._proj_cache[e.role, shape] = (e, value)
         return value
+
+    def _product(self, e: ConditionEmbedding) -> np.ndarray:
+        return (self.projection @ e.values).reshape(self.shape)
+
+    def at_pixels(self, pixels, embeddings):
+        """Gathers ``mu``, the projection's rows and each embedding's
+        ``P @ e`` at ``pixels``. ``P @ e`` comes from the full product: one
+        over a subset of the rows may sum in another order. The null
+        embedding is this model's own object, which the caches match by
+        identity, and this model's cache is left as it is."""
+        pixels = np.asarray(pixels, dtype=np.intp)
+        sub = copy.copy(self)
+        sub.shape = (pixels.size, 1)
+        sub.mu = self.mu.reshape(-1)[pixels].reshape(sub.shape)
+        sub.projection = self.projection[pixels]
+        sub._null = self.null_embedding()
+        sub._proj_cache = {
+            (e.role, sub.shape): (e, self._product(e).reshape(-1)[pixels].reshape(sub.shape))
+            for e in embeddings
+        }
+        return sub
 
     def _scale(self, t: int) -> float:
         abar = self.schedule.alpha_bars[t]

@@ -33,6 +33,18 @@ ones on spade pixels and are built once per mask draw; it copies bits as
 the same values with the same operations as the allocating functions, bit
 for bit.
 
+When the masks are held for the whole loop, the model is ``pixelwise`` and
+no steps are recorded, the loop runs on the club pixels only. A blend
+overwrites every spade pixel with the identity-path value, and a pixelwise
+prediction at a pixel reads that pixel alone, so a club value computed at a
+spade pixel is never read. The (item, pixel) pairs some item routes to the
+club path form one (L, 1) column; each step runs the same functions over it
+with ``model.at_pixels``, whose predictions are the full model's bits at
+those pixels, and one lambda_r per pair. No blend runs, and the column is
+scattered over the identity-path value at t = 0. The finite check reads the
+column and the spade pixels that some item keeps, which are exactly the
+values of the full loop's blended latent, so it aborts at the same step.
+
 The ensemble averages member probability grids and reads per-pixel
 uncertainty from the Shannon entropy of the averaged distribution.
 """
@@ -256,9 +268,21 @@ def _generate(
         masks, words = draw_masks(x_tau, tau, None)
 
     xbar_tau = to_xbar(x_tau, tau, schedule)
-    xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
+    step_model, step_lambda_r = model, lambda_r
+    if not policy.resample_per_step and model.pixelwise and record_steps is None:
+        # the (item, pixel) pairs on the augmentation path, as one column
+        item, pix = np.nonzero(words.reshape(n, -1) == 0)
+        step_model = model.at_pixels(pix, (model.null_embedding(), c, null_opt.embedding))
+        step_lambda_r = lambda_r[item]
+        kept = words.any(axis=0)
+        # the column holds no spade pixel, so the club value is the latent
+        xbar = club_bar = xbar_tau.reshape(-1)[pix].reshape(step_model.shape)
+        blended = None
+    else:
+        xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
+        club_bar, blended = np.empty(xbar.shape), np.empty(xbar.shape)
     # every step runs in this workspace; records take copies
-    x_t, club_bar, blended = (np.empty(xbar.shape) for _ in range(3))
+    x_t = np.empty(xbar.shape)
     pred_buffer = np.empty((3,) + xbar.shape)
 
     t = tau
@@ -268,14 +292,20 @@ def _generate(
         from_xbar(xbar, t, schedule, out=x_t)
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         augmentation_path_step(
-            model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
-            lambda_r=lambda_r, eps_sem=None if pred is None else pred[0],
+            step_model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
+            lambda_r=step_lambda_r, eps_sem=None if pred is None else pred[0],
             out=club_bar, pred_buffer=pred_buffer,
         )
         if policy.resample_per_step:
             masks, words = draw_masks(x_t, t, pred)
-        xbar = blend(spade_bar, club_bar, words, out=blended)
-        if not np.isfinite(xbar).all():
+        if blended is None:
+            # the blended latent is the column and the kept spade pixels
+            finite = np.isfinite(club_bar).all() and (
+                np.isfinite(spade_bar).all() or np.isfinite(spade_bar[kept]).all())
+        else:
+            xbar = blend(spade_bar, club_bar, words, out=blended)
+            finite = np.isfinite(xbar).all()
+        if not finite:
             raise NumericalAbort(f"non-finite blended latent at step {t_out}")
         if record_steps is not None:
             record_steps.append(
@@ -284,6 +314,10 @@ def _generate(
             )
         t = t_out
 
+    if blended is None:
+        # the column over the identity-path value at t = 0
+        xbar = np.broadcast_to(spade_bar, (n,) + spade_bar.shape).copy()
+        xbar.reshape(n, -1)[item, pix] = club_bar[:, 0]
     return from_xbar(xbar, 0, schedule), lambdas
 
 

@@ -235,14 +235,20 @@ def tta_baseline(
     n_views: int,
     rng: SeededRng,
     jitter_sigma: float = 0.02,
+    first_view: np.ndarray | None = None,
 ) -> EnsembleResult:
     """Flips/rotations plus small intensity jitter; predictions are mapped
     back through the inverse spatial transform and ensembled the same way as
-    generative augmentations. The first view is the untouched image."""
+    generative augmentations. The first view is the untouched image;
+    ``first_view``, when given, is ``seg.segment(image)`` and is not
+    computed again."""
     if n_views < 1:
         raise ConfigError(f"n_views must be >= 1, got {n_views}")
     members = []
     for i in range(n_views):
+        if i == 0 and first_view is not None:
+            members.append(first_view)
+            continue
         _, fwd, inv = _SPATIAL_OPS[i % len(_SPATIAL_OPS)]
         view = fwd(image)
         if i > 0 and jitter_sigma > 0.0:

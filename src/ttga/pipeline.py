@@ -356,7 +356,8 @@ def evaluate_image(
 
     if "tta" in methods:
         rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTA)
-        er = tta_baseline(segmenter, scene.image, cfg.tta_views, rng, cfg.tta_jitter)
+        er = tta_baseline(segmenter, scene.image, cfg.tta_views, rng, cfg.tta_jitter,
+                          first_view=base_prob)
         per_method["tta"] = (er.mean_probability, error_estimate_map(er))
 
     if "ttga" in methods:

@@ -154,6 +154,31 @@ def test_predict_each_equals_one_predict_per_embedding(kind, stacked, k, schedul
         assert np.shares_memory(written, buffer) and np.array_equal(written, pred)
 
 
+def test_at_pixels_predicts_the_full_models_bits_at_those_pixels(schedule, rng):
+    m = make_analytic(schedule, mu=rng.normal((5, 7)), dim=6, shape=(5, 7))
+    embeddings = [m.null_embedding(), ConditionEmbedding(rng.normal(6)),
+                  ConditionEmbedding(rng.normal(6), role="optimized_null")]
+    x = rng.normal((3, 5, 7))
+    full = m.predict_each(x, 250, embeddings)
+    cache = dict(m._proj_cache)
+    item, pix = np.nonzero(rng.random((3, 35)) < 0.4)
+    sub = m.at_pixels(pix, embeddings)
+    assert sub.shape == (pix.size, 1) and sub.pixelwise
+    assert sub.null_embedding() is m.null_embedding()
+    column = sub.predict_each(x.reshape(3, -1)[item, pix].reshape(-1, 1), 250, embeddings)
+    for want, got in zip(full, column):
+        assert np.array_equal(got[:, 0].view(np.int64),
+                              want.reshape(3, -1)[item, pix].view(np.int64))
+    assert m._proj_cache.keys() == cache.keys()
+    assert all(m._proj_cache[key] is cache[key] for key in cache)
+
+
+def test_only_the_analytic_model_is_pixelwise(schedule, conv_model):
+    assert make_analytic(schedule).pixelwise and not conv_model.pixelwise
+    with pytest.raises(CapabilityError, match="not pixelwise"):
+        conv_model.at_pixels(np.arange(3), [conv_model.null_embedding()])
+
+
 def test_predict_vjp_rejects_unknown_wrt(schedule, conv_model, rng):
     for m in (make_analytic(schedule), conv_model):
         with pytest.raises(ContractError, match="wrt"):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +258,149 @@ def test_loop_replays_the_allocating_step_bit_for_bit(setup, schedule, overrides
     recorded = [rec[key] for rec in records for key in ("spade", "club", "blended")]
     for i, a in enumerate(recorded):
         assert not any(np.shares_memory(a, b) for b in recorded[i + 1:])
+
+
+@pytest.fixture(scope="module")
+def wide_setup(schedule):
+    """The analytic set-up on a non-square grid, inverted to tau 60."""
+    rng = SeededRng(43)
+    model = AnalyticGaussianDenoiser(schedule, (6, 9), 16, mu=rng.derive(1).normal((6, 9)),
+                                     rng=rng.derive(2))
+    c = ConditionEmbedding(rng.derive(3).normal(16))
+    x0 = 0.3 + 0.4 * rng.derive(4).random((6, 9))
+    traj = ddim_invert(model, x0, 60, 10, c, schedule)
+    null_opt = optimize_null_text(model, traj, c, 2.0, schedule,
+                                  NullOptConfig(lr=0.1, max_steps=30, early_stop=0.0))
+    return model, c, traj, null_opt
+
+
+def _both_loops(model, traj, null_opt, c, cfg, relevance_fn=None):
+    """``_generate`` on the club pixels (no records) and on the full grid
+    (records asked for), each on the streams SeededRng(31).derive(i)."""
+    def run(records):
+        streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+        return _generate(model, traj, null_opt, c, cfg, streams, relevance_fn, records)
+    return run(None), run([])
+
+
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("scheme, per_item", [
+    ("bernoulli", False), ("attention", False), ("attention", True),
+    ("hybrid", False), ("hybrid", True)])
+@pytest.mark.parametrize("overrides", [
+    dict(), dict(club_stride=7), dict(lambda_r_low=0.0, lambda_r_high=0.0),
+    dict(guidance=GuidanceConfig(omega=2.0, lambda_c=0.0, lambda_r=1.0)),
+], ids=["stride_1", "stride_7", "lambda_r_zero", "lambda_c_zero"])
+def test_club_pixel_loop_equals_the_full_loop_bit_for_bit(wide_setup, n, scheme, per_item,
+                                                          overrides):
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=n, mask_policy=MaskPolicy(scheme=scheme, p_m=0.6), **overrides)
+
+    def relevance(x, t, pred):
+        # one map for all items, or a different one for each
+        base = consistency_relevance(model, x, t, c, pred)
+        return np.stack([np.roll(base, i, axis=1) for i in range(n)]) if per_item else base
+
+    (got, got_lambdas), (want, want_lambdas) = _both_loops(model, traj, null_opt, c, cfg,
+                                                           relevance)
+    assert got_lambdas == want_lambdas
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("p_m", [1.0, 0.0], ids=["all_spade", "all_club"])
+def test_club_pixel_loop_on_an_empty_or_full_column(wide_setup, p_m):
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=3, mask_policy=MaskPolicy(scheme="bernoulli", p_m=p_m))
+    (got, _), (want, _) = _both_loops(model, traj, null_opt, c, cfg)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _held_masks(model, traj, null_opt, c, cfg):
+    """The (N, H, W) boolean spade stack that both loops hold."""
+    records = []
+    streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+    _generate(model, traj, null_opt, c, cfg, streams, None, records)
+    return np.stack([m.spade for m in records[0]["masks"]]).astype(bool)
+
+
+@pytest.mark.parametrize("resample, records, column", [
+    (False, None, True), (False, [], False), (True, None, False)])
+def test_only_held_masks_without_records_run_the_club_pixels(wide_setup, monkeypatch,
+                                                             resample, records, column):
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=3, mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.6,
+                                                        resample_per_step=resample))
+    calls = []
+    original = AnalyticGaussianDenoiser.at_pixels
+
+    def at_pixels(self, pixels, embeddings):
+        calls.append(len(pixels))
+        return original(self, pixels, embeddings)
+
+    monkeypatch.setattr(AnalyticGaussianDenoiser, "at_pixels", at_pixels)
+    streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+    _generate(model, traj, null_opt, c, cfg, streams, None, records)
+    assert len(calls) == int(column)
+    if column:
+        spade = _held_masks(model, traj, null_opt, c, cfg)
+        assert calls == [int((~spade).sum())]
+
+
+def test_club_pixel_loop_aborts_where_the_full_loop_does(wide_setup, schedule):
+    """A pixelwise model that turns non-finite at one pixel, club in some
+    item, from step 30 on: both loops abort at step 29."""
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=3, mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.5))
+    spade = _held_masks(model, traj, null_opt, c, cfg)
+    poison = np.zeros(model.shape, dtype=bool)
+    poison[np.unravel_index(np.flatnonzero(~spade[0] & spade[1])[0], model.shape)] = True
+
+    class Poisoned(AnalyticGaussianDenoiser):
+        def at_pixels(self, pixels, embeddings):
+            sub = super().at_pixels(pixels, embeddings)
+            sub.poison = self.poison.reshape(-1)[pixels].reshape(sub.shape)
+            return sub
+
+        def predict_each(self, x, t, embeddings, out=None):
+            preds = super().predict_each(x, t, embeddings, out)
+            if t <= 30:
+                for pred in preds:
+                    pred[..., self.poison] = np.nan
+            return preds
+
+    poisoned = Poisoned(schedule, model.shape, model.embedding_dim, mu=model.mu,
+                        projection=model.projection)
+    poisoned.poison = poison
+    messages = []
+    for records in (None, []):
+        streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+        with pytest.raises(NumericalAbort) as caught:
+            _generate(poisoned, traj, null_opt, c, cfg, streams, None, records)
+        messages.append(str(caught.value))
+    assert messages == ["non-finite blended latent at step 29"] * 2
+
+
+def test_club_pixel_loop_checks_only_the_kept_spade_pixels(wide_setup):
+    """A non-finite identity-path value at a pixel that every item routes to
+    the club path is never read; at a pixel some item keeps, it aborts both
+    loops at the first step."""
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=3, mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.3))
+    spade = _held_masks(model, traj, null_opt, c, cfg)
+    kept = spade.any(axis=0).ravel()
+    for pixel, aborts in ((np.flatnonzero(~kept)[0], False), (np.flatnonzero(kept)[0], True)):
+        noise = null_opt.identity_noise.copy()
+        noise.flat[pixel] = np.nan
+        poisoned = dataclasses.replace(null_opt, identity_noise=noise)
+        if aborts:
+            for records in (None, []):
+                streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+                with pytest.raises(NumericalAbort, match="^non-finite blended latent at step 59$"):
+                    _generate(model, traj, poisoned, c, cfg, streams, None, records)
+        else:
+            (got, _), (want, _) = _both_loops(model, traj, poisoned, c, cfg)
+            assert np.isfinite(got).all()
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_generate_one_deterministic(setup):

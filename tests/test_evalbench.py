@@ -133,6 +133,19 @@ def test_tta_single_view_equals_plain_prediction(trained_segmenter):
     assert np.array_equal(er.mean_probability, trained_segmenter.segment(scene.image))
 
 
+def test_tta_reuses_a_given_first_view_bit_for_bit(trained_segmenter, monkeypatch):
+    scene = make_dataset(1, Difficulty(0.6, 0.4, 0.03), SeededRng(8))[0]
+    plain = tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9))
+    first = trained_segmenter.segment(scene.image)
+    images = []
+    segment = trained_segmenter.segment
+    monkeypatch.setattr(trained_segmenter, "segment", lambda im: images.append(im) or segment(im))
+    reused = tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9), first_view=first)
+    assert len(images) == 4 and reused.member_probabilities[0] is first
+    for a, b in zip(plain.member_probabilities, reused.member_probabilities):
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
 def test_tta_flip_invariant_case():
     """A symmetric scene under a pointwise segmenter: every mapped-back view
     prediction equals the plain one, so the ensemble collapses to it."""

@@ -4,12 +4,13 @@
 # trained conv denoiser with masks redrawn at every step), `ttga augment
 # --seed 7` with null-text traces on the analytic one and on the conv one
 # (masks held, saliency relevance, a fixed number of null-text iterations),
-# `ttga augment --seed 7` on the analytic one once more with a club stride of
-# 3, masks redrawn at every step and lambda_r fixed at 0, and make-data,
-# train-denoiser, train-segmenter and evaluate in turn on the analytic one;
-# and writes the sha256 digests of the evaluation CSVs, both model
-# checkpoints, the augmentation metadata, the traces and the three augment
-# runs' augmented grids to OUT.
+# `ttga augment --seed 7` on the analytic one twice more with a club stride
+# of 3 and lambda_r fixed at 0 (once with masks redrawn at every step, once
+# with attention masks held and lambda_c at 0, which runs the loop on the
+# club pixels only), and make-data, train-denoiser, train-segmenter and
+# evaluate in turn on the analytic one; and writes the sha256 digests of the
+# evaluation CSVs, both model checkpoints, the augmentation metadata, the
+# traces and the four augment runs' augmented grids to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -53,6 +54,8 @@ run augment augment-conv "${tiny[@]}" "${trainable[@]}" --count 2 \
     --set nulltext_early_stop=0 --set nulltext_max_steps=20 --set nulltext_trace=true
 run augment augment-steps "${tiny[@]}" --count 2 --set club_stride=3 \
     --set resample_masks_per_step=true --set lambda_r_low=0 --set lambda_r_high=0
+run augment augment-held "${tiny[@]}" --count 2 --set club_stride=3 \
+    --set lambda_r_low=0 --set lambda_r_high=0 --set lambda_c=0 --set mask_scheme=attention
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
@@ -85,10 +88,12 @@ for i in 0000 0001; do
         files+=("augment-conv/augment/aug_${i}_$j.f64")
     done
 done
-files+=("augment-steps/augment/metadata.csv")
-for i in 0000 0001; do
-    for j in 00 01 02 03 04 05 06 07 08 09; do
-        files+=("augment-steps/augment/aug_${i}_$j.f64")
+for name in augment-steps augment-held; do
+    files+=("$name/augment/metadata.csv")
+    for i in 0000 0001; do
+        for j in 00 01 02 03 04 05 06 07 08 09; do
+            files+=("$name/augment/aug_${i}_$j.f64")
+        done
     done
 done
 for rel in per_image.csv aggregate.csv augment_metadata.csv; do
