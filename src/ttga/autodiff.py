@@ -7,6 +7,14 @@ takes the loss's gradient with respect to the output, and gradients
 accumulate on leaf tensors. The graph is rebuilt on every forward pass. No
 graph holds a reference cycle, so each one is freed as soon as its last
 reference goes.
+
+A convolution whose weight needs no gradient (every inference call) builds
+its patch columns one batch item at a time, in one reused (H*W, k*k*C)
+buffer, and runs one matrix product per item: the product a single-grid
+call runs, so item i of a batch has the bits of the single-grid call. Only
+a weight gradient reads every column, so a training forward builds the
+whole batch's columns and runs one product. The input gradient is one
+product and one scatter per item, in training too.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 from scipy import sparse
 
 
@@ -171,15 +179,38 @@ def scatter_matrix(h: int, w: int, k: int) -> sparse.csr_array:
                             shape=(h * w, h * w * k * k))
 
 
-def _col2im(gcols: np.ndarray, k: int, in_shape: tuple) -> np.ndarray:
+def _col2im(gcols: np.ndarray, k: int, in_shape: tuple, out: np.ndarray | None = None
+            ) -> np.ndarray:
     """Adjoint of _im2col: scatter-add patch gradients back to the input, one
-    sparse product per batch item."""
+    sparse product per batch item; into ``out`` (shaped ``in_shape``) if given."""
     b, h, w, c = in_shape
     scatter = scatter_matrix(h, w, k)
-    gx = np.empty((b, h * w, c))
-    for n, item in enumerate(gcols.reshape(b, h * w * k * k, c)):
-        gx[n] = scatter @ item
-    return gx.reshape(in_shape)
+    gx = np.empty(in_shape) if out is None else out
+    for item, dst in zip(gcols.reshape(b, h * w * k * k, c), gx.reshape(b, h * w, c)):
+        dst[...] = scatter @ item
+    return gx
+
+
+def _conv_items(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int) -> np.ndarray:
+    """conv2d's forward one batch item at a time. Each item is padded into one
+    reused grid, its columns are copied into one reused (H*W, k*k*C) buffer,
+    and one product writes that item's output rows."""
+    b, h, w, c = x.shape
+    pad = k // 2
+    grid = np.zeros((h + 2 * pad, w + 2 * pad, c))
+    cols = np.empty((h, w, k, k * c))
+    # patches[y, x, i] is kernel row i of the patch centred on (y, x): the k*C
+    # values of padded row y + i from column x on, contiguous as in cols
+    row, col, value = grid.strides
+    patches = as_strided(grid, (h, w, k, k * c), (row, col, row, value), writeable=False)
+    flat = cols.reshape(h * w, k * k * c)
+    out = np.empty((b, h * w, weight.shape[1]))
+    for n in range(b):
+        grid[pad:pad + h, pad:pad + w] = x[n]
+        cols[...] = patches
+        np.matmul(flat, weight, out=out[n])
+    out += bias
+    return out.reshape(b, h, w, -1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
@@ -189,33 +220,36 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
     part that requires a gradient gets one from its own weight rows, scattered
     over its own channels only.
     """
-    cols = _im2col(x.data, k)
     b, h, w, cin = x.data.shape
     cout = weight.data.shape[1]
-    flat = cols.reshape(-1, cols.shape[-1])
-    out_data = (flat @ weight.data).reshape(b, h, w, cout) + bias.data
-
-    out = Tensor(out_data)
+    if weight.requires_grad:
+        # the weight gradient reads every column: build them all, one product
+        flat = _im2col(x.data, k).reshape(b * h * w, -1)
+        out = Tensor((flat @ weight.data).reshape(b, h, w, cout) + bias.data)
+    else:
+        flat = None
+        out = Tensor(_conv_items(x.data, weight.data, bias.data, k))
     parts = x.parts if isinstance(x, _Concat) else ((x, 0, cin),)
     if weight.requires_grad or bias.requires_grad or any(p.requires_grad for p, _, _ in parts):
         out.requires_grad = True
         out._parents = (*(p for p, _, _ in parts), weight, bias)
         need_b = bias.requires_grad
-        # only the weight gradient reads the columns; otherwise they die here
-        wcols = flat if weight.requires_grad else None
         def backward(g):
-            gflat = g.reshape(-1, cout)
-            gw = wcols.T @ gflat if wcols is not None else None
+            gw = flat.T @ g.reshape(-1, cout) if flat is not None else None
             gb = g.sum(axis=(0, 1, 2)) if need_b else None
             # weight rows are ordered (kernel position, input channel)
             rows = weight.data.reshape(k * k, cin, cout)
+            gitems = g.reshape(b, h * w, cout)
             gparts = []
             for p, lo, hi in parts:
                 gx = None
                 if p.requires_grad:
-                    wp = rows[:, lo:hi].reshape(-1, cout)
-                    gcols = (gflat @ wp.T).reshape(b, h, w, -1)
-                    gx = _unbroadcast(_col2im(gcols, k, (b, h, w, hi - lo)), p.shape)
+                    wpt = rows[:, lo:hi].reshape(-1, cout).T
+                    gx = np.empty((b, h, w, hi - lo))
+                    # one item's gradient columns at a time, each scattered at once
+                    for n in range(b):
+                        _col2im(gitems[n] @ wpt, k, (1, h, w, hi - lo), out=gx[n:n + 1])
+                    gx = _unbroadcast(gx, p.shape)
                 gparts.append(gx)
             return (*gparts, gw, gb)
         out._backward = backward

@@ -14,6 +14,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from .denoiser import keep_freed_batches
 from .errors import ConfigError, CorruptFileError, NumericalAbort
 from .masks import SCHEMES
 from .pipeline import (
@@ -111,6 +112,8 @@ def main(argv: list[str] | None = None) -> int:
             out_dir.mkdir(parents=True, exist_ok=True)
         except (FileExistsError, NotADirectoryError):
             raise ConfigError(f"out: {out_dir} is a file or lies under one") from None
+        # inference from checkpoints never reaches fit, which also calls this
+        keep_freed_batches()
         print(handler(cfg, RunLog(out_dir / "run.log")))
         write_resolved_config(cfg, out_dir / "resolved-config.txt")
         return EXIT_OK

@@ -466,7 +466,7 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_freed_batches() -> None:
+def keep_freed_batches() -> None:
     """Let glibc's malloc keep the memory of a freed batch graph for the next.
 
     Each batch frees its whole graph before the next is built. With glibc's
@@ -503,7 +503,7 @@ def fit(
     target of those examples. The model's parameters require gradients only
     while this runs.
     """
-    _keep_freed_batches()
+    keep_freed_batches()
     params = model.flat_parameters()
     state = AdamState(dim=params.size, lr=lr)
     losses = []

@@ -64,13 +64,3 @@ def save_pgm(path, grid: np.ndarray) -> None:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         f.write(pixels.tobytes())
 
-
-def load_pgm(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    parts = data.split(b"\n", 3)
-    if parts[0] != b"P5":
-        raise ValueError(f"{path}: not a binary PGM")
-    w, h = (int(v) for v in parts[1].split())
-    maxval = int(parts[2])
-    pixels = np.frombuffer(parts[3], dtype=np.uint8, count=h * w)
-    return pixels.reshape(h, w).astype(np.float64) / maxval

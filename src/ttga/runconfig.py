@@ -112,9 +112,14 @@ class RunConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
-        for m in self.method_list():
+        methods = self.method_list()
+        if not methods:
+            raise ConfigError("methods must name at least one method")
+        for m in methods:
             if m not in METHODS:
                 raise ConfigError(f"unknown method {m!r} in methods")
+        if len(set(methods)) < len(methods):
+            raise ConfigError(f"methods names a method twice: {self.methods!r}")
         for name in ("size", "n_train", "n_test", "embedding_dim", "denoiser_hidden",
                      "tta_views"):
             if getattr(self, name) < 1:

@@ -236,6 +236,42 @@ def test_col2im_is_bit_identical_to_loop_reference(rng, shape, k):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@pytest.mark.parametrize("hidden", [8, 12, 16, 48])
+@pytest.mark.parametrize("layer", ["first", "hidden", "last"])
+@pytest.mark.parametrize("b, size", [(2, 32), (4, 24), (10, 16), (16, 8)])
+def test_conv2d_input_gradient_per_item_equals_the_whole_batch_reference(rng, hidden, layer,
+                                                                          b, size):
+    """The backward runs one product and one scatter per batch item. Its bits
+    are those of the single-grid product and the strided adds, and, but where
+    noted, of one product over the whole batch. The first layer
+    differentiates the image part of a concatenation."""
+    cin, cout, lo, hi = {"first": (25, hidden, 0, 1), "hidden": (hidden, hidden, 0, hidden),
+                         "last": (hidden, 1, 0, hidden)}[layer]
+    weight = rng.normal((9 * cin, cout))
+    g = rng.normal((b, size, size, cout)) * 10.0 ** rng.integers(-12, 13, (b, size, size, cout))
+    g[rng.random(g.shape) < 0.1] = -0.0
+    g[rng.random(g.shape) < 0.05] = 0.0
+    x = Tensor(rng.normal((b, size, size, hi - lo)), requires_grad=True)
+    if layer == "first":
+        inputs = concat_channels([x, Tensor(rng.normal((b, 1, 1, 16))),
+                                  Tensor(rng.normal((1, 1, 1, 8)))])
+    else:
+        inputs = x
+    conv2d(inputs, Tensor(weight), Tensor(np.zeros(cout)), 3).backward(seed=g)
+
+    part_rows = weight.reshape(9, cin, cout)[:, lo:hi].reshape(-1, cout)
+    products = {"single-grid": np.stack([item.reshape(-1, cout) @ part_rows.T for item in g])}
+    # A wide first layer on an 8x8 grid gives OpenBLAS a small product
+    # (64, 48) @ (48, 9), which it sums in another order than the whole-batch
+    # one; there the single-grid product sets the bits.
+    if not (layer == "first" and hidden == 48 and size == 8):
+        products["whole-batch"] = g.reshape(-1, cout) @ part_rows.T
+    for name, gcols in products.items():
+        want = _col2im_loops(gcols.reshape(b, size, size, -1), 3, x.shape)
+        assert np.array_equal(x.grad.view(np.uint64),
+                              np.ascontiguousarray(want).view(np.uint64)), name
+
+
 def test_col2im_caches_one_matrix_per_grid_whatever_the_batch(rng):
     autodiff.scatter_matrix.cache_clear()
     for b in (1, 2, 5):
@@ -248,16 +284,18 @@ def test_col2im_caches_one_matrix_per_grid_whatever_the_batch(rng):
 def test_predict_vjp_scatters_only_the_channels_it_differentiates(rng, monkeypatch, wrt):
     model = ConvDenoiser(build_schedule(50, 1e-4, 0.02), embedding_dim=5, hidden=7,
                          rng=SeededRng(4))
-    channels_seen = []
+    shapes_seen = []
     col2im = autodiff._col2im
 
-    def recording_col2im(gcols, k, in_shape):
-        channels_seen.append(in_shape[-1])
-        return col2im(gcols, k, in_shape)
+    def recording_col2im(gcols, k, in_shape, out=None):
+        shapes_seen.append(in_shape)
+        return col2im(gcols, k, in_shape, out)
 
     monkeypatch.setattr(autodiff, "_col2im", recording_col2im)
     x = rng.normal((2, 6, 6))
     _, vjp = model.predict_vjp(x, 10, ConditionEmbedding(rng.normal(5)), wrt)
     vjp(rng.normal((2, 6, 6)))
-    # layers 3, 2, 1 scatter their hidden inputs; layer 0 only the part asked for
-    assert channels_seen == [7, 7, 7, 1 if wrt == "input" else 5]
+    # one scatter per batch item: layers 3, 2, 1 scatter their hidden inputs,
+    # layer 0 only the part asked for
+    widths = [7, 7, 7, 1 if wrt == "input" else 5]
+    assert shapes_seen == [(1, 6, 6, c) for c in widths for _ in range(2)]

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ttga
-from ttga import checkpoint, gridio, pipeline
+from ttga import checkpoint, cli, gridio, pipeline
 from ttga.cli import main
 from ttga.errors import ConfigError
 from ttga.evalbench import ConvSegmenter, save_segmenter
@@ -75,7 +75,8 @@ BAD_SETTINGS = [("evaluate", [s]) for s in (
     "n_augment=0", "club_stride=0", "lambda_r_low=2", "invert_with=foo",
     "nulltext_lr=nan", "nulltext_max_steps=-5", "nulltext_early_stop=nan", "beta_end=0.9",
     "test_blur=nan", "train_noise=nan", "test_occlusion=2", "train_occlusion=-1",
-    "tta_jitter=nan", "tta_jitter=-1",
+    "tta_jitter=nan", "tta_jitter=-1", "methods=", "methods=,", "methods=ttga,ttga",
+    "methods=baseline, tta,baseline",
 )] + [("train-denoiser", ["denoiser=trainable", s])
       for s in ("denoiser_batch=0", "denoiser_hidden=0")]
 
@@ -90,6 +91,16 @@ def test_bad_value_exits_3_before_any_work(tmp_path, capsys, command, sets):
     key = sets[-1].split("=")[0]
     assert f"invalid config: {key}" in err and "Traceback" not in err
     assert not (out / "run.log").exists()
+
+
+def test_evaluate_keeps_freed_buffers(tmp_path, monkeypatch):
+    # evaluate from checkpoints never reaches fit, so the command itself calls it
+    calls = []
+    monkeypatch.setattr(cli, "keep_freed_batches", lambda: calls.append(True))
+    assert run_cli("evaluate", "--out", tmp_path / "x", "--set", "n_train=4",
+                   "--set", "n_test=1", "--set", "size=8", "--set", "seg_epochs=1",
+                   "--set", "methods=baseline") == 0
+    assert calls == [True]
 
 
 def _values_of(f):

@@ -97,17 +97,25 @@ def test_null_embedding_is_one_object(schedule, conv_model):
 
 @pytest.mark.parametrize("kind", ["analytic", "conv"])
 def test_stacked_calls_equal_single_grid_calls(kind, schedule, conv_model, rng):
-    m = make_analytic(schedule, mu=0.3) if kind == "analytic" else conv_model
-    dim = m.embedding_dim
-    xs = rng.normal((5, 8, 8))
-    gs = rng.normal((5, 8, 8))
-    for e in (m.null_embedding(), ConditionEmbedding(rng.normal(dim))):
-        for t in (1, 300):
-            got = m.predict(xs, t, e)
-            assert np.array_equal(got, np.stack([m.predict(x, t, e) for x in xs]))
-            got = m.grad_wrt_input(gs, xs, t, e)
-            want = np.stack([m.grad_wrt_input(g, x, t, e) for g, x in zip(gs, xs)])
-            assert np.array_equal(got, want)
+    if kind == "analytic":
+        cases = [(make_analytic(schedule, mu=0.3), 5, 8)]
+    else:
+        # hidden 12 on these grids is where one product over the whole stack
+        # once gave other bits than the single-grid products (up to 3.9e-16)
+        wide = ConvDenoiser(schedule, embedding_dim=8, hidden=12, rng=SeededRng(25))
+        flat = wide.flat_parameters()
+        wide.set_flat_parameters(flat + 0.1 * SeededRng(26).normal(flat.shape))
+        cases = [(conv_model, 5, 8)] + [(wide, n, size) for size in (16, 24) for n in (4, 10)]
+    for m, n, size in cases:
+        xs = rng.normal((n, size, size))
+        gs = rng.normal((n, size, size))
+        for e in (m.null_embedding(), ConditionEmbedding(rng.normal(m.embedding_dim))):
+            for t in (1, 300):
+                got = m.predict(xs, t, e)
+                assert np.array_equal(got, np.stack([m.predict(x, t, e) for x in xs]))
+                got = m.grad_wrt_input(gs, xs, t, e)
+                want = np.stack([m.grad_wrt_input(g, x, t, e) for g, x in zip(gs, xs)])
+                assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")

@@ -585,6 +585,29 @@ def test_generate_set_equals_single_generations_conv(schedule):
     )
 
 
+def test_conv_set_item_does_not_depend_on_the_set_size(schedule):
+    # hidden 12 on a 16x16 grid: a product over the whole stack once gave
+    # other bits than the product over one grid, so item 0 changed with N
+    rng = SeededRng(61)
+    model = ConvDenoiser(schedule, embedding_dim=8, hidden=12, rng=rng.derive(1))
+    flat = model.flat_parameters()
+    model.set_flat_parameters(flat + 0.1 * rng.derive(2).normal(flat.shape))
+    c = ConditionEmbedding(rng.derive(3).normal(8))
+    x0 = 0.2 + 0.5 * rng.derive(4).random((16, 16))
+    def relevance(x, t, pred):
+        return consistency_relevance(model, x, t, c, pred)
+
+    items = []
+    for n in (1, 4):
+        cfg = small_cfg(tau=20, n_augment=n,
+                        mask_policy=MaskPolicy(scheme="hybrid", p_m=0.75,
+                                               resample_per_step=True),
+                        null_opt=NullOptConfig(lr=0.1, max_steps=5, early_stop=0.0))
+        items.append(generate_set(model, x0, c, cfg, SeededRng(62), relevance_fn=relevance)
+                     .augmented[0])
+    assert np.array_equal(items[0], items[1])
+
+
 @pytest.mark.parametrize("resample", [True, False])
 def test_conv_step_forward_and_backward_counts(schedule, conv_passes, resample):
     model, c, x0, traj, null_opt = _conv_setup(schedule)
