@@ -1,20 +1,22 @@
 """Minimal reverse-mode automatic differentiation on float64 ndarrays.
 
-Just the ops that the small convolutional models in this package build:
-tanh/sigmoid, channel concatenation with broadcasting and spatial 3x3-style
-convolution (im2col). The loss stays outside the graph: ``backward(seed)``
-takes the loss's gradient with respect to the output, and gradients
-accumulate on leaf tensors. The graph is rebuilt on every forward pass. No
-graph holds a reference cycle, so each one is freed as soon as its last
-reference goes.
+Exactly as general as the chain a conv stack builds: conv -> tanh -> ... ->
+conv, with an optional sigmoid at the end, whose leaves are the input parts,
+the weights and the biases. The loss stays outside the graph:
+``backward(seed)`` takes the loss's gradient with respect to the output, and
+gradients accumulate on leaf tensors. Every node has at most one parent that
+is not a leaf, so ``backward`` walks that chain from the output. The graph is
+rebuilt on every forward pass, holds no reference cycle and is freed as soon
+as its last reference goes.
 
-A convolution whose weight needs no gradient (every inference call) builds
-its patch columns one batch item at a time, in one reused (H*W, k*k*C)
-buffer, and runs one matrix product per item: the product a single-grid
-call runs, so item i of a batch has the bits of the single-grid call. Only
-a weight gradient reads every column, so a training forward builds the
-whole batch's columns and runs one product. The input gradient is one
-product and one scatter per item, in training too.
+``conv2d`` builds its patch columns one batch item at a time: it pads the
+item into one reused grid and copies its columns through a strided view.
+Without a weight gradient (every inference call) it reuses one item's
+(H*W, k*k*C) buffer and runs one matrix product per item, the product a
+single-grid call runs, so item i of a batch has the bits of the single-grid
+call. A weight gradient reads every column, so a training forward writes
+item n's columns into block n of one (B*H*W, k*k*C) buffer and runs one
+product. The input gradient is one product and one scatter per item.
 """
 
 from __future__ import annotations
@@ -22,21 +24,8 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided, sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 from scipy import sparse
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum-reduce a gradient back to the shape it was broadcast from."""
-    if grad.shape == shape:
-        return grad
-    extra = grad.ndim - len(shape)
-    if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
-    if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
-    return grad.reshape(shape)
 
 
 class Tensor:
@@ -79,40 +68,22 @@ class Tensor:
 
     def backward(self, seed) -> None:
         """Accumulate d<seed, self>/d leaf on every leaf that requires a
-        gradient; ``seed`` has this tensor's shape."""
-        seed = np.asarray(seed, dtype=np.float64)
+        gradient; ``seed`` has this tensor's shape.
 
-        # Depth-first post-order with an explicit stack: no recursion limit on
-        # deep graphs, and no self-referencing closure whose cycle would keep
-        # every node (and each conv's im2col columns) alive until a cyclic GC.
-        order: list[Tensor] = []
-        if self.requires_grad:
-            seen = {id(self)}
-            stack = [(self, iter(self._parents))]
-            while stack:
-                node, parents = stack[-1]
-                for p in parents:
-                    if p.requires_grad and id(p) not in seen:
-                        seen.add(id(p))
-                        stack.append((p, iter(p._parents)))
-                        break
-                else:
-                    stack.pop()
-                    order.append(node)
-
-        grads = {id(self): seed}
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
+        Each node hands its gradient straight to its parents. In a chain
+        every node but a leaf is reached once; a node reached along two
+        paths would run once per path, which the graphs here never build.
+        """
+        if not self.requires_grad:
+            return
+        pending = [(self, np.asarray(seed, dtype=np.float64))]
+        while pending:
+            node, g = pending.pop()
             if node._backward is None:
                 node.grad = g if node.grad is None else node.grad + g
                 continue
-            for parent, pg in zip(node._parents, node._backward(g)):
-                if not parent.requires_grad:
-                    continue
-                key = id(parent)
-                grads[key] = pg if key not in grads else grads[key] + pg
+            pending.extend((p, pg) for p, pg in zip(node._parents, node._backward(g))
+                           if p.requires_grad)
 
 
 class _Concat(Tensor):
@@ -126,35 +97,18 @@ def concat_channels(tensors: list[Tensor]) -> Tensor:
     """Concatenate along the last (channel) axis, broadcasting the leading
     axes of every part to their common shape.
 
-    A ``conv2d`` over the result differentiates straight to the parts, so a
-    part that needs no gradient costs its backward nothing.
+    The result has no gradient rule of its own: ``conv2d``, its only
+    consumer, differentiates straight to the parts, so a part that needs no
+    gradient costs its backward nothing.
     """
     lead = np.broadcast_shapes(*(t.shape[:-1] for t in tensors))
     bounds = np.cumsum([0] + [t.shape[-1] for t in tensors]).tolist()
-    parts = tuple(zip(tensors, bounds[:-1], bounds[1:]))
     data = np.empty(lead + (bounds[-1],))
-    for t, lo, hi in parts:
+    for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
         data[..., lo:hi] = t.data
     out = _Concat(data)
-    out.parts = parts
-    if any(t.requires_grad for t in tensors):
-        out.requires_grad = True
-        out._parents = tuple(tensors)
-        def backward(g):
-            return tuple(_unbroadcast(g[..., lo:hi], t.shape) for t, lo, hi in parts)
-        out._backward = backward
+    out.parts = tuple(zip(tensors, bounds[:-1], bounds[1:]))
     return out
-
-
-def _im2col(x: np.ndarray, k: int) -> np.ndarray:
-    """(B,H,W,C) -> (B,H,W,k*k*C) patches under zero 'same' padding."""
-    b, h, w, c = x.shape
-    pad = k // 2
-    xp = np.zeros((b, h + 2 * pad, w + 2 * pad, c))
-    xp[:, pad:pad + h, pad:pad + w, :] = x
-    # (B, H, W, C, k, k) windows; one copy lays them out as (k row, k col, C)
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))[:, :h, :w]
-    return windows.transpose(0, 1, 2, 4, 5, 3).reshape(b, h, w, k * k * c)
 
 
 @functools.cache
@@ -179,38 +133,10 @@ def scatter_matrix(h: int, w: int, k: int) -> sparse.csr_array:
                             shape=(h * w, h * w * k * k))
 
 
-def _col2im(gcols: np.ndarray, k: int, in_shape: tuple, out: np.ndarray | None = None
-            ) -> np.ndarray:
-    """Adjoint of _im2col: scatter-add patch gradients back to the input, one
-    sparse product per batch item; into ``out`` (shaped ``in_shape``) if given."""
-    b, h, w, c = in_shape
-    scatter = scatter_matrix(h, w, k)
-    gx = np.empty(in_shape) if out is None else out
-    for item, dst in zip(gcols.reshape(b, h * w * k * k, c), gx.reshape(b, h * w, c)):
-        dst[...] = scatter @ item
-    return gx
-
-
-def _conv_items(x: np.ndarray, weight: np.ndarray, bias: np.ndarray, k: int) -> np.ndarray:
-    """conv2d's forward one batch item at a time. Each item is padded into one
-    reused grid, its columns are copied into one reused (H*W, k*k*C) buffer,
-    and one product writes that item's output rows."""
-    b, h, w, c = x.shape
-    pad = k // 2
-    grid = np.zeros((h + 2 * pad, w + 2 * pad, c))
-    cols = np.empty((h, w, k, k * c))
-    # patches[y, x, i] is kernel row i of the patch centred on (y, x): the k*C
-    # values of padded row y + i from column x on, contiguous as in cols
-    row, col, value = grid.strides
-    patches = as_strided(grid, (h, w, k, k * c), (row, col, row, value), writeable=False)
-    flat = cols.reshape(h * w, k * k * c)
-    out = np.empty((b, h * w, weight.shape[1]))
-    for n in range(b):
-        grid[pad:pad + h, pad:pad + w] = x[n]
-        cols[...] = patches
-        np.matmul(flat, weight, out=out[n])
-    out += bias
-    return out.reshape(b, h, w, -1)
+def _col2im(gcols: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
+    """Adjoint of one item's column copy: scatter-add its (H*W, k*k*C) patch
+    gradients back to an (H*W, C) input gradient by one sparse product."""
+    return scatter_matrix(h, w, k) @ gcols.reshape(h * w * k * k, -1)
 
 
 def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
@@ -222,13 +148,29 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
     """
     b, h, w, cin = x.data.shape
     cout = weight.data.shape[1]
-    if weight.requires_grad:
-        # the weight gradient reads every column: build them all, one product
-        flat = _im2col(x.data, k).reshape(b * h * w, -1)
-        out = Tensor((flat @ weight.data).reshape(b, h, w, cout) + bias.data)
-    else:
-        flat = None
-        out = Tensor(_conv_items(x.data, weight.data, bias.data, k))
+    pad = k // 2
+    grid = np.zeros((h + 2 * pad, w + 2 * pad, cin))
+    # patches[y, x, i] is kernel row i of the patch centred on (y, x): the k*C
+    # values of padded row y + i from column x on, contiguous as in the columns
+    row, col, value = grid.strides
+    patches = as_strided(grid, (h, w, k, k * cin), (row, col, row, value), writeable=False)
+    # the weight gradient reads every column: item n's go to block n of one
+    # buffer, for one product; otherwise one item's buffer is reused, one product each
+    keep = weight.requires_grad
+    cols = np.empty((b if keep else 1, h, w, k, k * cin))
+    out = np.empty((b, h * w, cout))
+    for n in range(b):
+        grid[pad:pad + h, pad:pad + w] = x.data[n]
+        cols[n if keep else 0] = patches
+        if not keep:
+            np.matmul(cols.reshape(h * w, -1), weight.data, out=out[n])
+    flat = None
+    if keep:
+        flat = cols.reshape(b * h * w, -1)
+        np.matmul(flat, weight.data, out=out.reshape(b * h * w, cout))
+    out += bias.data
+    out = Tensor(out.reshape(b, h, w, cout))
+
     parts = x.parts if isinstance(x, _Concat) else ((x, 0, cin),)
     if weight.requires_grad or bias.requires_grad or any(p.requires_grad for p, _, _ in parts):
         out.requires_grad = True
@@ -245,11 +187,15 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
                 gx = None
                 if p.requires_grad:
                     wpt = rows[:, lo:hi].reshape(-1, cout).T
-                    gx = np.empty((b, h, w, hi - lo))
+                    gx = np.empty((b, h * w, hi - lo))
                     # one item's gradient columns at a time, each scattered at once
                     for n in range(b):
-                        _col2im(gitems[n] @ wpt, k, (1, h, w, hi - lo), out=gx[n:n + 1])
-                    gx = _unbroadcast(gx, p.shape)
+                        gx[n] = _col2im(gitems[n] @ wpt, k, h, w)
+                    gx = gx.reshape(b, h, w, hi - lo)
+                    # a part broadcast over an axis gets the sum over it
+                    axes = tuple(i for i, size in enumerate(p.shape) if size < gx.shape[i])
+                    if axes:
+                        gx = gx.sum(axis=axes, keepdims=True)
                 gparts.append(gx)
             return (*gparts, gw, gb)
         out._backward = backward

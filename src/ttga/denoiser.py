@@ -172,6 +172,13 @@ class AnalyticGaussianDenoiser(Denoiser):
     kind = "analytic_gaussian"
     pixelwise = True
 
+    @staticmethod
+    def data_std_ok(data_std: float) -> bool:
+        """Whether ``data_std`` is positive and its square, the data variance,
+        finite and not lost when added to 1: at t = 0 the denominator of
+        ``_scale`` is (variance + 1) - 1, and a zero there makes 0/0."""
+        return data_std > 0.0 and 1.0 < 1.0 + data_std * data_std < np.inf
+
     def __init__(
         self,
         schedule: NoiseSchedule,
@@ -187,9 +194,11 @@ class AnalyticGaussianDenoiser(Denoiser):
         if len(self.shape) != 2:
             raise ContractError(f"grid shape must be (H, W), got {self.shape}")
         self.embedding_dim = int(embedding_dim)
-        if data_std <= 0.0:
-            raise ContractError(f"data_std must be positive, got {data_std}")
         self.data_std = float(data_std)
+        if not self.data_std_ok(self.data_std):
+            raise ContractError(
+                f"data_std must be positive, its square finite and not lost next to 1, "
+                f"got {data_std}")
         self.mu = np.broadcast_to(np.asarray(mu, dtype=np.float64), self.shape).copy()
         n = int(np.prod(self.shape))
         if projection is not None:
@@ -621,11 +630,14 @@ def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
         n = h * w
         if params.size != 1 + n + n * dim:
             raise CorruptFileError(f"{path}: {params.size} parameters do not fit shape {(h, w)}")
-        if not params[0] > 0.0:
-            raise CorruptFileError(f"{path}: data_std {params[0]} is not positive")
+        data_std = float(params[0])
+        if not AnalyticGaussianDenoiser.data_std_ok(data_std):
+            raise CorruptFileError(
+                f"{path}: data_std {data_std} is not positive with a finite square "
+                "that is not lost next to 1")
         return AnalyticGaussianDenoiser(schedule, (h, w), dim, mu=params[1:1 + n].reshape(h, w),
                                         projection=params[1 + n:].reshape(n, dim),
-                                        data_std=float(params[0]))
+                                        data_std=data_std)
     if aux < 1:
         raise CorruptFileError(f"{path}: hidden width {aux} is not positive")
     model = ConvDenoiser(schedule, embedding_dim=dim, hidden=aux)

@@ -215,18 +215,18 @@ def load_segmenter(path) -> Segmenter:
 
 # ---- geometric test-time augmentation baseline ----
 
-_SPATIAL_OPS = [
-    ("identity", lambda a: a, lambda a: a),
-    ("fliplr", lambda a: np.flip(a, axis=1), lambda a: np.flip(a, axis=1)),
-    ("flipud", lambda a: np.flip(a, axis=0), lambda a: np.flip(a, axis=0)),
-    ("rot90", lambda a: np.rot90(a, 1, axes=(0, 1)), lambda a: np.rot90(a, -1, axes=(0, 1))),
-    ("rot180", lambda a: np.rot90(a, 2, axes=(0, 1)), lambda a: np.rot90(a, -2, axes=(0, 1))),
-    ("rot270", lambda a: np.rot90(a, 3, axes=(0, 1)), lambda a: np.rot90(a, -3, axes=(0, 1))),
-    ("fliplr_rot90", lambda a: np.rot90(np.flip(a, axis=1), 1, axes=(0, 1)),
-     lambda a: np.flip(np.rot90(a, -1, axes=(0, 1)), axis=1)),
-    ("flipud_rot90", lambda a: np.rot90(np.flip(a, axis=0), 1, axes=(0, 1)),
-     lambda a: np.flip(np.rot90(a, -1, axes=(0, 1)), axis=0)),
-]
+# (flip axis or None, quarter turns): identity, the two flips, the three
+# rotations, then each flip followed by one turn
+_SPATIAL_OPS = [(None, 0), (1, 0), (0, 0), (None, 1), (None, 2), (None, 3), (1, 1), (0, 1)]
+
+
+def _spatial(a: np.ndarray, flip: int | None, turns: int) -> np.ndarray:
+    return np.rot90(a if flip is None else np.flip(a, axis=flip), turns, axes=(0, 1))
+
+
+def _spatial_inverse(a: np.ndarray, flip: int | None, turns: int) -> np.ndarray:
+    a = np.rot90(a, -turns, axes=(0, 1))
+    return a if flip is None else np.flip(a, axis=flip)
 
 
 def tta_baseline(
@@ -249,10 +249,10 @@ def tta_baseline(
         if i == 0 and first_view is not None:
             members.append(first_view)
             continue
-        _, fwd, inv = _SPATIAL_OPS[i % len(_SPATIAL_OPS)]
-        view = fwd(image)
+        op = _SPATIAL_OPS[i % len(_SPATIAL_OPS)]
+        view = _spatial(image, *op)
         if i > 0 and jitter_sigma > 0.0:
             view = np.clip(view + jitter_sigma * float(rng.normal()), 0.0, 1.0)
         prob = seg.segment(np.ascontiguousarray(view))
-        members.append(np.ascontiguousarray(inv(prob)))
+        members.append(np.ascontiguousarray(_spatial_inverse(prob, *op)))
     return ensemble(members)

@@ -35,7 +35,8 @@ def save_grid(path, grid: np.ndarray) -> None:
 
 def load_grid(path) -> np.ndarray:
     """The grid in a raw file; CorruptFileError if it is truncated, has the
-    wrong magic or holds a value count other than its header's."""
+    wrong magic, holds a value count other than its header's or holds a
+    value that is not finite."""
     data = Path(path).read_bytes()
     if len(data) < _HEADER.size:
         raise CorruptFileError(f"{path}: truncated grid file")
@@ -46,6 +47,8 @@ def load_grid(path) -> np.ndarray:
     if body != 8 * h * w * c:
         raise CorruptFileError(f"{path}: expected {h * w * c} values, found {body} bytes of them")
     values = np.frombuffer(data, dtype="<f8", offset=_HEADER.size)
+    if not np.all(np.isfinite(values)):
+        raise CorruptFileError(f"{path}: holds non-finite values")
     grid = values.reshape(h, w, c).astype(np.float64)
     return grid[:, :, 0] if c == 1 else grid
 

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .denoiser import DenoiserTrainConfig
+from .denoiser import AnalyticGaussianDenoiser, DenoiserTrainConfig
 from .engine import TtgaConfig
 from .errors import ConfigError
 from .evalbench import Difficulty, SegTrainConfig
@@ -124,8 +124,10 @@ class RunConfig:
                      "tta_views"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if not 0.0 < self.data_std < math.inf:
-            raise ConfigError(f"data_std must be finite and > 0, got {self.data_std}")
+        if not AnalyticGaussianDenoiser.data_std_ok(self.data_std):
+            raise ConfigError(
+                f"data_std must be > 0, its square finite and not lost next to 1, "
+                f"got {self.data_std}")
         if not 0.0 <= self.tta_jitter < math.inf:
             raise ConfigError(f"tta_jitter must be finite and >= 0, got {self.tta_jitter}")
         for split in ("train", "test"):

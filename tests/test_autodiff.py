@@ -7,7 +7,7 @@ import pytest
 
 from conftest import central_difference, relative_gradient_match
 import ttga.autodiff as autodiff
-from ttga.autodiff import Tensor, _im2col, concat_channels, conv2d
+from ttga.autodiff import Tensor, concat_channels, conv2d
 from ttga.denoiser import ConditionEmbedding, ConvDenoiser
 from ttga.rng import SeededRng
 from ttga.schedule import build_schedule
@@ -32,14 +32,6 @@ def test_tanh_sigmoid_grad(rng):
     x0 = rng.normal((6,))
     for build in (lambda x: x.tanh(), lambda x: x.sigmoid(), lambda x: x.tanh().sigmoid()):
         _check_seeded_graph(build, x0, rng)
-
-
-def test_concat_channels_grad(rng):
-    # x's leading (1, 2) broadcasts against other's (2, 2), so its gradient
-    # is summed back to its own shape
-    other = Tensor(rng.normal((2, 2, 2)))
-    _check_seeded_graph(lambda x: concat_channels([x, other]), rng.normal((1, 2, 3)), rng)
-    _check_seeded_graph(lambda x: concat_channels([other, x]).tanh(), rng.normal((2, 2, 3)), rng)
 
 
 def test_concat_channels_broadcasts_its_parts(rng):
@@ -127,12 +119,8 @@ def test_conv2d_grad_input_and_weights(rng):
 
 
 def test_grad_accumulates_over_reuse(rng):
-    # x fills both halves of the concatenation, so its gradient is their sum
-    x = Tensor(rng.normal((2, 3, 3, 2)), requires_grad=True)
-    seed = rng.normal((2, 3, 3, 4))
-    concat_channels([x, x]).backward(seed=seed)
-    assert np.array_equal(x.grad, seed[..., :2] + seed[..., 2:])
-    # a conv over that concatenation sends x one gradient per part
+    # x fills both halves of a conv's concatenated input, so it gets one
+    # gradient per part, summed
     w, b = Tensor(rng.normal((9 * 4, 3))), Tensor(np.zeros(3))
     _check_seeded_graph(lambda x: conv2d(concat_channels([x, x]), w, b, 3),
                         rng.normal((2, 3, 3, 2)), rng)
@@ -202,9 +190,25 @@ def _im2col_loops(x, k):
 @pytest.mark.parametrize("shape", [(2, 9, 9, 16), (3, 8, 7, 12), (1, 6, 5, 3),
                                    (4, 5, 6, 1), (1, 4, 4, 1)])
 @pytest.mark.parametrize("k", [1, 3, 5])
-def test_im2col_equals_loop_reference(rng, shape, k):
-    x = rng.normal(shape)
-    assert np.array_equal(_im2col(x, k), _im2col_loops(x, k))
+@pytest.mark.parametrize("weight_grad", [False, True])
+def test_conv2d_is_loop_reference_columns_times_the_weight(rng, shape, k, weight_grad):
+    """Bit for bit: with a weight gradient, one product over the whole
+    batch's columns, which the weight gradient reads again; without one,
+    one product per item."""
+    b, h, w, c = shape
+    x, weight, bias = rng.normal(shape), rng.normal((k * k * c, 5)), rng.normal(5)
+    cols = _im2col_loops(x, k).reshape(b, h * w, -1)
+    if weight_grad:
+        want = cols.reshape(b * h * w, -1) @ weight
+    else:
+        want = np.stack([item @ weight for item in cols])
+    wt = Tensor(weight, requires_grad=weight_grad)
+    out = conv2d(Tensor(x), wt, Tensor(bias), k)
+    assert np.array_equal(out.data, want.reshape(b, h, w, 5) + bias)
+    if weight_grad:
+        seed = rng.normal(out.shape)
+        out.backward(seed=seed)
+        assert np.array_equal(wt.grad, cols.reshape(b * h * w, -1).T @ seed.reshape(-1, 5))
 
 
 def _col2im_loops(gcols, k, in_shape):
@@ -230,7 +234,8 @@ def test_col2im_is_bit_identical_to_loop_reference(rng, shape, k):
     gcols = rng.normal(cols_shape) * 10.0 ** rng.integers(-12, 13, cols_shape)
     gcols[rng.random(cols_shape) < 0.1] = -0.0
     gcols[rng.random(cols_shape) < 0.05] = 0.0
-    got = autodiff._col2im(gcols, k, shape)
+    items = gcols.reshape(b, h * w, -1)
+    got = np.stack([autodiff._col2im(item, k, h, w) for item in items]).reshape(shape)
     want = np.ascontiguousarray(_col2im_loops(gcols, k, shape))
     assert got.shape == shape
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -274,9 +279,11 @@ def test_conv2d_input_gradient_per_item_equals_the_whole_batch_reference(rng, hi
 
 def test_col2im_caches_one_matrix_per_grid_whatever_the_batch(rng):
     autodiff.scatter_matrix.cache_clear()
+    weight, bias = Tensor(rng.normal((9 * 2, 1))), Tensor(np.zeros(1))
     for b in (1, 2, 5):
         for h, w in ((6, 5), (4, 4)):
-            autodiff._col2im(rng.normal((b, h, w, 9 * 2)), 3, (b, h, w, 2))
+            x = Tensor(rng.normal((b, h, w, 2)), requires_grad=True)
+            conv2d(x, weight, bias, 3).backward(seed=np.ones((b, h, w, 1)))
     assert autodiff.scatter_matrix.cache_info().currsize == 2
 
 
@@ -287,9 +294,9 @@ def test_predict_vjp_scatters_only_the_channels_it_differentiates(rng, monkeypat
     shapes_seen = []
     col2im = autodiff._col2im
 
-    def recording_col2im(gcols, k, in_shape, out=None):
-        shapes_seen.append(in_shape)
-        return col2im(gcols, k, in_shape, out)
+    def recording_col2im(gcols, k, h, w):
+        shapes_seen.append((h, w, gcols.shape[1] // (k * k)))
+        return col2im(gcols, k, h, w)
 
     monkeypatch.setattr(autodiff, "_col2im", recording_col2im)
     x = rng.normal((2, 6, 6))
@@ -298,4 +305,4 @@ def test_predict_vjp_scatters_only_the_channels_it_differentiates(rng, monkeypat
     # one scatter per batch item: layers 3, 2, 1 scatter their hidden inputs,
     # layer 0 only the part asked for
     widths = [7, 7, 7, 1 if wrt == "input" else 5]
-    assert shapes_seen == [(1, 6, 6, c) for c in widths for _ in range(2)]
+    assert shapes_seen == [(6, 6, c) for c in widths for _ in range(2)]

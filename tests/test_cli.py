@@ -71,7 +71,8 @@ def test_cli_exit_codes(tmp_path):
 
 BAD_SETTINGS = [("evaluate", [s]) for s in (
     "omega=1", "omega=-1", "lambda_c=-1", "p_m=2", "relevance_quantile=1",
-    "inversion_interval=0", "data_std=0", "size=0", "seg_epochs=0", "tta_views=0",
+    "inversion_interval=0", "data_std=0", "data_std=1e300", "data_std=1e-300",
+    "data_std=1e-9", "size=0", "seg_epochs=0", "tta_views=0",
     "n_augment=0", "club_stride=0", "lambda_r_low=2", "invert_with=foo",
     "nulltext_lr=nan", "nulltext_max_steps=-5", "nulltext_early_stop=nan", "beta_end=0.9",
     "test_blur=nan", "train_noise=nan", "test_occlusion=2", "train_occlusion=-1",
@@ -333,6 +334,13 @@ def test_augment_command_metadata(tmp_path):
     assert list((out / "augment").glob("aug_*.f64"))
 
 
+def test_augment_inverts_with_the_null_embedding(tmp_path):
+    out = tmp_path / "aug_null"
+    assert run_cli("augment", "--out", out, "--seed", 2, "--count", 1, *TINY,
+                   "--set", "segmenter=threshold", "--set", "invert_with=null") == 0
+    assert list((out / "augment").glob("aug_*.f64"))
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_augment_rejects_count_below_one(tmp_path, capsys, monkeypatch, count):
     def no_models(*args, **kwargs):
@@ -502,8 +510,8 @@ def _write_bad_checkpoint(path, case):
     """A checkpoint for TINY's 24x24 grids and dim-64 embedding with one defect."""
     n, dim, hidden = 24 * 24, 64, 4
     analytic = np.concatenate([[3.0], np.zeros(n), np.zeros(n * dim)])
-    if case == "analytic_data_std_negative":
-        analytic[0] = -1.0
+    if case in ("analytic_data_std_negative", "analytic_data_std_overflow"):
+        analytic[0] = -1.0 if case == "analytic_data_std_negative" else 1e300
         checkpoint.write(path, "analytic_gaussian", (dim, 24, 24, 1, 0), analytic)
     elif case == "analytic_nan":
         checkpoint.write(path, "analytic_gaussian", (dim, 24, 24, 1, 0), analytic)
@@ -523,6 +531,8 @@ def _write_bad_checkpoint(path, case):
 
 BAD_CHECKPOINTS = {
     "analytic_data_std_negative": ("denoiser_checkpoint", "data_std -1.0 is not positive"),
+    "analytic_data_std_overflow": ("denoiser_checkpoint", "data_std 1e+300 is not positive"
+                                   " with a finite square"),
     "analytic_nan": ("denoiser_checkpoint", "non-finite parameters"),
     "conv_hidden_0": ("denoiser_checkpoint", "hidden width 0"),
     "conv_three_channels": ("denoiser_checkpoint", "3 grid channels"),
@@ -649,6 +659,25 @@ def test_truncated_scene_file_exit_6(tmp_path, capsys):
     assert code == 6
     err = capsys.readouterr().err
     assert "scene_0000.f64" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("role, value", [("scene", np.nan), ("gt", np.inf),
+                                         ("semantic", -np.inf)])
+def test_non_finite_grid_file_exits_6_before_training(tmp_path, capsys, made_data, role, value):
+    data = tmp_path / "data"
+    shutil.copytree(made_data, data)
+    semantic = tmp_path / "semantic.f64"
+    gridio.save_grid(semantic, np.zeros((1, 64)))
+    path = {"scene": data / "test" / "scene_0000.f64", "gt": data / "test" / "gt_0000.f64",
+            "semantic": semantic}[role]
+    raw = path.read_bytes()
+    path.write_bytes(raw[:16] + struct.pack("<d", value) + raw[24:])
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY, "--set", f"data_dir={data}",
+                   "--set", f"semantic_embedding={semantic}") == 6
+    err = capsys.readouterr().err
+    assert path.name in err and "non-finite values" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
 
 
 def test_evaluate_reads_data_made_from_another_directory(tmp_path, monkeypatch):

@@ -208,6 +208,13 @@ def test_models_read_single_channel_grids_only(schedule):
         AnalyticGaussianDenoiser(schedule, (4, 4, 3), 2)
 
 
+@pytest.mark.parametrize("data_std", [0.0, -1.0, np.nan, np.inf, 1e300, 1e-9])
+def test_analytic_rejects_a_data_std_whose_scale_is_not_finite(schedule, data_std):
+    # 1e300 squared overflows; 1e-9 squared is lost next to 1, so the scale at t = 0 is 0/0
+    with pytest.raises(ContractError, match="data_std"):
+        AnalyticGaussianDenoiser(schedule, (4, 4), 2, data_std=data_std)
+
+
 def test_predict_rejects_dim_mismatch(schedule, rng):
     m = make_analytic(schedule)
     with pytest.raises(ContractError, match="embedding dim"):

@@ -28,7 +28,8 @@ from ttga import (
     to_xbar,
 )
 from ttga.denoiser import Denoiser
-from ttga.engine import _generate, augmentation_path_step, blend, entropy_bits, select_words
+from ttga.engine import (_generate, _invert, augmentation_path_step, blend, entropy_bits,
+                         select_words)
 from ttga.guidance import cfg_single
 from ttga.nulltext import jump_from_tau
 from ttga.errors import ConfigError, ContractError, NumericalAbort
@@ -529,6 +530,16 @@ def test_single_all_spade_augmentation_is_reconstruction(setup, schedule):
     rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, shared.embedding,
                                2.0, schedule)
     assert np.array_equal(aset.augmented[0], rec)
+
+
+def test_invert_with_null_inverts_under_the_null_embedding(setup, schedule):
+    model, c, x0, traj, _ = setup
+    got = _invert(model, x0, c, small_cfg(invert_with="null"))
+    want = ddim_invert(model, x0, 60, 10, model.null_embedding(), schedule)
+    assert got.steps == want.steps
+    assert all(np.array_equal(a, b) for a, b in zip(got.latents, want.latents))
+    # the setup's semantic inversion takes another path
+    assert not np.array_equal(got.x_tau, traj.x_tau)
 
 
 def _set_equals_single_generations(model, x0, c, cfg, rng, relevance_fn):

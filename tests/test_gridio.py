@@ -48,6 +48,14 @@ def test_truncated_rejected(tmp_path):
             gridio.load_grid(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_rejected(tmp_path, value):
+    path = tmp_path / "g.f64"
+    gridio.save_grid(path, np.array([[0.0, value], [1.0, 2.0]]))
+    with pytest.raises(CorruptFileError, match="non-finite"):
+        gridio.load_grid(path)
+
+
 def _read_pgm(path) -> np.ndarray:
     """A binary PGM as float64 in [0, 1]."""
     magic, size, maxval, data = path.read_bytes().split(b"\n", 3)
