@@ -22,10 +22,13 @@ product. The input gradient is one product and one scatter per item.
 from __future__ import annotations
 
 import functools
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy import sparse
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 
 class Tensor:
@@ -120,7 +123,12 @@ def scatter_matrix(h: int, w: int, k: int) -> sparse.csr_array:
     centred on (y + pad - i, x + pad - j). The product sums each row in stored
     order from +0, so it adds exactly what a strided add per kernel position
     adds, in the same order. The indices must stay unsorted.
+
+    ``scipy.sparse`` is imported here, so a process that runs no conv
+    backward does not load it.
     """
+    from scipy import sparse
+
     pad = k // 2
     y, x = np.divmod(np.arange(h * w), w)
     i, j = np.divmod(np.arange(k * k), k)

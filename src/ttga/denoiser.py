@@ -149,6 +149,9 @@ class Denoiser:
         # t = 0 is admitted: inversion ladders evaluate the predictor at the
         # clean endpoint, where sqrt(1 - abar_0) = 0.
         self.schedule.check_step(t)
+        self._check_embedding(e)
+
+    def _check_embedding(self, e: ConditionEmbedding) -> None:
         if e.dim != self.embedding_dim:
             raise ContractError(
                 f"embedding dim {e.dim} != model embedding_dim {self.embedding_dim}"
@@ -175,8 +178,8 @@ class AnalyticGaussianDenoiser(Denoiser):
     @staticmethod
     def data_std_ok(data_std: float) -> bool:
         """Whether ``data_std`` is positive and its square, the data variance,
-        finite and not lost when added to 1: at t = 0 the denominator of
-        ``_scale`` is (variance + 1) - 1, and a zero there makes 0/0."""
+        finite and not lost when added to 1: at t = 0 the denominator of the
+        posterior scale is (variance + 1) - 1, and a zero there makes 0/0."""
         return data_std > 0.0 and 1.0 < 1.0 + data_std * data_std < np.inf
 
     def __init__(
@@ -214,6 +217,11 @@ class AnalyticGaussianDenoiser(Denoiser):
             self.projection = rng.normal((n, self.embedding_dim)) / np.sqrt(self.embedding_dim)
         self.mu.setflags(write=False)
         self.projection.setflags(write=False)
+        # sqrt(abar_t) and the posterior scale of eps* at every t, computed
+        # elementwise by the scalar expressions and so with their bits
+        abar = schedule.alpha_bars
+        self._sqrt_abar = np.sqrt(abar)
+        self._scales = np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
         # P @ e of the last embedding seen in each (role, input shape),
         # matched by identity
         self._proj_cache: dict[tuple, tuple[ConditionEmbedding, np.ndarray]] = {}
@@ -232,19 +240,28 @@ class AnalyticGaussianDenoiser(Denoiser):
         return value
 
     def _product(self, e: ConditionEmbedding) -> np.ndarray:
+        """``P @ e`` as a grid: the cached one if there is one, without
+        caching a new one."""
+        hit = self._proj_cache.get((e.role, self.shape))
+        if hit is not None and hit[0] is e:
+            return hit[1]
+        if self.projection is None:
+            raise CapabilityError("a pixel column predicts only the embeddings it was built with")
         return (self.projection @ e.values).reshape(self.shape)
 
     def at_pixels(self, pixels, embeddings):
-        """Gathers ``mu``, the projection's rows and each embedding's
-        ``P @ e`` at ``pixels``. ``P @ e`` comes from the full product: one
-        over a subset of the rows may sum in another order. The null
-        embedding is this model's own object, which the caches match by
-        identity, and this model's cache is left as it is."""
+        """Gathers ``mu`` and each embedding's ``P @ e`` at ``pixels``.
+        ``P @ e`` comes from the full product, this model's cached one when
+        it has one: a product over a subset of the rows may sum in another
+        order. The column keeps no projection, so it predicts only under
+        ``embeddings`` and has no embedding gradient. The null embedding is
+        this model's own object, which the caches match by identity, and
+        this model's cache is left as it is."""
         pixels = np.asarray(pixels, dtype=np.intp)
         sub = copy.copy(self)
         sub.shape = (pixels.size, 1)
         sub.mu = self.mu.reshape(-1)[pixels].reshape(sub.shape)
-        sub.projection = self.projection[pixels]
+        sub.projection = None
         sub._null = self.null_embedding()
         sub._proj_cache = {
             (e.role, sub.shape): (e, self._product(e).reshape(-1)[pixels].reshape(sub.shape))
@@ -252,32 +269,31 @@ class AnalyticGaussianDenoiser(Denoiser):
         }
         return sub
 
-    def _scale(self, t: int) -> float:
-        abar = self.schedule.alpha_bars[t]
-        return np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
-
     def predict_each(self, x, t, embeddings, out=None):
         """``scale*(x - sqrt(abar)*mu)`` once, in the last prediction's
         buffer, plus ``P @ e`` per embedding."""
+        if embeddings:
+            self.schedule.check_step(t)
         for e in embeddings:
-            self._check_call(x, t, e)
+            self._check_embedding(e)
         if x.shape != self.shape and x.shape[1:] != self.shape:
             raise ContractError(f"grid shape {x.shape} != model shape {self.shape}")
         if out is None:
             out = np.empty((len(embeddings),) + x.shape)
         if len(out):
-            abar = self.schedule.alpha_bars[t]
-            base = np.subtract(x, np.sqrt(abar) * self.mu, out=out[-1])
-            base *= self._scale(t)
+            base = np.subtract(x, self._sqrt_abar[t] * self.mu, out=out[-1])
+            base *= self._scales[t]
             for e, pred in zip(embeddings, out):
                 np.add(base, self._projected(e, x.shape), out=pred)
         return list(out)
 
     def predict_vjp(self, x, t, e, wrt="input"):
         _check_wrt(wrt)
+        if wrt == "embedding" and self.projection is None:
+            raise CapabilityError("a pixel column has no embedding gradient")
         pred = self.predict_each(x, t, [e])[0]
         if wrt == "input":
-            scale = self._scale(t)
+            scale = self._scales[t]
             return pred, lambda loss_grad: scale * np.asarray(loss_grad, dtype=np.float64)
 
         def vjp(loss_grad: np.ndarray) -> np.ndarray:

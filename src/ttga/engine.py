@@ -59,7 +59,8 @@ import numpy as np
 from .denoiser import ConditionEmbedding, Denoiser
 from .errors import ConfigError, ContractError, NumericalAbort
 # cfg_single stays a module attribute: perfbench's tracer wraps it here by name
-from .guidance import GuidanceConfig, cfg_multi, cfg_single  # noqa: F401
+from .guidance import (GuidanceConfig, IdentityCoefficient, cfg_multi,  # noqa: F401
+                       cfg_single, identity_coefficient)
 from .masks import MaskPair, MaskPolicy, make_mask, saliency_relevance
 from .nulltext import NullOptConfig, OptimizedNull, jump_from_tau, optimize_null_text
 from .rng import SeededRng
@@ -149,14 +150,16 @@ def augmentation_path_step(
     g: GuidanceConfig,
     schedule: NoiseSchedule,
     t_out: int | None = None,
-    lambda_r: np.ndarray | None = None,
+    coefficient: IdentityCoefficient | None = None,
     eps_sem: np.ndarray | None = None,
     out: np.ndarray | None = None,
     pred_buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescaled augmentation-path value at step t_out (default t-1); three
     denoiser evaluations, in one call, feed the multi-condition guidance.
-    ``x_t`` may be a stack of latents, with one ``lambda_r`` per item.
+    ``x_t`` may be a stack of latents. ``coefficient``, when given, is
+    ``identity_coefficient(g, x_t.shape, lambda_r)`` with one lambda_r per
+    item; without it every item takes ``g.lambda_r``.
     ``eps_sem``, when given, is ``model.predict(x_t, t, c)`` and is left
     unchanged. The value is written to ``out`` if given; ``pred_buffer``, a
     (3, *x_t.shape) scratch array, holds the predictions and the guidance.
@@ -174,7 +177,7 @@ def augmentation_path_step(
         eps_null, eps_id = model.predict_each(x_t, t, [null, identity], out=pred_buffer[::2])
         pred_buffer[1] = eps_sem
         eps_sem = pred_buffer[1]
-    mixed = cfg_multi(eps_null, eps_sem, eps_id, g, lambda_r, in_place=True)
+    mixed = cfg_multi(eps_null, eps_sem, eps_id, g, in_place=True, coefficient=coefficient)
     mixed *= schedule.gammas[t_out] - schedule.gammas[t]
     xbar = to_xbar(x_t, t, schedule, out=out)
     xbar += mixed
@@ -284,6 +287,7 @@ def _generate(
     # every step runs in this workspace; records take copies
     x_t = np.empty(xbar.shape)
     pred_buffer = np.empty((3,) + xbar.shape)
+    coefficient = identity_coefficient(cfg.guidance, xbar.shape, step_lambda_r)
 
     t = tau
     while t > 0:
@@ -293,7 +297,7 @@ def _generate(
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         augmentation_path_step(
             step_model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
-            lambda_r=step_lambda_r, eps_sem=None if pred is None else pred[0],
+            coefficient=coefficient, eps_sem=None if pred is None else pred[0],
             out=club_bar, pred_buffer=pred_buffer,
         )
         if policy.resample_per_step:

@@ -81,6 +81,39 @@ def cfg_three_term(
     )
 
 
+@dataclass(frozen=True)
+class IdentityCoefficient:
+    """The identity term's coefficient ``lambda_r * (1 - omega)`` for
+    predictions of one shape: ``coeff`` (a float, or one value per item
+    shaped to broadcast over the stack), ``live`` (where it is nonzero) and
+    ``every`` (whether it is nonzero for every item). A loop builds it once
+    and passes it to each ``cfg_multi`` call."""
+
+    shape: tuple
+    coeff: float | np.ndarray
+    live: np.ndarray
+    every: bool
+
+
+def identity_coefficient(g: GuidanceConfig, shape: tuple,
+                         lambda_r: np.ndarray | None = None) -> IdentityCoefficient:
+    """``cfg_multi``'s identity coefficient for predictions of ``shape``;
+    ``lambda_r``, when given, holds one identity scale per item (leading
+    axis) in place of ``g.lambda_r``."""
+    shape = tuple(shape)
+    if lambda_r is None:
+        identity_coeff = coeff = g.lambda_r * (1.0 - g.omega)
+    else:
+        identity_coeff = np.asarray(lambda_r, dtype=np.float64) * (1.0 - g.omega)
+        if identity_coeff.shape != shape[:1]:
+            raise ContractError(
+                f"need one lambda_r per item: {identity_coeff.shape} vs {shape[:1]}"
+            )
+        coeff = identity_coeff.reshape(identity_coeff.shape + (1,) * (len(shape) - 1))
+    live = np.asarray(identity_coeff != 0.0)
+    return IdentityCoefficient(shape, coeff, live, bool(live.all()))
+
+
 def cfg_multi(
     eps_null: np.ndarray,
     eps_sem: np.ndarray,
@@ -88,12 +121,15 @@ def cfg_multi(
     g: GuidanceConfig,
     lambda_r: np.ndarray | None = None,
     in_place: bool = False,
+    coefficient: IdentityCoefficient | None = None,
 ) -> np.ndarray:
     """Three-component guidance with the identity condition carried by the
     optimized null embedding's prediction ``eps_idnull``.
 
     ``lambda_r``, when given, holds one identity scale per item of stacked
-    predictions (leading axis) in place of ``g.lambda_r``.
+    predictions (leading axis) in place of ``g.lambda_r``. ``coefficient``, when
+    given, is ``identity_coefficient(g, eps_null.shape, lambda_r)`` computed
+    beforehand, and ``lambda_r`` is not read.
 
     Terms with an exactly zero coefficient are skipped, per item, so
     degenerate scale settings reduce to the remaining inputs bit-for-bit.
@@ -102,17 +138,12 @@ def cfg_multi(
     ``eps_idnull`` as scratch, with the same arithmetic and so the same bits.
     """
     _check_shapes(eps_null, eps_sem, eps_idnull)
-    if lambda_r is None:
-        identity_coeff = coeff = g.lambda_r * (1.0 - g.omega)
-    else:
-        identity_coeff = np.asarray(lambda_r, dtype=np.float64) * (1.0 - g.omega)
-        if identity_coeff.shape != eps_null.shape[:1]:
-            raise ContractError(
-                f"need one lambda_r per item: {identity_coeff.shape} vs {eps_null.shape[:1]}"
-            )
-        coeff = identity_coeff.reshape(identity_coeff.shape + (1,) * (eps_null.ndim - 1))
-    live = np.asarray(identity_coeff != 0.0)
-    every = live.all()
+    if coefficient is None:
+        coefficient = identity_coefficient(g, eps_null.shape, lambda_r)
+    elif coefficient.shape != eps_null.shape:
+        raise ContractError(
+            f"identity coefficient for shape {coefficient.shape}, predictions {eps_null.shape}")
+    coeff, live, every = coefficient.coeff, coefficient.live, coefficient.every
     # the identity difference first, while eps_sem is intact
     if every:
         d_id = np.subtract(eps_idnull, eps_sem, out=eps_idnull if in_place else None)

@@ -259,12 +259,16 @@ def build_segmenter(cfg: RunConfig, train_scenes: list[ToyScene], log: RunLog) -
 
 
 def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
-                  semantic: ConditionEmbedding, segmenter: Segmenter | None):
+                  semantic: ConditionEmbedding, segmenter: Segmenter | None,
+                  base_prob: np.ndarray | None = None):
     """Relevance provider for attention/hybrid masks, per configuration:
     model-consistency (default), the segmenter's foreground probability on
-    the original image, or raw denoiser saliency."""
+    the original image, or raw denoiser saliency. ``base_prob``, when given,
+    is ``segmenter.segment(scene.image)``."""
     if cfg.relevance_provider == "segmenter":
-        relevance = segmenter.segment(scene.image)[:, :, 1]
+        if base_prob is None:
+            base_prob = segmenter.segment(scene.image)
+        relevance = base_prob[:, :, 1]
         return lambda x, t, pred: relevance
     if cfg.relevance_provider == "saliency":
         return lambda x, t, pred: saliency_relevance(denoiser, x, t, semantic, pred)
@@ -273,16 +277,19 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
 
 def ttga_set(image_id: int, scene: ToyScene, cfg: RunConfig, denoiser: Denoiser,
              semantic: ConditionEmbedding, segmenter: Segmenter | None,
-             trace_dir: Path | None = None) -> AugmentationSet:
+             trace_dir: Path | None = None,
+             base_prob: np.ndarray | None = None) -> AugmentationSet:
     """Image ``image_id``'s TTGA set, on its own stream with the configured
-    relevance; with ``trace_dir``, its null-text trace is written there."""
+    relevance; with ``trace_dir``, its null-text trace is written there.
+    ``base_prob``, when given, is ``segmenter.segment(scene.image)``."""
     rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTGA)
     ttga = cfg.ttga
     if trace_dir is not None:
         trace_path = str(trace_dir / f"nulltext_trace_{image_id:04d}.csv")
         ttga = replace(ttga, null_opt=replace(ttga.null_opt, trace_path=trace_path))
     return generate_set(denoiser, scene.image, semantic, ttga, rng,
-                        relevance_fn=_relevance_fn(cfg, scene, denoiser, semantic, segmenter))
+                        relevance_fn=_relevance_fn(cfg, scene, denoiser, semantic, segmenter,
+                                                   base_prob))
 
 
 def augment_metadata(image_id: int, aset: AugmentationSet) -> list[dict]:
@@ -361,7 +368,8 @@ def evaluate_image(
         per_method["tta"] = (er.mean_probability, error_estimate_map(er))
 
     if "ttga" in methods:
-        aset = ttga_set(image_id, scene, cfg, denoiser, semantic, segmenter)
+        aset = ttga_set(image_id, scene, cfg, denoiser, semantic, segmenter,
+                        base_prob=base_prob)
         er = ensemble([segmenter.segment(a) for a in aset.augmented])
         per_method["ttga"] = (er.mean_probability, error_estimate_map(er))
         result.aug_metadata = augment_metadata(image_id, aset)

@@ -16,7 +16,7 @@ import ttga
 from ttga import checkpoint, cli, gridio, pipeline
 from ttga.cli import main
 from ttga.errors import ConfigError
-from ttga.evalbench import ConvSegmenter, save_segmenter
+from ttga.evalbench import ConvSegmenter, ThresholdSegmenter, save_segmenter
 from ttga.runconfig import RunConfig, load_config_file, resolve_config, write_resolved_config
 
 TINY = [
@@ -226,11 +226,13 @@ def test_blas_threads_default_to_one_unless_set(preset):
 
 
 def test_ttga_does_not_import_scipy_stats():
-    # scipy.stats costs about 43 MB and 0.7 s at start-up; the tests import it
+    # scipy.stats costs about 43 MB and 0.7 s at start-up, and scipy.sparse is
+    # loaded only by the first conv backward; the tests import both
     # themselves, so look in a fresh interpreter
     env = dict(os.environ, PYTHONPATH=str(Path(ttga.__file__).parents[1]))
     probe = ("import sys, ttga, ttga.cli, ttga.pipeline; "
-             "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))")
+             "print(sorted(m for m in sys.modules "
+             "if m.startswith(('scipy.stats', 'scipy.sparse'))))")
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
                           text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
@@ -363,6 +365,21 @@ def test_augment_trains_a_segmenter_only_for_segmenter_relevance(tmp_path, monke
     with pytest.raises(AssertionError, match="augment trained a segmenter"):
         run_cli("augment", "--out", tmp_path / "seg_run", "--count", 1, *TINY,
                 "--set", "relevance_provider=segmenter")
+
+
+def test_evaluate_segments_each_original_once_for_segmenter_relevance(tmp_path, monkeypatch):
+    """With the segmenter as relevance provider, the base segmentation of
+    each test image is also its relevance: one ``segment`` call for the
+    original and one per augmentation."""
+    images = []
+    segment = ThresholdSegmenter.segment
+    monkeypatch.setattr(ThresholdSegmenter, "segment",
+                        lambda self, image: images.append(image) or segment(self, image))
+    out = tmp_path / "seg_relevance"
+    assert run_cli("evaluate", "--out", out, "--seed", 2, *TINY, "--set", "n_test=3",
+                   "--set", "segmenter=threshold", "--set", "relevance_provider=segmenter",
+                   "--set", "mask_scheme=attention", "--methods", "baseline,ttga") == 0
+    assert len(images) == 3 * (1 + 2)  # 3 test images, 2 augmentations each
 
 
 def test_mask_scheme_flag_applies(tmp_path):

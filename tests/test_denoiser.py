@@ -1,3 +1,4 @@
+import copy
 import weakref
 
 import numpy as np
@@ -179,6 +180,61 @@ def test_at_pixels_predicts_the_full_models_bits_at_those_pixels(schedule, rng):
                               want.reshape(3, -1)[item, pix].view(np.int64))
     assert m._proj_cache.keys() == cache.keys()
     assert all(m._proj_cache[key] is cache[key] for key in cache)
+
+
+@pytest.mark.parametrize("data_std", [1.0, 0.37, 2.5, 1e-3, 1.06e-8, 1e150])
+def test_analytic_tables_equal_the_scalar_expressions_at_every_t(schedule, data_std):
+    """sqrt(abar_t) and the posterior scale, tabled once per model, have the
+    bits of the scalar expressions, down to just above the smallest
+    admitted data_std."""
+    assert AnalyticGaussianDenoiser.data_std_ok(1.06e-8)
+    assert not AnalyticGaussianDenoiser.data_std_ok(1.05e-8)
+    m = AnalyticGaussianDenoiser(schedule, (2, 2), 2, data_std=data_std)
+    for t in range(schedule.total_steps + 1):
+        abar = schedule.alpha_bars[t]
+        scale = np.sqrt(1.0 - abar) / (abar * data_std ** 2 + 1.0 - abar)
+        assert m._scales[t].view(np.int64) == scale.view(np.int64)
+        assert m._sqrt_abar[t].view(np.int64) == np.sqrt(abar).view(np.int64)
+    assert np.all(np.isfinite(m._scales))
+
+
+def test_analytic_predict_checks_the_step_before_the_tables(schedule, rng):
+    m = make_analytic(schedule)
+    x = rng.normal((8, 8))
+    for t in (-1, schedule.total_steps + 1):
+        with pytest.raises(IndexError, match="step index"):
+            m.predict_each(x, t, [m.null_embedding(), m.null_embedding()])
+    with pytest.raises(ContractError, match="embedding dim"):
+        m.predict_each(x, 5, [m.null_embedding(), ConditionEmbedding(np.zeros(3))])
+    assert m.predict_each(x, -1, []) == []
+
+
+def test_at_pixels_keeps_no_projection_and_reuses_cached_products(schedule, rng):
+    """The column holds no (L, D) copy of the projection, takes each P @ e
+    from the model's cache when it is there, and predicts only under the
+    embeddings it was built with."""
+    m = make_analytic(schedule, mu=rng.normal((5, 7)), dim=6, shape=(5, 7))
+    embeddings = [m.null_embedding(), ConditionEmbedding(rng.normal(6)),
+                  ConditionEmbedding(rng.normal(6), role="optimized_null")]
+    x = rng.normal((2, 5, 7))
+    full = m.predict_each(x, 40, embeddings)
+    pix = np.flatnonzero(rng.random(35) < 0.5)
+    # a model whose products all come from the cache
+    cached = copy.copy(m)
+    cached.projection = None
+    sub = cached.at_pixels(pix, embeddings)
+    for value in vars(sub).values():
+        if isinstance(value, np.ndarray):
+            assert value.shape != (pix.size, 6) and not np.shares_memory(value, m.projection)
+    column = sub.predict_each(x[1].reshape(-1)[pix].reshape(-1, 1), 40, embeddings)
+    for want, got in zip(full, column):
+        assert np.array_equal(got[:, 0].view(np.int64), want[1].reshape(-1)[pix].view(np.int64))
+    with pytest.raises(CapabilityError, match="embeddings it was built with"):
+        sub.predict(column[0], 40, ConditionEmbedding(rng.normal(6)))
+    with pytest.raises(CapabilityError, match="embedding gradient"):
+        sub.predict_vjp(column[0], 40, embeddings[1], wrt="embedding")
+    with pytest.raises(CapabilityError, match="embeddings it was built with"):
+        cached.at_pixels(pix, [ConditionEmbedding(rng.normal(6))])
 
 
 def test_only_the_analytic_model_is_pixelwise(schedule, conv_model):

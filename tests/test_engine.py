@@ -30,7 +30,8 @@ from ttga import (
 from ttga.denoiser import Denoiser
 from ttga.engine import (_generate, _invert, augmentation_path_step, blend, entropy_bits,
                          select_words)
-from ttga.guidance import cfg_single
+import ttga.engine as engine_module
+from ttga.guidance import cfg_single, identity_coefficient
 from ttga.nulltext import jump_from_tau
 from ttga.errors import ConfigError, ContractError, NumericalAbort
 from ttga.masks import MaskPair, consistency_relevance, saliency_relevance
@@ -250,7 +251,8 @@ def test_loop_replays_the_allocating_step_bit_for_bit(setup, schedule, overrides
     for rec in records:
         club = augmentation_path_step(
             model, from_xbar(xbar, rec["t"], schedule), rec["t"], null_opt, c, cfg.guidance,
-            schedule, t_out=rec["t_out"], lambda_r=np.array(lambdas))
+            schedule, t_out=rec["t_out"],
+            coefficient=identity_coefficient(cfg.guidance, out.shape, np.array(lambdas)))
         assert np.array_equal(rec["club"].view(np.int64), club.view(np.int64))
         sel = np.stack([m.spade for m in rec["masks"]]).astype(bool)
         xbar = np.where(sel, rec["spade"], club)
@@ -345,6 +347,34 @@ def test_only_held_masks_without_records_run_the_club_pixels(wide_setup, monkeyp
     if column:
         spade = _held_masks(model, traj, null_opt, c, cfg)
         assert calls == [int((~spade).sum())]
+
+
+@pytest.mark.parametrize("resample, records", [(False, None), (False, []), (True, None)],
+                         ids=["column", "recorded", "masks_per_step"])
+def test_loop_computes_the_identity_coefficient_once_per_set(wide_setup, monkeypatch,
+                                                             resample, records):
+    """Every step hands ``cfg_multi`` the same identity coefficient, built
+    for the step's prediction shape with one lambda_r per row."""
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=3, lambda_r_low=0.0, lambda_r_high=1.5, club_stride=7,
+                    mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.6,
+                                           resample_per_step=resample))
+    seen = []
+    original = engine_module.cfg_multi
+
+    def cfg_multi(eps_null, *args, coefficient=None, **kwargs):
+        seen.append((coefficient, eps_null.shape))
+        return original(eps_null, *args, coefficient=coefficient, **kwargs)
+
+    monkeypatch.setattr(engine_module, "cfg_multi", cfg_multi)
+    streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+    _generate(model, traj, null_opt, c, cfg, streams, None, records)
+    assert len(seen) == -(-cfg.tau // cfg.club_stride)
+    coefficient = seen[0][0]
+    assert all(k is coefficient and shape == coefficient.shape for k, shape in seen)
+    column = not resample and records is None
+    assert coefficient.shape[1:] == ((1,) if column else model.shape)
+    assert coefficient.live.shape == coefficient.shape[:1]
 
 
 def test_club_pixel_loop_aborts_where_the_full_loop_does(wide_setup, schedule):

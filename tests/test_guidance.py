@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from ttga import GuidanceConfig, SeededRng, cfg_multi, cfg_single
 from ttga.errors import ConfigError, ContractError
-from ttga.guidance import cfg_three_term
+from ttga.guidance import cfg_three_term, identity_coefficient
 
 
 def grids(seed, n=3, shape=(4, 4)):
@@ -146,3 +146,50 @@ def test_cfg_multi_per_item_lambda_r_equals_scalar_calls():
     assert np.all(np.isfinite(got[0]))
     with pytest.raises(ContractError, match="lambda_r"):
         cfg_multi(n, s, i, g, lams[:2])
+
+
+def _special_stacks(seed, shape):
+    """Three prediction stacks with NaN, +-inf and +-0 among normal values."""
+    rng = SeededRng(seed)
+    stacks = [rng.normal(shape) for _ in range(3)]
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+    for k, a in enumerate(stacks):
+        flat = a.reshape(-1)
+        flat[k::4] = specials[(np.arange(flat[k::4].size) + k) % specials.size]
+    return stacks
+
+
+@pytest.mark.parametrize("lams", [
+    [0.0, 0.7, 1.3, 0.0], [0.7, 1.3, 0.5, 1.1], [0.0, 0.0, 0.0, 0.0], None],
+    ids=["some_zero", "all_nonzero", "all_zero", "scalar"])
+@pytest.mark.parametrize("lambda_c", [1.0, 0.0, 0.8])
+@pytest.mark.parametrize("shape", [(4, 3, 5), (4, 1)], ids=["stack", "column"])
+@pytest.mark.parametrize("in_place", [False, True])
+def test_cfg_multi_with_a_precomputed_coefficient_keeps_the_bits(lams, lambda_c, shape,
+                                                                 in_place):
+    """The coefficient computed once gives the lambda_r form's bits,
+    including items whose coefficient is 0 among nonzero ones and inputs
+    holding NaN, +-inf and +-0."""
+    g = GuidanceConfig(omega=2.0, lambda_c=lambda_c, lambda_r=1.0)
+    lambda_r = None if lams is None else np.array(lams)
+    coefficient = identity_coefficient(g, shape, lambda_r)
+    assert coefficient.every == (lams is None or all(lams))
+    for seed in range(3):
+        want_in = _special_stacks(seed, shape)
+        got_in = [a.copy() for a in want_in]
+        with np.errstate(invalid="ignore"):
+            want = cfg_multi(*want_in, g, lambda_r, in_place=in_place)
+            got = cfg_multi(*got_in, g, in_place=in_place, coefficient=coefficient)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+        for a, b in zip(got_in, want_in):
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_cfg_multi_rejects_a_coefficient_for_another_shape():
+    g = GuidanceConfig()
+    n, s, i = SeededRng(11).normal((3, 3, 4, 4))
+    coefficient = identity_coefficient(g, (3, 4, 4), np.array([0.5, 1.0, 1.5]))
+    with pytest.raises(ContractError, match="identity coefficient"):
+        cfg_multi(n[:2], s[:2], i[:2], g, coefficient=coefficient)
+    with pytest.raises(ContractError, match="lambda_r"):
+        identity_coefficient(g, (2, 4, 4), np.array([0.5, 1.0, 1.5]))

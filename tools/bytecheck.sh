@@ -7,10 +7,12 @@
 # `ttga augment --seed 7` on the analytic one twice more with a club stride
 # of 3 and lambda_r fixed at 0 (once with masks redrawn at every step, once
 # with attention masks held and lambda_c at 0, which runs the loop on the
-# club pixels only), and make-data, train-denoiser, train-segmenter and
-# evaluate in turn on the analytic one; and writes the sha256 digests of the
-# evaluation CSVs, both model checkpoints, the augmentation metadata, the
-# traces and the four augment runs' augmented grids to OUT.
+# club pixels only) and once at data_std 0.5, where the analytic model's
+# posterior scale is not the unit-variance one, and make-data,
+# train-denoiser, train-segmenter and evaluate in turn on the analytic one;
+# and writes the sha256 digests of the evaluation CSVs, both model
+# checkpoints, the augmentation metadata, the traces and the five augment
+# runs' augmented grids to OUT.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -56,6 +58,7 @@ run augment augment-steps "${tiny[@]}" --count 2 --set club_stride=3 \
     --set resample_masks_per_step=true --set lambda_r_low=0 --set lambda_r_high=0
 run augment augment-held "${tiny[@]}" --count 2 --set club_stride=3 \
     --set lambda_r_low=0 --set lambda_r_high=0 --set lambda_c=0 --set mask_scheme=attention
+run augment augment-std "${tiny[@]}" --count 2 --set data_std=0.5
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
@@ -88,7 +91,7 @@ for i in 0000 0001; do
         files+=("augment-conv/augment/aug_${i}_$j.f64")
     done
 done
-for name in augment-steps augment-held; do
+for name in augment-steps augment-held augment-std; do
     files+=("$name/augment/metadata.csv")
     for i in 0000 0001; do
         for j in 00 01 02 03 04 05 06 07 08 09; do
