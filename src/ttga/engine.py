@@ -117,14 +117,16 @@ class TtgaConfig:
 class AugmentationItem:
     lambda_r: float
     mask_stream: int
-    reconstruction_loss: float
 
 
 @dataclass(frozen=True)
 class AugmentationSet:
+    """N augmentations of ``original`` and the null-text result they share."""
+
     original: np.ndarray
     augmented: tuple
     per_item: tuple
+    null_opt: OptimizedNull
 
     def __post_init__(self):
         if len(self.augmented) != len(self.per_item):
@@ -190,27 +192,21 @@ def select_words(spade: np.ndarray) -> np.ndarray:
     return -np.asarray(spade, dtype=np.int64)
 
 
-def blend(spade_value: np.ndarray, club_value: np.ndarray,
-          mask: MaskPair | np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Per-pixel selection of ``spade_value`` where the spade mask is 1 and
-    ``club_value`` elsewhere, copying each value's bits (signed zeros, NaN
-    payloads). ``mask`` is a pair, a boolean spade selection with one
-    (H, W) layer per item of a stacked ``club_value``, or the int64
-    ``select_words`` of one. The result goes to ``out`` if given, which must
-    not overlap ``club_value``.
+def blend(spade_value: np.ndarray, club_value: np.ndarray, words: np.ndarray,
+          out: np.ndarray) -> np.ndarray:
+    """Per-pixel selection into ``out`` of ``spade_value`` where the spade
+    mask is 1 and ``club_value`` elsewhere, copying each value's bits (signed
+    zeros, NaN payloads). ``words`` is the ``select_words`` of the spade
+    masks, one (H, W) layer per item of a stacked ``club_value``; ``out``
+    must not overlap ``club_value``.
 
     The select is branch-free, ``club ^ ((club ^ spade) & words)`` on the
     values' int64 bit patterns: ``np.where`` over random masks is bound by
     branch misprediction."""
-    if isinstance(mask, MaskPair):
-        mask = mask.spade
-    words = mask if mask.dtype == np.int64 else select_words(mask)
-    club = np.asarray(club_value, dtype=np.float64).view(np.int64)
-    spade = np.asarray(spade_value, dtype=np.float64).view(np.int64)
-    if out is None:
-        out = np.empty(np.broadcast_shapes(club.shape, spade.shape, words.shape))
-    elif np.may_share_memory(out, club):
+    if np.may_share_memory(out, club_value):
         raise ContractError("blend output must not overlap the club value")
+    club = club_value.view(np.int64)
+    spade = spade_value.view(np.int64)
     bits = np.bitwise_xor(club, spade, out=out.view(np.int64))
     bits &= words
     bits ^= club
@@ -366,15 +362,13 @@ def generate_set(
     )
     streams = [rng.derive(i) for i in range(cfg.n_augment)]
     augmented, lambdas = _generate(model, trajectory, null_opt, c, cfg, streams, relevance_fn)
-    per_item = tuple(
-        AugmentationItem(lambda_r=lam, mask_stream=stream.stream_id,
-                         reconstruction_loss=null_opt.final_loss)
-        for stream, lam in zip(streams, lambdas)
-    )
+    per_item = tuple(AugmentationItem(lambda_r=lam, mask_stream=stream.stream_id)
+                     for stream, lam in zip(streams, lambdas))
     return AugmentationSet(
         original=np.asarray(x0, dtype=np.float64),
         augmented=tuple(augmented),
         per_item=per_item,
+        null_opt=null_opt,
     )
 
 

@@ -235,23 +235,21 @@ def tta_baseline(
     n_views: int,
     rng: SeededRng,
     jitter_sigma: float = 0.02,
-    first_view: np.ndarray | None = None,
+    *,
+    first_view: np.ndarray,
 ) -> EnsembleResult:
     """Flips/rotations plus small intensity jitter; predictions are mapped
     back through the inverse spatial transform and ensembled the same way as
-    generative augmentations. The first view is the untouched image;
-    ``first_view``, when given, is ``seg.segment(image)`` and is not
-    computed again."""
+    generative augmentations. The first view is the untouched image, and
+    ``first_view`` is its prediction ``seg.segment(image)``, which every
+    caller has already computed."""
     if n_views < 1:
         raise ConfigError(f"n_views must be >= 1, got {n_views}")
-    members = []
-    for i in range(n_views):
-        if i == 0 and first_view is not None:
-            members.append(first_view)
-            continue
+    members = [first_view]
+    for i in range(1, n_views):
         op = _SPATIAL_OPS[i % len(_SPATIAL_OPS)]
         view = _spatial(image, *op)
-        if i > 0 and jitter_sigma > 0.0:
+        if jitter_sigma > 0.0:
             view = np.clip(view + jitter_sigma * float(rng.normal()), 0.0, 1.0)
         prob = seg.segment(np.ascontiguousarray(view))
         members.append(np.ascontiguousarray(_spatial_inverse(prob, *op)))

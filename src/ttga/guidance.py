@@ -119,17 +119,15 @@ def cfg_multi(
     eps_sem: np.ndarray,
     eps_idnull: np.ndarray,
     g: GuidanceConfig,
-    lambda_r: np.ndarray | None = None,
     in_place: bool = False,
     coefficient: IdentityCoefficient | None = None,
 ) -> np.ndarray:
     """Three-component guidance with the identity condition carried by the
     optimized null embedding's prediction ``eps_idnull``.
 
-    ``lambda_r``, when given, holds one identity scale per item of stacked
-    predictions (leading axis) in place of ``g.lambda_r``. ``coefficient``, when
-    given, is ``identity_coefficient(g, eps_null.shape, lambda_r)`` computed
-    beforehand, and ``lambda_r`` is not read.
+    ``coefficient``, when given, is ``identity_coefficient(g, eps_null.shape,
+    lambda_r)`` computed beforehand, with one identity scale per item of
+    stacked predictions; without it every item takes ``g.lambda_r``.
 
     Terms with an exactly zero coefficient are skipped, per item, so
     degenerate scale settings reduce to the remaining inputs bit-for-bit.
@@ -139,7 +137,7 @@ def cfg_multi(
     """
     _check_shapes(eps_null, eps_sem, eps_idnull)
     if coefficient is None:
-        coefficient = identity_coefficient(g, eps_null.shape, lambda_r)
+        coefficient = identity_coefficient(g, eps_null.shape)
     elif coefficient.shape != eps_null.shape:
         raise ContractError(
             f"identity coefficient for shape {coefficient.shape}, predictions {eps_null.shape}")

@@ -14,7 +14,6 @@ weights or the semantic condition.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +41,6 @@ class NullOptConfig:
     lr: float = 0.1
     max_steps: int = 500
     early_stop: float = 5e-4
-    trace_path: str | None = None
 
     def __post_init__(self):
         if not 0.0 < self.lr < np.inf:
@@ -56,13 +54,15 @@ class NullOptConfig:
 @dataclass(frozen=True)
 class OptimizedNull:
     """The best null embedding found, with ``identity_noise``: the guided
-    noise at (x_tau, tau) that it reconstructs the image with."""
+    noise at (x_tau, tau) that it reconstructs the image with, and ``trace``:
+    the loss at each iteration from 0."""
 
     embedding: ConditionEmbedding
     tau: int
     final_loss: float
     iterations_used: int
     identity_noise: np.ndarray
+    trace: tuple
 
     def __post_init__(self):
         if self.final_loss < 0.0:
@@ -145,7 +145,7 @@ def optimize_null_text(
     values = np.zeros(model.embedding_dim)
     current_e, vjp, eps_dot, recon, loss = evaluate(values)
     best_e, best_eps, best_loss = current_e, eps_dot, loss
-    trace = [(0, loss)]
+    trace = [loss]
     state = AdamState(dim=values.size, lr=opt_config.lr)
     iterations = 0
     while loss > opt_config.early_stop and iterations < opt_config.max_steps:
@@ -154,16 +154,10 @@ def optimize_null_text(
         values = adam_step(state, values, vjp(upstream))
         iterations += 1
         current_e, vjp, eps_dot, recon, loss = evaluate(values)
-        trace.append((iterations, loss))
+        trace.append(loss)
         if loss < best_loss:
             best_e, best_eps, best_loss = current_e, eps_dot, loss
 
-    if opt_config.trace_path:
-        with open(opt_config.trace_path, "w", newline="") as f:
-            writer = csv.writer(f)
-            writer.writerow(["iteration", "loss"])
-            for it, lo in trace:
-                writer.writerow([it, f"{lo:.12e}"])
-
     return OptimizedNull(embedding=best_e, tau=tau, final_loss=best_loss,
-                         iterations_used=iterations, identity_noise=best_eps)
+                         iterations_used=iterations, identity_noise=best_eps,
+                         trace=tuple(trace))

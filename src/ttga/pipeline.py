@@ -102,18 +102,12 @@ class RunLog:
 # ---- dataset materialization ----
 
 
-def test_difficulties(cfg: RunConfig) -> tuple[Difficulty, Difficulty]:
-    """Occluded and occlusion-free variants of the test difficulty."""
-    occluded = Difficulty(cfg.test_occlusion, cfg.test_blur, cfg.test_noise)
-    clean = Difficulty(0.0, cfg.test_blur, cfg.test_noise)
-    return occluded, clean
-
-
 def build_test_set(cfg: RunConfig) -> list[ToyScene]:
     """Half-occluded, half-unoccluded test scenes (even ids carry the
     occluder) so occlusion-conditional analyses have both subsets."""
     rng = SeededRng(cfg.seed, STREAM_TEST_DATA)
-    occluded, clean = test_difficulties(cfg)
+    occluded = Difficulty(cfg.test_occlusion, cfg.test_blur, cfg.test_noise)
+    clean = Difficulty(0.0, cfg.test_blur, cfg.test_noise)
     scenes = []
     for i in range(cfg.n_test):
         diff = occluded if (i % 2 == 0 and cfg.test_occlusion > 0) else clean
@@ -263,8 +257,11 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
                   base_prob: np.ndarray | None = None):
     """Relevance provider for attention/hybrid masks, per configuration:
     model-consistency (default), the segmenter's foreground probability on
-    the original image, or raw denoiser saliency. ``base_prob``, when given,
-    is ``segmenter.segment(scene.image)``."""
+    the original image, or raw denoiser saliency; None for masks that read
+    no relevance. ``base_prob``, when given, is
+    ``segmenter.segment(scene.image)``."""
+    if not cfg.ttga.mask_policy.needs_relevance:
+        return None
     if cfg.relevance_provider == "segmenter":
         if base_prob is None:
             base_prob = segmenter.segment(scene.image)
@@ -277,24 +274,18 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
 
 def ttga_set(image_id: int, scene: ToyScene, cfg: RunConfig, denoiser: Denoiser,
              semantic: ConditionEmbedding, segmenter: Segmenter | None,
-             trace_dir: Path | None = None,
              base_prob: np.ndarray | None = None) -> AugmentationSet:
     """Image ``image_id``'s TTGA set, on its own stream with the configured
-    relevance; with ``trace_dir``, its null-text trace is written there.
-    ``base_prob``, when given, is ``segmenter.segment(scene.image)``."""
+    relevance. ``base_prob``, when given, is ``segmenter.segment(scene.image)``."""
     rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTGA)
-    ttga = cfg.ttga
-    if trace_dir is not None:
-        trace_path = str(trace_dir / f"nulltext_trace_{image_id:04d}.csv")
-        ttga = replace(ttga, null_opt=replace(ttga.null_opt, trace_path=trace_path))
-    return generate_set(denoiser, scene.image, semantic, ttga, rng,
+    return generate_set(denoiser, scene.image, semantic, cfg.ttga, rng,
                         relevance_fn=_relevance_fn(cfg, scene, denoiser, semantic, segmenter,
                                                    base_prob))
 
 
 def augment_metadata(image_id: int, aset: AugmentationSet) -> list[dict]:
     return [{"image_id": image_id, "aug_index": j, "lambda_r": item.lambda_r,
-             "mask_stream": item.mask_stream, "reconstruction_loss": item.reconstruction_loss}
+             "mask_stream": item.mask_stream, "reconstruction_loss": aset.null_opt.final_loss}
             for j, item in enumerate(aset.per_item)]
 
 
@@ -517,10 +508,11 @@ def cmd_train_segmenter(cfg: RunConfig, log: RunLog) -> Path:
     return ckpt
 
 
-def _load_models(cfg: RunConfig, log: RunLog, with_segmenter: bool = True):
+def _load_models(cfg: RunConfig, log: RunLog, augment: bool = False):
     """Load the model files the config names and check that they agree, then
-    build the models it names no file for; the segmenter only
-    ``with_segmenter`` (else it is None unless loaded)."""
+    build the models the command reads that it names no file for (else None):
+    ``evaluate`` reads the denoiser only for ``ttga``, and ``augment`` reads
+    the segmenter only when its masks read the segmenter relevance."""
     denoiser = semantic = segmenter = None
     if cfg.denoiser_checkpoint:
         denoiser = load_checkpoint(cfg.denoiser_checkpoint, cfg.schedule)
@@ -538,10 +530,14 @@ def _load_models(cfg: RunConfig, log: RunLog, with_segmenter: bool = True):
     if isinstance(denoiser, AnalyticGaussianDenoiser) and denoiser.shape != (cfg.size,) * 2:
         raise ConfigError(f"{cfg.denoiser_checkpoint} has grid {denoiser.shape}, "
                           f"not size {cfg.size}")
-    make_segmenter = segmenter is None and with_segmenter
-    needs_train = denoiser is None or (make_segmenter and cfg.segmenter == "trained")
+    reads_denoiser = augment or "ttga" in cfg.method_list()
+    reads_segmenter = not augment or (cfg.relevance_provider == "segmenter"
+                                      and cfg.ttga.mask_policy.needs_relevance)
+    make_denoiser = denoiser is None and reads_denoiser
+    make_segmenter = segmenter is None and reads_segmenter
+    needs_train = make_denoiser or (make_segmenter and cfg.segmenter == "trained")
     train_scenes = _scenes(cfg, "train") if needs_train else []
-    if denoiser is None:
+    if make_denoiser:
         denoiser = build_denoiser(cfg, cfg.schedule, train_scenes, log)
     if make_segmenter:
         segmenter = build_segmenter(cfg, train_scenes, log)
@@ -549,17 +545,22 @@ def _load_models(cfg: RunConfig, log: RunLog, with_segmenter: bool = True):
 
 
 def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
-    """Augment the first ``count`` test scenes. Only the segmenter relevance
-    reads the segmenter, so no other provider builds one."""
+    """Augment the first ``count`` test scenes; with ``nulltext_trace``, also
+    write each scene's null-text loss per iteration."""
     if count < 1:
         raise ConfigError(f"count must be at least 1, got {count} (flag: --count)")
     scenes = _scenes(cfg, "test")[:count]
-    models = _load_models(cfg, log, with_segmenter=cfg.relevance_provider == "segmenter")
+    models = _load_models(cfg, log, augment=True)
     aug_dir = Path(cfg.out) / "augment"
     aug_dir.mkdir(exist_ok=True)
     metadata = []
     for i, scene in enumerate(scenes):
-        aset = ttga_set(i, scene, cfg, *models, trace_dir=aug_dir if cfg.nulltext_trace else None)
+        aset = ttga_set(i, scene, cfg, *models)
+        if cfg.nulltext_trace:
+            with open(aug_dir / f"nulltext_trace_{i:04d}.csv", "w", newline="") as f:
+                writer = csv.writer(f)
+                writer.writerow(["iteration", "loss"])
+                writer.writerows([it, f"{loss:.12e}"] for it, loss in enumerate(aset.null_opt.trace))
         gridio.save_grid(aug_dir / f"original_{i:04d}.f64", aset.original)
         for j, aug in enumerate(aset.augmented):
             gridio.save_grid(aug_dir / f"aug_{i:04d}_{j:02d}.f64", aug)

@@ -53,12 +53,6 @@ class InversionTrajectory:
     def x_tau(self) -> np.ndarray:
         return self.latents[-1]
 
-    def at(self, step: int) -> np.ndarray:
-        try:
-            return self.latents[self.steps.index(step)]
-        except ValueError:
-            raise KeyError(f"step {step} not on the ladder {self.steps}") from None
-
 
 def inversion_ladder(tau: int, interval: int) -> list[int]:
     """Visited steps 0, interval, 2*interval, ..., tau (short last rung allowed)."""

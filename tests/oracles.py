@@ -115,7 +115,7 @@ def stepwise_nulltext_inversion(model, traj, c, omega, schedule, opt_config):
     embeddings = []
     total_iterations = 0
     for t, t_next in zip(steps_desc[:-1], steps_desc[1:]):
-        target = traj.at(t_next)
+        target = traj.latents[traj.steps.index(t_next)]
         eps_c = model.predict(x, t, c)
         xbar = to_xbar(x, t, schedule)
         dg = schedule.gammas[t_next] - schedule.gammas[t]

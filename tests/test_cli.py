@@ -367,6 +367,28 @@ def test_augment_trains_a_segmenter_only_for_segmenter_relevance(tmp_path, monke
                 "--set", "relevance_provider=segmenter")
 
 
+def test_augment_builds_no_segmenter_for_masks_that_read_no_relevance(tmp_path):
+    out = tmp_path / "aug_run"
+    assert run_cli("augment", "--out", out, "--seed", 2, "--count", 1, *TINY,
+                   "--set", "relevance_provider=segmenter", "--set", "mask_scheme=bernoulli") == 0
+    assert "segmenter" not in (out / "run.log").read_text()
+    assert list((out / "augment").glob("aug_*.f64"))
+
+
+def test_evaluate_builds_no_denoiser_without_ttga(tmp_path, capsys, dim8_models):
+    """The conv denoiser a ttga-free evaluation would train changes no byte;
+    a given denoiser checkpoint is still checked."""
+    args = ("evaluate", "--seed", 2, *TINY, "--set", "n_test=2", "--methods", "baseline,tta")
+    assert run_cli(*args, "--out", tmp_path / "conv", "--set", "denoiser=trainable") == 0
+    assert "denoiser" not in (tmp_path / "conv" / "run.log").read_text()
+    assert run_cli(*args, "--out", tmp_path / "analytic") == 0
+    assert (read_text(tmp_path / "conv" / "eval" / "per_image.csv")
+            == read_text(tmp_path / "analytic" / "eval" / "per_image.csv"))
+    ckpt = dim8_models / "denoiser.ckpt"
+    assert run_cli(*args, "--out", tmp_path / "x", "--set", f"denoiser_checkpoint={ckpt}") == 3
+    assert f"invalid config: {ckpt}" in capsys.readouterr().err
+
+
 def test_evaluate_segments_each_original_once_for_segmenter_relevance(tmp_path, monkeypatch):
     """With the segmenter as relevance provider, the base segmentation of
     each test image is also its relevance: one ``segment`` call for the
@@ -735,3 +757,17 @@ def test_nulltext_trace_emitted_in_augment(tmp_path):
         rows = list(csv.DictReader(f))
     assert rows[0]["iteration"] == "0"
     assert float(rows[-1]["loss"]) <= float(rows[0]["loss"])
+
+
+def test_augment_trace_csv_holds_the_optimization_trace(tmp_path, monkeypatch):
+    sets = []
+    ttga_set = pipeline.ttga_set
+    monkeypatch.setattr(pipeline, "ttga_set", lambda *a: sets.append(ttga_set(*a)) or sets[-1])
+    out = tmp_path / "trace_run"
+    assert run_cli("augment", "--out", out, "--seed", 2, "--count", 2, *TINY,
+                   "--set", "nulltext_trace=true", "--set", "segmenter=threshold") == 0
+    assert len(sets) == 2
+    for i, aset in enumerate(sets):
+        want = "iteration,loss\r\n" + "".join(
+            f"{it},{loss:.12e}\r\n" for it, loss in enumerate(aset.null_opt.trace))
+        assert read_text(out / "augment" / f"nulltext_trace_{i:04d}.csv") == want.encode()

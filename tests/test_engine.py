@@ -135,7 +135,7 @@ def test_blend_is_exact_selection():
     spade_val = rng.normal((6, 6))
     club_val = rng.normal((6, 6))
     mask = MaskPair.from_spade((rng.random((6, 6)) < 0.5).astype(np.uint8))
-    out = blend(spade_val, club_val, mask)
+    out = blend(spade_val, club_val, select_words(mask.spade), np.empty((6, 6)))
     sel = mask.spade.astype(bool)
     assert np.array_equal(out[sel], spade_val[sel])
     assert np.array_equal(out[~sel], club_val[~sel])
@@ -158,16 +158,16 @@ def test_blend_copies_the_bits_np_where_selects(data, n, h, w):
     sel = data.draw(arrays(np.bool_, (n, h, w)))
     pair = MaskPair.from_spade(sel[0].astype(np.uint8))
     out = np.empty_like(club)
-    for mask, spade_sel in ((sel, sel), (pair, sel[0]), (select_words(sel), sel)):
+    for spade_sel in (sel, pair.spade):
         want = np.where(spade_sel, spade, club).view(np.int64)
-        assert np.array_equal(blend(spade, club, mask).view(np.int64), want)
-        assert np.array_equal(blend(spade, club, mask, out=out).view(np.int64), want)
+        got = blend(spade, club, select_words(spade_sel), out)
+        assert got is out and np.array_equal(got.view(np.int64), want)
 
 
 def test_blend_rejects_an_output_over_the_club_value():
     club = np.zeros((2, 3, 3))
     with pytest.raises(ContractError, match="overlap"):
-        blend(np.ones((3, 3)), club, np.ones((2, 3, 3), dtype=bool), out=club)
+        blend(np.ones((3, 3)), club, select_words(np.ones((2, 3, 3))), club)
 
 
 # ---- generate_one ----
@@ -535,8 +535,11 @@ def test_generate_set_shares_one_optimization(setup):
     cfg = small_cfg(n_augment=3)
     aset = generate_set(model, x0, c, cfg, SeededRng(50))
     assert len(aset.augmented) == 3
-    losses = {item.reconstruction_loss for item in aset.per_item}
-    assert len(losses) == 1
+    shared = optimize_null_text(model, _invert(model, x0, c, cfg), c, 2.0, model.schedule,
+                                cfg.null_opt)
+    assert aset.null_opt.final_loss == shared.final_loss
+    assert aset.null_opt.trace == shared.trace
+    assert np.array_equal(aset.null_opt.identity_noise, shared.identity_noise)
     lams = [item.lambda_r for item in aset.per_item]
     assert all(cfg.lambda_r_low <= l <= cfg.lambda_r_high for l in lams)
     assert len(set(lams)) == 3

@@ -8,6 +8,9 @@ from ttga.evalbench import (
     Difficulty,
     SegTrainConfig,
     ThresholdSegmenter,
+    _SPATIAL_OPS,
+    _spatial,
+    _spatial_inverse,
     load_segmenter,
     make_dataset,
     render_scene,
@@ -129,20 +132,28 @@ def test_seg_train_config_validation(kwargs, key):
 
 def test_tta_single_view_equals_plain_prediction(trained_segmenter):
     scene = make_dataset(1, Difficulty(0.6, 0.4, 0.03), SeededRng(8))[0]
-    er = tta_baseline(trained_segmenter, scene.image, 1, SeededRng(9))
+    first = trained_segmenter.segment(scene.image)
+    er = tta_baseline(trained_segmenter, scene.image, 1, SeededRng(9), first_view=first)
     assert np.array_equal(er.mean_probability, trained_segmenter.segment(scene.image))
 
 
 def test_tta_reuses_a_given_first_view_bit_for_bit(trained_segmenter, monkeypatch):
+    """The given first view is member 0, and the other views draw their
+    jitter from the stream in order, as if the first view had drawn none."""
     scene = make_dataset(1, Difficulty(0.6, 0.4, 0.03), SeededRng(8))[0]
-    plain = tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9))
     first = trained_segmenter.segment(scene.image)
+    rng = SeededRng(9)
+    want = [first]
+    for op in _SPATIAL_OPS[1:5]:
+        view = np.clip(_spatial(scene.image, *op) + 0.02 * float(rng.normal()), 0.0, 1.0)
+        prob = trained_segmenter.segment(np.ascontiguousarray(view))
+        want.append(_spatial_inverse(prob, *op))
     images = []
     segment = trained_segmenter.segment
     monkeypatch.setattr(trained_segmenter, "segment", lambda im: images.append(im) or segment(im))
     reused = tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9), first_view=first)
     assert len(images) == 4 and reused.member_probabilities[0] is first
-    for a, b in zip(plain.member_probabilities, reused.member_probabilities):
+    for a, b in zip(want, reused.member_probabilities, strict=True):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
@@ -152,8 +163,8 @@ def test_tta_flip_invariant_case():
     yy, xx = np.mgrid[0:16, 0:16]
     image = 0.2 + 0.6 * (((yy - 7.5) ** 2 + (xx - 7.5) ** 2) <= 20).astype(float)
     seg = ThresholdSegmenter()
-    er = tta_baseline(seg, image, 6, SeededRng(10), jitter_sigma=0.0)
     single = seg.segment(image)
+    er = tta_baseline(seg, image, 6, SeededRng(10), jitter_sigma=0.0, first_view=single)
     assert np.allclose(er.mean_probability, single, atol=1e-12)
     assert np.allclose(er.member_probabilities[3], single, atol=1e-12)
 
@@ -162,8 +173,9 @@ def test_tta_views_are_mapped_back_correctly(trained_segmenter):
     # an asymmetric scene: mapped-back member predictions must stay aligned
     # with the unflipped image (foreground mass near the true disk)
     scene = make_dataset(1, Difficulty(0.0, 0.0, 0.0), SeededRng(12))[0]
-    er = tta_baseline(ThresholdSegmenter(), scene.image, 8, SeededRng(13),
-                      jitter_sigma=0.0)
+    seg = ThresholdSegmenter()
+    er = tta_baseline(seg, scene.image, 8, SeededRng(13), jitter_sigma=0.0,
+                      first_view=seg.segment(scene.image))
     for member in er.member_probabilities:
         assert dice(binarize(member[:, :, 1]), scene.gt_mask) == 100.0
 
@@ -177,14 +189,16 @@ def test_tta_dsc_within_sanity_band_of_baseline(trained_segmenter):
         rng = SeededRng(seed, 77)
         scores = []
         for s in scenes:
-            er = tta_baseline(trained_segmenter, s.image, 10, rng)
+            er = tta_baseline(trained_segmenter, s.image, 10, rng,
+                              first_view=trained_segmenter.segment(s.image))
             scores.append(dice(binarize(er.mean_probability[:, :, 1]), s.gt_mask))
         assert abs(np.mean(scores) - base) <= 2.0
 
 
 def test_tta_rejects_bad_view_count(trained_segmenter):
     with pytest.raises(ConfigError):
-        tta_baseline(trained_segmenter, np.zeros((8, 8)), 0, SeededRng(1))
+        tta_baseline(trained_segmenter, np.zeros((8, 8)), 0, SeededRng(1),
+                     first_view=trained_segmenter.segment(np.zeros((8, 8))))
 
 
 # ---- segmenter checkpoints ----

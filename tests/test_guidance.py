@@ -139,13 +139,13 @@ def test_cfg_multi_per_item_lambda_r_equals_scalar_calls():
     i[0] = np.inf
     lams = np.array([0.0, 0.7, 1.3])
     g = GuidanceConfig(omega=2.0, lambda_c=1.0, lambda_r=1.0)
-    got = cfg_multi(n, s, i, g, lams)
+    got = cfg_multi(n, s, i, g, coefficient=identity_coefficient(g, n.shape, lams))
     for k, lam in enumerate(lams):
         want = cfg_multi(n[k], s[k], i[k], GuidanceConfig(2.0, 1.0, float(lam)))
         assert np.array_equal(got[k], want)
     assert np.all(np.isfinite(got[0]))
     with pytest.raises(ContractError, match="lambda_r"):
-        cfg_multi(n, s, i, g, lams[:2])
+        identity_coefficient(g, n.shape, lams[:2])
 
 
 def _special_stacks(seed, shape):
@@ -167,22 +167,29 @@ def _special_stacks(seed, shape):
 @pytest.mark.parametrize("in_place", [False, True])
 def test_cfg_multi_with_a_precomputed_coefficient_keeps_the_bits(lams, lambda_c, shape,
                                                                  in_place):
-    """The coefficient computed once gives the lambda_r form's bits,
-    including items whose coefficient is 0 among nonzero ones and inputs
-    holding NaN, +-inf and +-0."""
+    """The coefficient computed once gives, item by item, the bits of the
+    scalar call at that item's lambda_r, including items whose coefficient is
+    0 among nonzero ones and inputs holding NaN, +-inf and +-0. The result
+    goes to the unconditional prediction's buffer in place, and otherwise no
+    input changes."""
     g = GuidanceConfig(omega=2.0, lambda_c=lambda_c, lambda_r=1.0)
     lambda_r = None if lams is None else np.array(lams)
     coefficient = identity_coefficient(g, shape, lambda_r)
     assert coefficient.every == (lams is None or all(lams))
+    scales = [1.0] * shape[0] if lams is None else lams
     for seed in range(3):
-        want_in = _special_stacks(seed, shape)
-        got_in = [a.copy() for a in want_in]
+        inputs = _special_stacks(seed, shape)
+        got_in = [a.copy() for a in inputs]
         with np.errstate(invalid="ignore"):
-            want = cfg_multi(*want_in, g, lambda_r, in_place=in_place)
+            want = np.stack([cfg_multi(*(a[k] for a in inputs), GuidanceConfig(2.0, lambda_c, lam))
+                             for k, lam in enumerate(scales)])
             got = cfg_multi(*got_in, g, in_place=in_place, coefficient=coefficient)
         assert np.array_equal(got.view(np.int64), want.view(np.int64))
-        for a, b in zip(got_in, want_in):
-            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+        if in_place:
+            assert got is got_in[0]
+        else:
+            for a, b in zip(got_in, inputs):
+                assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def test_cfg_multi_rejects_a_coefficient_for_another_shape():

@@ -1,4 +1,3 @@
-import csv
 
 import numpy as np
 import pytest
@@ -181,18 +180,32 @@ def test_optimizer_starting_at_minimum_stops_immediately(schedule):
     assert result.final_loss <= 5e-4
 
 
-def test_best_so_far_loss_monotone(schedule, tmp_path):
+def test_best_so_far_loss_monotone(schedule):
     model, c, traj = _invert_scene(schedule, dim=16)
-    trace_path = tmp_path / "trace.csv"
-    optimize_null_text(model, traj, c, 2.0, schedule,
-                       NullOptConfig(lr=0.1, max_steps=120, early_stop=0.0,
-                                     trace_path=str(trace_path)))
-    with open(trace_path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    losses = [float(r["loss"]) for r in rows]
-    assert len(losses) == 121
-    best = np.minimum.accumulate(losses)
+    result = optimize_null_text(model, traj, c, 2.0, schedule,
+                                NullOptConfig(lr=0.1, max_steps=120, early_stop=0.0))
+    assert len(result.trace) == 121
+    best = np.minimum.accumulate(result.trace)
     assert np.all(np.diff(best) <= 0.0)
+
+
+@pytest.mark.parametrize("dim, early_stop", [(16, 0.0), (128, 5e-4)])
+def test_trace_holds_the_loss_of_every_iteration(schedule, dim, early_stop):
+    """One loss per iteration from 0: the first at the zero embedding, and
+    the least of them, not always the last, is the reported loss, bit for
+    bit."""
+    model, c, traj = _invert_scene(schedule, dim=dim)
+    result = optimize_null_text(model, traj, c, 2.0, schedule,
+                                NullOptConfig(lr=0.1, max_steps=200, early_stop=early_stop))
+    assert len(result.trace) == result.iterations_used + 1
+    zero = one_step_reconstruct(model, traj.x_tau, traj.tau, c, model.null_embedding(),
+                                2.0, schedule)
+    assert result.trace[0] == reconstruction_loss(zero, traj.x0)
+    assert min(result.trace) == result.final_loss
+    if early_stop:
+        assert result.iterations_used < 200 and result.trace[-1] <= early_stop
+    else:
+        assert result.trace[-1] > result.final_loss
 
 
 def test_null_loss_gradient_matches_fd_conv(schedule):

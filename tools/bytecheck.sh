@@ -10,9 +10,9 @@
 # club pixels only) and once at data_std 0.5, where the analytic model's
 # posterior scale is not the unit-variance one, and make-data,
 # train-denoiser, train-segmenter and evaluate in turn on the analytic one;
-# and writes the sha256 digests of the evaluation CSVs, both model
-# checkpoints, the augmentation metadata, the traces and the five augment
-# runs' augmented grids to OUT.
+# and writes the sha256 digests of every file these runs write (datasets,
+# model files, CSVs, traces and grids) to OUT, except run.log,
+# resolved-config.txt and data/manifest.csv.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -68,38 +68,8 @@ run evaluate staged/run "${tiny[@]}" --set data_dir="$staged/data" \
     --set segmenter_checkpoint="$staged/models/segmenter.ckpt" \
     --set semantic_embedding="$staged/models/semantic.f64"
 
-files=()
-for name in analytic trainable; do
-    for rel in eval/per_image.csv eval/aggregate.csv eval/augment_metadata.csv \
-               models/denoiser.ckpt models/segmenter.ckpt; do
-        files+=("$name/$rel")
-    done
-done
-for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
-    files+=("augment/augment/$rel")
-done
-for i in 0000 0001; do
-    for j in 00 01 02 03 04 05 06 07 08 09; do
-        files+=("augment/augment/aug_${i}_$j.f64")
-    done
-done
-for rel in metadata.csv nulltext_trace_0000.csv nulltext_trace_0001.csv; do
-    files+=("augment-conv/augment/$rel")
-done
-for i in 0000 0001; do
-    for j in 00 01 02 03; do
-        files+=("augment-conv/augment/aug_${i}_$j.f64")
-    done
-done
-for name in augment-steps augment-held augment-std; do
-    files+=("$name/augment/metadata.csv")
-    for i in 0000 0001; do
-        for j in 00 01 02 03 04 05 06 07 08 09; do
-            files+=("$name/augment/aug_${i}_$j.f64")
-        done
-    done
-done
-for rel in per_image.csv aggregate.csv augment_metadata.csv; do
-    files+=("staged/run/eval/$rel")
-done
-(cd "$runs" && sha256sum "${files[@]}") > "$out"
+# every file the runs wrote but the three that differ between runs of the
+# same tree: run.log (timestamps), resolved-config.txt and data/manifest.csv
+# (both hold the run's temporary paths)
+(cd "$runs" && find . -type f ! -name run.log ! -name resolved-config.txt \
+    ! -path '*/data/manifest.csv' -printf '%P\n' | LC_ALL=C sort | xargs sha256sum) > "$out"
