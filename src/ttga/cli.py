@@ -4,8 +4,9 @@ Subcommands: make-data, train-denoiser, train-segmenter, augment, evaluate,
 full-pipeline, compare-report. Configuration precedence: command-line flags
 override config-file values override built-in defaults.
 
-Exit codes: 0 success; 2 missing file; 3 invalid configuration; 4 numerical
-abort; 5 report schema mismatch; 6 corrupt checkpoint, grid or manifest file.
+Exit codes: 0 success; 2 missing file (or a directory, or a path under a
+file); 3 invalid configuration; 4 numerical abort; 5 report schema mismatch;
+6 corrupt checkpoint, grid or manifest file.
 """
 
 from __future__ import annotations
@@ -117,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
         print(handler(cfg, RunLog(out_dir / "run.log")))
         write_resolved_config(cfg, out_dir / "resolved-config.txt")
         return EXIT_OK
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, IsADirectoryError, NotADirectoryError) as exc:
         print(f"error: missing file: {exc}", file=sys.stderr)
         return EXIT_MISSING_FILE
     except ConfigError as exc:

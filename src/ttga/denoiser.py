@@ -82,10 +82,6 @@ class ConditionEmbedding:
     def dim(self) -> int:
         return self.values.size
 
-    @staticmethod
-    def null(dim: int) -> "ConditionEmbedding":
-        return ConditionEmbedding(np.zeros(dim), role=ROLE_NULL)
-
 
 class Denoiser:
     """Interface shared by all noise predictors. Subclasses implement
@@ -143,7 +139,7 @@ class Denoiser:
 
     @functools.cached_property
     def _null(self) -> ConditionEmbedding:
-        return ConditionEmbedding.null(self.embedding_dim)
+        return ConditionEmbedding(np.zeros(self.embedding_dim), role=ROLE_NULL)
 
     def _check_call(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> None:
         # t = 0 is admitted: inversion ladders evaluate the predictor at the
@@ -642,7 +638,11 @@ def load_checkpoint(path, schedule: NoiseSchedule) -> Denoiser:
         path, (AnalyticGaussianDenoiser.kind, ConvDenoiser.kind))
     if c != 1:
         raise CorruptFileError(f"{path}: {c} grid channels; only single-channel grids are read")
-    if kind == AnalyticGaussianDenoiser.kind:
+    analytic = kind == AnalyticGaussianDenoiser.kind
+    # save_checkpoint writes hidden width 0 for the analytic model and grid 0 x 0 for the net
+    if any((aux,) if analytic else (h, w)):
+        raise CorruptFileError(f"{path}: a {kind} file with grid {(h, w)} and hidden width {aux}")
+    if analytic:
         n = h * w
         if params.size != 1 + n + n * dim:
             raise CorruptFileError(f"{path}: {params.size} parameters do not fit shape {(h, w)}")

@@ -62,9 +62,9 @@ from .errors import ConfigError, ContractError, NumericalAbort
 from .guidance import (GuidanceConfig, IdentityCoefficient, cfg_multi,  # noqa: F401
                        cfg_single, identity_coefficient)
 from .masks import MaskPair, MaskPolicy, make_mask, saliency_relevance
-from .nulltext import NullOptConfig, OptimizedNull, jump_from_tau, optimize_null_text
+from .nulltext import NullOptConfig, OptimizedNull, optimize_null_text
 from .rng import SeededRng
-from .sampler import InversionTrajectory, ddim_invert
+from .sampler import InversionTrajectory, ddim_invert, move
 from .schedule import NoiseSchedule, from_xbar, to_xbar
 
 INVERT_WITH_SEMANTIC = "semantic"
@@ -288,7 +288,7 @@ def _generate(
     t = tau
     while t > 0:
         t_out = max(t - cfg.club_stride, 0)
-        spade_bar = jump_from_tau(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
+        spade_bar = move(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
         from_xbar(xbar, t, schedule, out=x_t)
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         augmentation_path_step(

@@ -200,8 +200,10 @@ def save_segmenter(path, model: Segmenter) -> None:
 
 
 def load_segmenter(path) -> Segmenter:
-    kind, (_dim, _h, _w, _c, aux), params = checkpoint.read(
-        path, (ThresholdSegmenter.kind, ConvSegmenter.kind))
+    kind, fields, params = checkpoint.read(path, (ThresholdSegmenter.kind, ConvSegmenter.kind))
+    aux = fields[4]
+    if fields[:4] != (0, 0, 0, 1) or (kind == ThresholdSegmenter.kind and aux != 0):
+        raise CorruptFileError(f"{path}: header fields {fields} are not those of a segmenter")
     if kind == ThresholdSegmenter.kind and params.size == 2:
         return ThresholdSegmenter(threshold=params[0], sharpness=params[1])
     if kind == ConvSegmenter.kind and aux >= 1:

@@ -15,8 +15,8 @@ from __future__ import annotations
 import numpy as np
 
 
-def binarize(prob: np.ndarray, threshold: float = 0.5) -> np.ndarray:
-    return (np.asarray(prob) >= threshold).astype(np.uint8)
+def binarize(prob: np.ndarray) -> np.ndarray:
+    return (np.asarray(prob) >= 0.5).astype(np.uint8)
 
 
 def dice(pred_binary: np.ndarray, gt_binary: np.ndarray) -> float:

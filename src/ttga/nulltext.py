@@ -22,7 +22,7 @@ from .denoiser import ConditionEmbedding, Denoiser, ROLE_OPTIMIZED_NULL
 from .errors import ConfigError, DegenerateGuidanceError
 from .guidance import cfg_single
 from .optim import AdamState, adam_step
-from .sampler import InversionTrajectory
+from .sampler import InversionTrajectory, move
 from .schedule import NoiseSchedule, to_xbar
 
 __all__ = [
@@ -30,7 +30,6 @@ __all__ = [
     "adam_step",
     "NullOptConfig",
     "OptimizedNull",
-    "jump_from_tau",
     "one_step_reconstruct",
     "optimize_null_text",
 ]
@@ -69,17 +68,6 @@ class OptimizedNull:
             raise ValueError("final_loss must be >= 0")
 
 
-def jump_from_tau(
-    xbar_tau: np.ndarray,
-    tau: int,
-    t_out: int,
-    eps_dot: np.ndarray,
-    schedule: NoiseSchedule,
-) -> np.ndarray:
-    """xbar_{t_out} = xbar_tau + (gamma_{t_out} - gamma_tau) * eps_dot."""
-    return xbar_tau + (schedule.gammas[t_out] - schedule.gammas[tau]) * eps_dot
-
-
 def one_step_reconstruct(
     model: Denoiser,
     x_tau: np.ndarray,
@@ -96,7 +84,7 @@ def one_step_reconstruct(
         model.predict(x_tau, tau, c),
         omega,
     )
-    return jump_from_tau(to_xbar(x_tau, tau, schedule), tau, 0, eps_dot, schedule)
+    return move(to_xbar(x_tau, tau, schedule), tau, 0, eps_dot, schedule)
 
 
 def reconstruction_loss(recon: np.ndarray, x0: np.ndarray) -> float:
@@ -139,7 +127,7 @@ def optimize_null_text(
         e = ConditionEmbedding(values, role=ROLE_OPTIMIZED_NULL)
         eps_e, vjp = model.predict_vjp(x_tau, tau, e, "embedding")
         eps_dot = cfg_single(eps_e, eps_c, omega)
-        recon = jump_from_tau(xbar_tau, tau, 0, eps_dot, schedule)
+        recon = move(xbar_tau, tau, 0, eps_dot, schedule)
         return e, vjp, eps_dot, recon, reconstruction_loss(recon, x0)
 
     values = np.zeros(model.embedding_dim)

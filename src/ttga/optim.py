@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -13,20 +14,19 @@ from .errors import ContractError
 class AdamState:
     """Moment estimates for one parameter vector; moments start at zero."""
 
+    beta1: ClassVar[float] = 0.9
+    beta2: ClassVar[float] = 0.999
+    eps_hat: ClassVar[float] = 1e-8
+
     dim: int
-    lr: float = 0.1
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps_hat: float = 1e-8
-    step_count: int = 0
-    first_moment: np.ndarray = field(default=None)
-    second_moment: np.ndarray = field(default=None)
+    lr: float
+    step_count: int = field(default=0, init=False)
+    first_moment: np.ndarray = field(init=False)
+    second_moment: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.first_moment is None:
-            self.first_moment = np.zeros(self.dim, dtype=np.float64)
-        if self.second_moment is None:
-            self.second_moment = np.zeros(self.dim, dtype=np.float64)
+        self.first_moment = np.zeros(self.dim, dtype=np.float64)
+        self.second_moment = np.zeros(self.dim, dtype=np.float64)
 
 
 def adam_step(state: AdamState, params: np.ndarray, grads: np.ndarray) -> np.ndarray:

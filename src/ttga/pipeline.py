@@ -66,6 +66,7 @@ PER_IMAGE_HEADER = [
     "err_dsc", "err_auc", "err_nsd", "flags",
 ]
 AUGMENT_HEADER = ["image_id", "aug_index", "lambda_r", "mask_stream", "reconstruction_loss"]
+MANIFEST_HEADER = ["scene_id", "split", "occluded", "params", "image_path", "gt_path"]
 AGGREGATE_HEADER = [
     "method", "task",
     "dsc_mean", "dsc_std", "auc_mean", "auc_std",
@@ -84,19 +85,35 @@ def fmt(value: float | None) -> str:
     return f"{value:.6f}"
 
 
-class RunLog:
-    """Sidecar log; the only artifact allowed to carry timestamps."""
+def write_csv(path: Path, header: list[str], rows) -> None:
+    """The one CSV writer: UTF-8, ``\r\n`` line ends, the header then the rows."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f)
+        writer.writerow(header)
+        writer.writerows(rows)
 
-    def __init__(self, path: Path | None):
-        self.path = path
-        self.lines: list[str] = []
+
+def _mean_std(values) -> list[str]:
+    """The mean and sample-stddev cells of some finite values: empty cells
+    for none, and stddev 0 for one."""
+    vals = np.asarray(values, dtype=np.float64)
+    if vals.size == 0:
+        return ["", ""]
+    return [fmt(float(vals.mean())), fmt(float(vals.std(ddof=1)) if vals.size > 1 else 0.0)]
+
+
+@dataclass(frozen=True)
+class RunLog:
+    """Sidecar log; the only artifact allowed to carry timestamps. A log
+    with no path writes nothing."""
+
+    path: Path | None
 
     def write(self, message: str) -> None:
-        stamp = datetime.datetime.now().isoformat(timespec="seconds")
-        self.lines.append(f"{stamp} {message}")
         if self.path is not None:
+            stamp = datetime.datetime.now().isoformat(timespec="seconds")
             with open(self.path, "a") as f:
-                f.write(self.lines[-1] + "\n")
+                f.write(f"{stamp} {message}\n")
 
 
 # ---- dataset materialization ----
@@ -121,7 +138,9 @@ def build_train_set(cfg: RunConfig) -> list[ToyScene]:
     return make_dataset(cfg.n_train, diff, rng, cfg.size)
 
 
-def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str, dump_images: bool) -> list[dict]:
+def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str,
+                  dump_images: bool) -> list[list]:
+    """Write the split's grids; return their ``MANIFEST_HEADER`` rows."""
     split_dir = out_dir / split
     split_dir.mkdir(parents=True, exist_ok=True)
     rows = []
@@ -133,14 +152,8 @@ def write_dataset(scenes: list[ToyScene], out_dir: Path, split: str, dump_images
         if dump_images:
             gridio.save_pgm(split_dir / f"scene_{i:04d}.pgm", scene.image)
             gridio.save_pgm(split_dir / f"gt_{i:04d}.pgm", scene.gt_mask.astype(np.float64))
-        rows.append({
-            "scene_id": i,
-            "split": split,
-            "occluded": int(scene.params.get("occluder") is not None),
-            "params": json.dumps(scene.params, sort_keys=True),
-            "image_path": str(image_path),
-            "gt_path": str(gt_path),
-        })
+        rows.append([i, split, int(scene.params.get("occluder") is not None),
+                     json.dumps(scene.params, sort_keys=True), str(image_path), str(gt_path)])
     return rows
 
 
@@ -290,12 +303,9 @@ def augment_metadata(image_id: int, aset: AugmentationSet) -> list[dict]:
 
 
 def write_augment_metadata(path: Path, rows: list[dict]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(AUGMENT_HEADER)
-        for m in rows:
-            writer.writerow([m["image_id"], m["aug_index"], fmt(m["lambda_r"]),
-                             m["mask_stream"], fmt(m["reconstruction_loss"])])
+    write_csv(path, AUGMENT_HEADER, ([m["image_id"], m["aug_index"], fmt(m["lambda_r"]),
+                                      m["mask_stream"], fmt(m["reconstruction_loss"])]
+                                     for m in rows))
 
 
 # ---- per-image evaluation ----
@@ -387,19 +397,11 @@ def _aggregate(rows: list[dict], methods: list[str]) -> list[list[str]]:
             record = [method, task]
             n_used = 0
             for metric in ("dsc", "auc", "hd95", "nsd"):
-                if metric not in keys:
-                    record.extend(["", ""])
-                    continue
                 col = "err_" + metric if task == "error_estimation" else metric
-                vals = np.array([r[col] for r in mrows], dtype=np.float64)
+                vals = np.array([r[col] for r in mrows if metric in keys], dtype=np.float64)
                 vals = vals[np.isfinite(vals)]
                 n_used = max(n_used, vals.size)
-                if vals.size == 0:
-                    record.extend(["", ""])
-                elif vals.size == 1:
-                    record.extend([fmt(float(vals[0])), fmt(0.0)])
-                else:
-                    record.extend([fmt(float(vals.mean())), fmt(float(vals.std(ddof=1)))])
+                record.extend(_mean_std(vals))
             record.append(str(n_used))
             out.append(record)
     return out
@@ -422,21 +424,11 @@ def run_evaluation(
                for i, scene in enumerate(scenes)]
 
     rows = [row for res in results for row in res.rows]
-    with open(eval_dir / "per_image.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(PER_IMAGE_HEADER)
-        for row in rows:
-            writer.writerow([
-                row["image_id"], row["method"], row["occluded"],
-                fmt(row["dsc"]), fmt(row["auc"]), fmt(row["hd95"]), fmt(row["nsd"]),
-                fmt(row["err_dsc"]), fmt(row["err_auc"]), fmt(row["err_nsd"]),
-                row["flags"],
-            ])
-
-    with open(eval_dir / "aggregate.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(AGGREGATE_HEADER)
-        writer.writerows(_aggregate(rows, cfg.method_list()))
+    metrics = PER_IMAGE_HEADER[3:10]
+    write_csv(eval_dir / "per_image.csv", PER_IMAGE_HEADER,
+              ([fmt(row[key]) if key in metrics else row[key] for key in PER_IMAGE_HEADER]
+               for row in rows))
+    write_csv(eval_dir / "aggregate.csv", AGGREGATE_HEADER, _aggregate(rows, cfg.method_list()))
 
     metadata = [m for res in results for m in res.aug_metadata]
     if metadata:
@@ -469,12 +461,7 @@ def cmd_make_data(cfg: RunConfig, log: RunLog) -> Path:
     data_dir.mkdir(parents=True, exist_ok=True)
     rows = write_dataset(build_train_set(cfg), data_dir, "train", cfg.dump_images)
     rows += write_dataset(build_test_set(cfg), data_dir, "test", cfg.dump_images)
-    with open(data_dir / "manifest.csv", "w", newline="", encoding="utf-8") as f:
-        writer = csv.DictWriter(
-            f, fieldnames=["scene_id", "split", "occluded", "params", "image_path", "gt_path"]
-        )
-        writer.writeheader()
-        writer.writerows(rows)
+    write_csv(data_dir / "manifest.csv", MANIFEST_HEADER, rows)
     log.write(f"wrote dataset: {cfg.n_train} train / {cfg.n_test} test")
     return data_dir
 
@@ -557,10 +544,8 @@ def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
     for i, scene in enumerate(scenes):
         aset = ttga_set(i, scene, cfg, *models)
         if cfg.nulltext_trace:
-            with open(aug_dir / f"nulltext_trace_{i:04d}.csv", "w", newline="") as f:
-                writer = csv.writer(f)
-                writer.writerow(["iteration", "loss"])
-                writer.writerows([it, f"{loss:.12e}"] for it, loss in enumerate(aset.null_opt.trace))
+            write_csv(aug_dir / f"nulltext_trace_{i:04d}.csv", ["iteration", "loss"],
+                      ([it, f"{loss:.12e}"] for it, loss in enumerate(aset.null_opt.trace)))
         gridio.save_grid(aug_dir / f"original_{i:04d}.f64", aset.original)
         for j, aug in enumerate(aset.augmented):
             gridio.save_grid(aug_dir / f"aug_{i:04d}_{j:02d}.f64", aug)
@@ -647,15 +632,13 @@ def compare_report(run_dirs: list[str], out_path: str, plot: bool = False) -> Pa
             if all(v == "" for v in values):
                 continue
             floats = [float(v) for v in values if v != ""]
-            mean = float(np.mean(floats))
-            std = float(np.std(floats, ddof=1)) if len(floats) > 1 else 0.0
-            merged_rows.append([key[0], key[1], metric, *values, fmt(mean), fmt(std)])
+            merged_rows.append([key[0], key[1], metric, *values, *_mean_std(floats)])
 
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(out_path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "task", "metric", *labels, "mean", "std"])
-        writer.writerows(merged_rows)
+    try:
+        out_path.parent.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError):
+        raise ConfigError(f"--out {out_path} lies under a file") from None
+    write_csv(out_path, ["method", "task", "metric", *labels, "mean", "std"], merged_rows)
 
     if plot:
         _write_plots(out_path.parent, labels, merged_rows)

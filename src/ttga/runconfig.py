@@ -204,7 +204,7 @@ def load_config_file(path) -> dict:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
-    except (IsADirectoryError, UnicodeDecodeError) as exc:
+    except (IsADirectoryError, NotADirectoryError, UnicodeDecodeError) as exc:
         raise ConfigError(f"--config {path} is not a UTF-8 text file: {exc}") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):

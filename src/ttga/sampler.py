@@ -63,6 +63,13 @@ def inversion_ladder(tau: int, interval: int) -> list[int]:
     return steps
 
 
+def move(xbar_t: np.ndarray, t: int, u: int, eps: np.ndarray,
+         schedule: NoiseSchedule) -> np.ndarray:
+    """The straight-line move xbar_u = xbar_t + (gamma_u - gamma_t) * eps, down
+    (u < t) or up (u > t) the schedule."""
+    return xbar_t + (schedule.gammas[u] - schedule.gammas[t]) * eps
+
+
 def ddim_step(
     model: Denoiser,
     x_t: np.ndarray,
@@ -76,9 +83,7 @@ def ddim_step(
     schedule.check_step(t_next)
     if t_next >= t:
         raise ContractError(f"ddim_step requires t_next < t, got {t_next} >= {t}")
-    eps = model.predict(x_t, t, e)
-    xbar = to_xbar(x_t, t, schedule)
-    xbar_next = xbar + (schedule.gammas[t_next] - schedule.gammas[t]) * eps
+    xbar_next = move(to_xbar(x_t, t, schedule), t, t_next, model.predict(x_t, t, e), schedule)
     return ensure_finite(from_xbar(xbar_next, t_next, schedule), f"ddim_step to t={t_next}")
 
 
@@ -106,8 +111,8 @@ def ddim_invert(
 ) -> InversionTrajectory:
     """Walk x0 up the ladder to tau, recording every visited latent.
 
-    Each rung u -> t applies xbar_t = xbar_u + (gamma_t - gamma_u) * eps(x_u, u);
-    no guidance mixing is applied during inversion.
+    Each rung u -> t is the upward ``move`` along eps(x_u, u); no guidance
+    mixing is applied during inversion.
     """
     schedule.check_step(tau, low=1)
     steps = inversion_ladder(tau, interval)
@@ -115,9 +120,6 @@ def ddim_invert(
     latents = [x]
     xbar = to_xbar(x, 0, schedule)
     for u, t in zip(steps[:-1], steps[1:]):
-        eps = model.predict(latents[-1], u, e)
-        xbar = xbar + (schedule.gammas[t] - schedule.gammas[u]) * eps
-        x_t = from_xbar(xbar, t, schedule)
-        ensure_finite(x_t, f"ddim_invert at t={t}")
-        latents.append(x_t)
+        xbar = move(xbar, u, t, model.predict(latents[-1], u, e), schedule)
+        latents.append(ensure_finite(from_xbar(xbar, t, schedule), f"ddim_invert at t={t}"))
     return InversionTrajectory(steps=tuple(steps), latents=tuple(latents))

@@ -189,13 +189,20 @@ def test_compare_report_runs_must_hold_the_same_rows(tmp_path, capsys, pipeline_
 
 
 @pytest.mark.parametrize("case", ["config_directory", "config_not_utf8", "out_is_a_file",
-                                  "out_under_a_file", "compare_out_is_a_directory"])
+                                  "out_under_a_file", "compare_out_is_a_directory",
+                                  "config_under_a_file", "compare_out_under_a_file"])
 def test_unusable_path_exits_3(tmp_path, capsys, pipeline_run, case):
     a_file = tmp_path / "a_file"
     a_file.write_text("not a directory\n")
     out = tmp_path / "x"
     if case == "config_directory":
         named, args = tmp_path, ("evaluate", "--config", tmp_path, "--out", out)
+    elif case == "config_under_a_file":
+        named = a_file / "x.cfg"
+        args = ("evaluate", "--config", named, "--out", out)
+    elif case == "compare_out_under_a_file":
+        named = a_file / "c.csv"
+        args = ("compare-report", pipeline_run, "--out", named)
     elif case == "config_not_utf8":
         named = tmp_path / "latin1.cfg"
         named.write_bytes(b"tau = 40  # caf\xe9\n")
@@ -210,6 +217,15 @@ def test_unusable_path_exits_3(tmp_path, capsys, pipeline_run, case):
     err = capsys.readouterr().err
     assert str(named) in err and "Traceback" not in err
     assert not out.exists() and a_file.read_text() == "not a directory\n"
+
+
+def test_compare_report_run_that_is_a_file_exits_2(tmp_path, capsys, pipeline_run):
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a run directory\n")
+    assert run_cli("compare-report", pipeline_run, a_file, "--out", tmp_path / "cmp.csv") == 2
+    err = capsys.readouterr().err
+    assert str(a_file) in err and "Traceback" not in err
+    assert not (tmp_path / "cmp.csv").exists()
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -522,11 +538,16 @@ def test_disagreeing_model_files_exit_3_before_training(tmp_path, capsys, dim8_m
 @pytest.mark.parametrize("field", ["denoiser_checkpoint", "segmenter_checkpoint",
                                    "semantic_embedding", "data_dir"])
 def test_evaluate_missing_checkpoint_exit_2(tmp_path, capsys, field):
-    missing = tmp_path / "absent"
-    assert run_cli("evaluate", "--out", tmp_path / "x", *TINY,
-                   "--set", f"{field}={missing}") == 2
-    err = capsys.readouterr().err
-    assert str(missing) in err and "Traceback" not in err
+    """The path is absent, of the wrong kind (a directory for a file, a file
+    for ``data_dir``) or under a file."""
+    a_file = tmp_path / "a_file"
+    a_file.write_text("not a directory\n")
+    wrong_kind = a_file if field == "data_dir" else tmp_path
+    for named in (tmp_path / "absent", wrong_kind, a_file / "x"):
+        assert run_cli("evaluate", "--out", tmp_path / "x", *TINY,
+                       "--set", f"{field}={named}") == 2, named
+        err = capsys.readouterr().err
+        assert str(named) in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("field", ["denoiser_checkpoint", "segmenter_checkpoint"])
@@ -561,8 +582,14 @@ def _write_bad_checkpoint(path, case):
         in_ch = 3 + dim + 8
         count = 9 * in_ch * hidden + hidden + 2 * (9 * hidden + 1) * hidden + 9 * hidden * 3 + 3
         checkpoint.write(path, "trainable_net", (dim, 0, 0, 3, hidden), np.zeros(count))
+    elif case == "analytic_hidden_width":
+        checkpoint.write(path, "analytic_gaussian", (dim, 24, 24, 1, hidden), analytic)
+    elif case == "conv_grid":
+        checkpoint.write(path, "trainable_net", (dim, 24, 24, 1, hidden), np.zeros(4))
     elif case == "segmenter_hidden_0":
         checkpoint.write(path, "trained_net", (0, 0, 0, 1, 0), np.zeros(3))
+    elif case == "segmenter_grid":
+        checkpoint.write(path, "trained_net", (dim, 24, 24, 1, hidden), np.zeros(3))
     else:
         save_segmenter(path, ConvSegmenter(hidden=hidden))
         _nan_last_parameter(path)
@@ -575,7 +602,10 @@ BAD_CHECKPOINTS = {
     "analytic_nan": ("denoiser_checkpoint", "non-finite parameters"),
     "conv_hidden_0": ("denoiser_checkpoint", "hidden width 0"),
     "conv_three_channels": ("denoiser_checkpoint", "3 grid channels"),
+    "analytic_hidden_width": ("denoiser_checkpoint", "grid (24, 24) and hidden width 4"),
+    "conv_grid": ("denoiser_checkpoint", "grid (24, 24) and hidden width 4"),
     "segmenter_hidden_0": ("segmenter_checkpoint", "hidden width 0"),
+    "segmenter_grid": ("segmenter_checkpoint", "header fields (64, 24, 24, 1, 4)"),
     "segmenter_nan": ("segmenter_checkpoint", "non-finite parameters"),
 }
 
@@ -716,6 +746,38 @@ def test_non_finite_grid_file_exits_6_before_training(tmp_path, capsys, made_dat
                    "--set", f"semantic_embedding={semantic}") == 6
     err = capsys.readouterr().err
     assert path.name in err and "non-finite values" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
+def test_grid_path_that_is_a_directory_exits_2_before_training(tmp_path, capsys, made_data):
+    data = tmp_path / "data"
+    shutil.copytree(made_data, data)
+    scene = data / "test" / "scene_0000.f64"
+    scene.unlink()
+    scene.mkdir()
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY, "--set", f"data_dir={data}") == 2
+    err = capsys.readouterr().err
+    assert str(scene) in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
+@pytest.mark.parametrize("role, channels", [("semantic", 2), ("scene", 3)])
+def test_grid_of_several_channels_exits_6_before_training(tmp_path, capsys, made_data, role,
+                                                          channels):
+    data = tmp_path / "data"
+    shutil.copytree(made_data, data)
+    semantic = tmp_path / "semantic.f64"
+    gridio.save_grid(semantic, np.zeros((1, 64)))
+    path, h, w = {"semantic": (semantic, 1, 32),
+                  "scene": (data / "test" / "scene_0000.f64", 24, 24)}[role]
+    path.write_bytes(struct.pack("<4sIII", b"TTGA", h, w, channels)
+                     + np.full(h * w * channels, 0.5).tobytes())
+    out = tmp_path / "x"
+    assert run_cli("evaluate", "--out", out, *TINY, "--set", f"data_dir={data}",
+                   "--set", f"semantic_embedding={semantic}") == 6
+    err = capsys.readouterr().err
+    assert f"{path}: {channels} channels, not 1" in err and "Traceback" not in err
     assert not (out / "run.log").exists()
 
 

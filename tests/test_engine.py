@@ -32,7 +32,7 @@ from ttga.engine import (_generate, _invert, augmentation_path_step, blend, entr
                          select_words)
 import ttga.engine as engine_module
 from ttga.guidance import cfg_single, identity_coefficient
-from ttga.nulltext import jump_from_tau
+from ttga.sampler import move
 from ttga.errors import ConfigError, ContractError, NumericalAbort
 from ttga.masks import MaskPair, consistency_relevance, saliency_relevance
 
@@ -77,8 +77,7 @@ def test_identity_path_jumps_along_identity_noise(setup, schedule):
                  record_steps=records)
     xbar_tau = to_xbar(traj.x_tau, traj.tau, schedule)
     for rec in records:
-        expected = jump_from_tau(xbar_tau, traj.tau, rec["t_out"], null_opt.identity_noise,
-                                 schedule)
+        expected = move(xbar_tau, traj.tau, rec["t_out"], null_opt.identity_noise, schedule)
         assert np.array_equal(rec["spade"], expected)
     assert records[-1]["t_out"] == 0
     rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding,

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -13,11 +15,13 @@ def test_raw_round_trip_2d(tmp_path, rng):
     assert np.array_equal(gridio.load_grid(path), grid)
 
 
-def test_raw_round_trip_3d(tmp_path, rng):
-    grid = rng.normal((4, 6, 3))
+@pytest.mark.parametrize("channels", [0, 2, 3])
+def test_channel_count_other_than_one_rejected(tmp_path, channels):
     path = tmp_path / "g.f64"
-    gridio.save_grid(path, grid)
-    assert np.array_equal(gridio.load_grid(path), grid)
+    values = np.zeros(4 * 6 * channels)
+    path.write_bytes(struct.pack("<4sIII", b"TTGA", 4, 6, channels) + values.tobytes())
+    with pytest.raises(CorruptFileError, match=f"{channels} channels"):
+        gridio.load_grid(path)
 
 
 def test_header_layout(tmp_path):

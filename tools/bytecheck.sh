@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Byte-level regression check: runs `ttga full-pipeline --seed 7` from the
-# sources under SRC on two tiny configurations (the analytic denoiser, and a
-# trained conv denoiser with masks redrawn at every step), `ttga augment
+# sources under SRC on two tiny configurations (the analytic denoiser, with
+# --dump-images, and a trained conv denoiser with masks redrawn at every
+# step), `ttga compare-report --plot` over those two runs, `ttga augment
 # --seed 7` with null-text traces on the analytic one and on the conv one
 # (masks held, saliency relevance, a fixed number of null-text iterations),
 # `ttga augment --seed 7` on the analytic one twice more with a club stride
@@ -11,8 +12,8 @@
 # posterior scale is not the unit-variance one, and make-data,
 # train-denoiser, train-segmenter and evaluate in turn on the analytic one;
 # and writes the sha256 digests of every file these runs write (datasets,
-# model files, CSVs, traces and grids) to OUT, except run.log,
-# resolved-config.txt and data/manifest.csv.
+# model files, CSVs, traces, grids, PGM dumps and SVG plots) to OUT, except
+# run.log, resolved-config.txt and data/manifest.csv.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
@@ -48,8 +49,10 @@ run() {
     PYTHONPATH="$src" python3 -m ttga "$command" --out "$runs/$name" --seed 7 "$@" >/dev/null
 }
 
-run full-pipeline analytic "${tiny[@]}"
+run full-pipeline analytic "${tiny[@]}" --dump-images
 run full-pipeline trainable "${tiny[@]}" "${trainable[@]}"
+PYTHONPATH="$src" python3 -m ttga compare-report "$runs/analytic" "$runs/trainable" \
+    --out "$runs/compare/compare.csv" --plot >/dev/null
 run augment augment "${tiny[@]}" --count 2 --set nulltext_trace=true
 run augment augment-conv "${tiny[@]}" "${trainable[@]}" --count 2 \
     --set resample_masks_per_step=false --set relevance_provider=saliency \
