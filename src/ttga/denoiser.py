@@ -318,6 +318,8 @@ class ConvStack:
 
     Parameters do not require gradients outside ``fit``, so an inference
     call builds no weight-gradient graph and leaves no ``.grad`` behind.
+    The conv models read an (H, W) grid or an (N, H, W) stack, shaped by
+    ``_prepare`` and ``_restore``.
     """
 
     KERNEL = 3
@@ -348,6 +350,19 @@ class ConvStack:
             n = p.data.size
             p.data = flat[i:i + n].reshape(p.data.shape).astype(np.float64)
             i += n
+
+    @staticmethod
+    def _prepare(x: np.ndarray):
+        """(B, H, W, 1) batch of the input, and whether it was a stack."""
+        arr = np.asarray(x, dtype=np.float64)
+        if arr.ndim not in (2, 3):
+            raise ContractError(f"expected an (H, W) grid or (N, H, W) stack, got {arr.shape}")
+        stacked = arr.ndim == 3
+        return (arr if stacked else arr[None])[..., None], stacked
+
+    @staticmethod
+    def _restore(out: np.ndarray, stacked: bool) -> np.ndarray:
+        return out[..., 0] if stacked else out[0, ..., 0]
 
     def forward(self, x: Tensor) -> Tensor:
         """(B, H, W, C_in) -> (B, H, W, C_out) through every layer."""
@@ -396,19 +411,6 @@ class ConvDenoiser(ConvStack, Denoiser):
         """Network input: the image channel, then the embedding and the time
         features, (B|1, 1, 1, C) each, broadcast over the (B, H, W) grid."""
         return concat_channels([x, emb, feats])
-
-    @staticmethod
-    def _prepare(x: np.ndarray):
-        """(B, H, W, 1) batch of the input, and whether it was a stack."""
-        arr = np.asarray(x, dtype=np.float64)
-        if arr.ndim not in (2, 3):
-            raise ContractError(f"expected an (H, W) grid or (N, H, W) stack, got {arr.shape}")
-        stacked = arr.ndim == 3
-        return (arr if stacked else arr[None])[..., None], stacked
-
-    @staticmethod
-    def _restore(out: np.ndarray, stacked: bool) -> np.ndarray:
-        return out[..., 0] if stacked else out[0, ..., 0]
 
     def _forward(self, xb: Tensor, t: int, emb: Tensor) -> Tensor:
         feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))

@@ -45,8 +45,9 @@ scattered over the identity-path value at t = 0. The finite check reads the
 column and the spade pixels that some item keeps, which are exactly the
 values of the full loop's blended latent, so it aborts at the same step.
 
-The ensemble averages member probability grids and reads per-pixel
-uncertainty from the Shannon entropy of the averaged distribution.
+The ensemble averages an (N, H, W, K) stack of member probability grids
+and reads per-pixel uncertainty from the Shannon entropy of the averaged
+distribution.
 """
 
 from __future__ import annotations
@@ -124,23 +125,20 @@ class AugmentationSet:
     """N augmentations of ``original`` and the null-text result they share."""
 
     original: np.ndarray
-    augmented: tuple
+    augmented: np.ndarray          # (N, *original.shape)
     per_item: tuple
     null_opt: OptimizedNull
 
     def __post_init__(self):
-        if len(self.augmented) != len(self.per_item):
-            raise ContractError("augmented/per_item length mismatch")
-        for g in self.augmented:
-            if g.shape != self.original.shape:
-                raise ContractError("augmented grids must share the original's shape")
+        if self.augmented.shape != (len(self.per_item),) + self.original.shape:
+            raise ContractError("augmented must stack one original-shaped grid per item")
 
 
 @dataclass(frozen=True)
 class EnsembleResult:
     mean_probability: np.ndarray   # (H, W, K)
     entropy_map: np.ndarray        # (H, W), bits
-    member_probabilities: tuple
+    member_probabilities: np.ndarray  # (N, H, W, K)
 
 
 def augmentation_path_step(
@@ -366,7 +364,7 @@ def generate_set(
                      for stream, lam in zip(streams, lambdas))
     return AugmentationSet(
         original=np.asarray(x0, dtype=np.float64),
-        augmented=tuple(augmented),
+        augmented=augmented,
         per_item=per_item,
         null_opt=null_opt,
     )
@@ -380,25 +378,19 @@ def entropy_bits(prob: np.ndarray) -> np.ndarray:
     return -terms.sum(axis=-1)
 
 
-def ensemble(predictions: Sequence[np.ndarray]) -> EnsembleResult:
-    """Average member probability grids and compute the per-pixel entropy of
-    the averaged distribution."""
-    if len(predictions) < 1:
-        raise ContractError("ensemble needs at least one member")
-    members = [np.asarray(p, dtype=np.float64) for p in predictions]
-    shape = members[0].shape
-    for p in members:
-        if p.shape != shape:
-            raise ContractError(f"member shape {p.shape} != {shape}")
-        if p.ndim != 3:
-            raise ContractError("members must be (H, W, K) probability grids")
-        if p.min() < -1e-12 or np.abs(p.sum(axis=-1) - 1.0).max() > 1e-6:
-            raise ContractError("member rows must be probability vectors")
-    mean = np.mean(members, axis=0)
+def ensemble(members: np.ndarray) -> EnsembleResult:
+    """Average an (N, H, W, K) stack of member probability grids and compute
+    the per-pixel entropy of the averaged distribution."""
+    members = np.asarray(members, dtype=np.float64)
+    if members.ndim != 4 or len(members) < 1:
+        raise ContractError(f"members must be an (N >= 1, H, W, K) stack, got {members.shape}")
+    if members.min() < -1e-12 or np.abs(members.sum(axis=-1) - 1.0).max() > 1e-6:
+        raise ContractError("member rows must be probability vectors")
+    mean = members.mean(axis=0)
     return EnsembleResult(
         mean_probability=mean,
         entropy_map=entropy_bits(mean),
-        member_probabilities=tuple(members),
+        member_probabilities=members,
     )
 
 

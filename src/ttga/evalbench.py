@@ -113,7 +113,8 @@ class Segmenter:
     kind: str
 
     def segment(self, image: np.ndarray) -> np.ndarray:
-        """Per-pixel class probabilities, shape (H, W, 2): background, foreground."""
+        """Background and foreground probabilities: (H, W, 2) for an (H, W) image;
+        for an (N, H, W) stack, the stack of the one-image calls, bit for bit."""
         raise NotImplementedError
 
 
@@ -125,8 +126,8 @@ class ThresholdSegmenter(Segmenter):
         self.sharpness = float(sharpness)
 
     def segment(self, image: np.ndarray) -> np.ndarray:
-        if image.ndim != 2:
-            raise ContractError(f"expected a 2-D image, got shape {image.shape}")
+        if image.ndim not in (2, 3):
+            raise ContractError(f"expected an (H, W) image or (N, H, W) stack, got {image.shape}")
         p_fg = 1.0 / (1.0 + np.exp(-self.sharpness * (image - self.threshold)))
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
@@ -144,10 +145,8 @@ class ConvSegmenter(ConvStack, Segmenter):
         return super().forward(x).sigmoid()
 
     def segment(self, image: np.ndarray) -> np.ndarray:
-        if image.ndim != 2:
-            raise ContractError(f"expected a 2-D image, got shape {image.shape}")
-        x = Tensor(image[None, :, :, None])
-        p_fg = self.forward(x).data[0, :, :, 0]
+        xb, stacked = self._prepare(image)
+        p_fg = self._restore(self.forward(Tensor(xb)).data, stacked)
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
 
@@ -240,19 +239,22 @@ def tta_baseline(
     *,
     first_view: np.ndarray,
 ) -> EnsembleResult:
-    """Flips/rotations plus small intensity jitter; predictions are mapped
-    back through the inverse spatial transform and ensembled the same way as
+    """Flips/rotations of a square image plus small intensity jitter; the
+    views are segmented as one stack, their predictions are mapped back
+    through the inverse spatial transform and ensembled the same way as
     generative augmentations. The first view is the untouched image, and
     ``first_view`` is its prediction ``seg.segment(image)``, which every
     caller has already computed."""
     if n_views < 1:
         raise ConfigError(f"n_views must be >= 1, got {n_views}")
-    members = [first_view]
-    for i in range(1, n_views):
-        op = _SPATIAL_OPS[i % len(_SPATIAL_OPS)]
-        view = _spatial(image, *op)
+    ops = [_SPATIAL_OPS[i % len(_SPATIAL_OPS)] for i in range(1, n_views)]
+    views = np.empty((len(ops),) + image.shape)
+    for view, op in zip(views, ops):
+        view[...] = _spatial(image, *op)
         if jitter_sigma > 0.0:
-            view = np.clip(view + jitter_sigma * float(rng.normal()), 0.0, 1.0)
-        prob = seg.segment(np.ascontiguousarray(view))
-        members.append(np.ascontiguousarray(_spatial_inverse(prob, *op)))
+            np.clip(view + jitter_sigma * float(rng.normal()), 0.0, 1.0, out=view)
+    members = np.empty((n_views,) + first_view.shape)
+    members[0] = first_view
+    for member, prob, op in zip(members[1:], seg.segment(views), ops):
+        member[...] = _spatial_inverse(prob, *op)
     return ensemble(members)

@@ -27,7 +27,7 @@ from .denoiser import (
     save_checkpoint,
     train_toy_denoiser,
 )
-from .engine import AugmentationSet, ensemble, entropy_bits, error_estimate_map, generate_set
+from .engine import AugmentationSet, EnsembleResult, ensemble, error_estimate_map, generate_set
 from .errors import ConfigError, CorruptFileError
 from .evalbench import (
     Difficulty,
@@ -170,10 +170,11 @@ def _is_number(value) -> bool:
 def load_dataset(data_dir: Path, split: str, size: int) -> list[ToyScene]:
     """The split's scenes in a make-data directory. Each manifest row's files
     are read from ``data_dir/<split>/``, wherever make-data wrote them from.
-    CorruptFileError names a manifest that is not UTF-8, or the first line
-    that lacks a value or whose params are not a JSON object with a number
-    for every key ``scene_embedding`` reads; ConfigError names the first grid
-    that is not ``size`` x ``size``, or a split with no scenes."""
+    CorruptFileError names a manifest that is not UTF-8 or whose line 1 is
+    not ``MANIFEST_HEADER``, or the first line that lacks a value or whose
+    params are not a JSON object with a number for every key
+    ``scene_embedding`` reads; ConfigError names the first grid that is not
+    ``size`` x ``size``, or a split with no scenes."""
     manifest = data_dir / "manifest.csv"
     scenes = []
     try:
@@ -182,6 +183,8 @@ def load_dataset(data_dir: Path, split: str, size: int) -> list[ToyScene]:
     except UnicodeDecodeError as exc:
         raise CorruptFileError(f"{manifest}: not UTF-8 text at byte {exc.start}") from None
     reader = csv.DictReader(io.StringIO(text, newline=""))
+    if reader.fieldnames != MANIFEST_HEADER:
+        raise CorruptFileError(f"{manifest}: line 1: header is not {','.join(MANIFEST_HEADER)}")
     for row in reader:
         where = f"{manifest}: line {reader.line_num}"
         missing = [key for key in ("split", "params", "image_path", "gt_path")
@@ -356,31 +359,29 @@ def evaluate_image(
     err_gt = error_ground_truth(base_prob[:, :, 1], gt)
     result = ImageResult(image_id=image_id, occluded=occluded, rows=[])
 
-    per_method: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    per_method: dict[str, EnsembleResult] = {}
     methods = cfg.method_list()
 
     if "baseline" in methods:
-        per_method["baseline"] = (base_prob, entropy_bits(base_prob))
+        per_method["baseline"] = ensemble(base_prob[None])
 
     if "tta" in methods:
         rng = SeededRng(cfg.seed, STREAM_EVAL).derive(image_id).derive(SUBSTREAM_TTA)
-        er = tta_baseline(segmenter, scene.image, cfg.tta_views, rng, cfg.tta_jitter,
-                          first_view=base_prob)
-        per_method["tta"] = (er.mean_probability, error_estimate_map(er))
+        per_method["tta"] = tta_baseline(segmenter, scene.image, cfg.tta_views, rng,
+                                         cfg.tta_jitter, first_view=base_prob)
 
     if "ttga" in methods:
         aset = ttga_set(image_id, scene, cfg, denoiser, semantic, segmenter,
                         base_prob=base_prob)
-        er = ensemble([segmenter.segment(a) for a in aset.augmented])
-        per_method["ttga"] = (er.mean_probability, error_estimate_map(er))
+        er = per_method["ttga"] = ensemble(segmenter.segment(aset.augmented))
         result.aug_metadata = augment_metadata(image_id, aset)
         if cfg.dump_images:
             result.dumps["augmented"] = aset.augmented
             result.dumps["ttga_entropy"] = er.entropy_map
 
     for method in methods:
-        mean_prob, err_score = per_method[method]
-        row, flags = _metric_block(mean_prob, err_score, gt, err_gt)
+        er = per_method[method]
+        row, flags = _metric_block(er.mean_probability, error_estimate_map(er), gt, err_gt)
         row.update({"image_id": image_id, "method": method, "occluded": occluded,
                     "flags": ";".join(flags)})
         result.rows.append(row)

@@ -408,7 +408,7 @@ def test_evaluate_builds_no_denoiser_without_ttga(tmp_path, capsys, dim8_models)
 def test_evaluate_segments_each_original_once_for_segmenter_relevance(tmp_path, monkeypatch):
     """With the segmenter as relevance provider, the base segmentation of
     each test image is also its relevance: one ``segment`` call for the
-    original and one per augmentation."""
+    original and one for the stack of its augmentations."""
     images = []
     segment = ThresholdSegmenter.segment
     monkeypatch.setattr(ThresholdSegmenter, "segment",
@@ -417,7 +417,7 @@ def test_evaluate_segments_each_original_once_for_segmenter_relevance(tmp_path, 
     assert run_cli("evaluate", "--out", out, "--seed", 2, *TINY, "--set", "n_test=3",
                    "--set", "segmenter=threshold", "--set", "relevance_provider=segmenter",
                    "--set", "mask_scheme=attention", "--methods", "baseline,ttga") == 0
-    assert len(images) == 3 * (1 + 2)  # 3 test images, 2 augmentations each
+    assert [im.shape for im in images] == [(24, 24), (2, 24, 24)] * 3  # 2 augmentations each
 
 
 def test_mask_scheme_flag_applies(tmp_path):
@@ -661,7 +661,7 @@ def _data_with_manifest(made_data, tmp_path, edit):
 @pytest.mark.parametrize("case", ["missing_column", "params_not_json"])
 def test_malformed_manifest_exits_6_naming_the_line(tmp_path, capsys, made_data, case):
     if case == "missing_column":
-        line, edit = 2, lambda fields, rows: ([c for c in fields if c != "params"], rows)
+        line, edit = 1, lambda fields, rows: ([c for c in fields if c != "params"], rows)
     else:
         line, edit = 47, lambda fields, rows: (fields, rows[:-1] + [{**rows[-1], "params": "{"}])
     data = _data_with_manifest(made_data, tmp_path, edit)
@@ -692,6 +692,16 @@ def test_manifest_params_without_a_scene_number_exit_6_before_training(
     err = capsys.readouterr().err
     assert f"{data / 'manifest.csv'}: line 2: params {key} " in err and "Traceback" not in err
     assert not (out / "run.log").exists() and not (out / "models").exists()
+
+
+def test_manifest_cut_inside_its_header_exits_6(tmp_path, capsys, made_data):
+    data = tmp_path / "data"
+    shutil.copytree(made_data, data)
+    manifest = data / "manifest.csv"
+    manifest.write_bytes(manifest.read_bytes()[:20])
+    assert run_cli("evaluate", "--out", tmp_path / "x", *TINY, "--set", f"data_dir={data}") == 6
+    err = capsys.readouterr().err
+    assert f"{manifest}: line 1: header is not " in err and "Traceback" not in err
 
 
 def test_non_utf8_manifest_exits_6_naming_the_file(tmp_path, capsys, made_data):

@@ -744,7 +744,7 @@ def test_ensemble_rejects_bad_members():
     with pytest.raises(ContractError):
         ensemble([np.full((2, 2, 2), 0.9)])
     with pytest.raises(ContractError):
-        ensemble([_prob(np.full((2, 2), 0.5)), _prob(np.full((3, 3), 0.5))])
+        ensemble(_prob(np.full((2, 2), 0.5)))
 
 
 def test_resample_per_step_changes_masks(setup):

@@ -99,9 +99,32 @@ def test_segment_is_pure(trained_segmenter):
                           trained_segmenter.segment(image))
 
 
-def test_segment_rejects_bad_shape(trained_segmenter):
-    with pytest.raises(ContractError):
-        trained_segmenter.segment(np.zeros((4, 4, 2)))
+@pytest.mark.parametrize("shape", [(4,), (2, 4, 4, 1)])
+def test_segment_rejects_bad_shape(trained_segmenter, shape):
+    for seg in (trained_segmenter, ThresholdSegmenter()):
+        with pytest.raises(ContractError):
+            seg.segment(np.zeros(shape))
+
+
+def _perturbed_segmenter(hidden: int) -> ConvSegmenter:
+    seg = ConvSegmenter(hidden=hidden, rng=SeededRng(hidden))
+    flat = seg.flat_parameters()
+    seg.set_flat_parameters(flat + 0.3 * SeededRng(hidden, 1).normal(flat.shape))
+    return seg
+
+
+@pytest.mark.parametrize("make", [ThresholdSegmenter, lambda: _perturbed_segmenter(12),
+                                  lambda: _perturbed_segmenter(16)],
+                         ids=["threshold", "conv12", "conv16"])
+@pytest.mark.parametrize("size", [16, 24, 32])
+@pytest.mark.parametrize("n", [1, 4, 10])
+def test_segmenting_a_stack_equals_segmenting_each_item(make, size, n):
+    seg = make()
+    stack = SeededRng(size, n).uniform(0.0, 1.0, (n, size, size))
+    got = seg.segment(stack)
+    want = np.stack([seg.segment(grid) for grid in stack])
+    assert got.shape == (n, size, size, 2)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_make_dataset_validates_count():
@@ -152,7 +175,7 @@ def test_tta_reuses_a_given_first_view_bit_for_bit(trained_segmenter, monkeypatc
     segment = trained_segmenter.segment
     monkeypatch.setattr(trained_segmenter, "segment", lambda im: images.append(im) or segment(im))
     reused = tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9), first_view=first)
-    assert len(images) == 4 and reused.member_probabilities[0] is first
+    assert [im.shape for im in images] == [(4,) + scene.image.shape]
     for a, b in zip(want, reused.member_probabilities, strict=True):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 

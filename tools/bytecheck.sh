@@ -9,8 +9,10 @@
 # of 3 and lambda_r fixed at 0 (once with masks redrawn at every step, once
 # with attention masks held and lambda_c at 0, which runs the loop on the
 # club pixels only) and once at data_std 0.5, where the analytic model's
-# posterior scale is not the unit-variance one, and make-data,
-# train-denoiser, train-segmenter and evaluate in turn on the analytic one;
+# posterior scale is not the unit-variance one, make-data,
+# train-denoiser, train-segmenter and evaluate in turn on the analytic one,
+# and `ttga evaluate --seed 7` on the analytic one with the threshold
+# segmenter and attention masks that read the segmenter's relevance;
 # and writes the sha256 digests of every file these runs write (datasets,
 # model files, CSVs, traces, grids, PGM dumps and SVG plots) to OUT, except
 # run.log, resolved-config.txt and data/manifest.csv.
@@ -70,6 +72,8 @@ run evaluate staged/run "${tiny[@]}" --set data_dir="$staged/data" \
     --set denoiser_checkpoint="$staged/models/denoiser.ckpt" \
     --set segmenter_checkpoint="$staged/models/segmenter.ckpt" \
     --set semantic_embedding="$staged/models/semantic.f64"
+run evaluate threshold "${tiny[@]}" --set segmenter=threshold \
+    --set relevance_provider=segmenter --set mask_scheme=attention
 
 # every file the runs wrote but the three that differ between runs of the
 # same tree: run.log (timestamps), resolved-config.txt and data/manifest.csv
