@@ -31,6 +31,13 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 
+def logistic(z) -> np.ndarray:
+    """1 / (1 + exp(-z)); below z = -709 exp overflows, unreported, and the
+    result is 0, the correctly rounded limit."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
+
+
 class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -62,7 +69,7 @@ class Tensor:
         return self._make(y, (self,), backward)
 
     def sigmoid(self):
-        y = 1.0 / (1.0 + np.exp(-self.data))
+        y = logistic(self.data)
         def backward(g):
             return (g * y * (1.0 - y),)
         return self._make(y, (self,), backward)

@@ -41,13 +41,12 @@ EXIT_CORRUPT_FILE = 6
 
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", metavar="PATH", help="flat key=value config file")
-    p.add_argument("--seed", type=int, metavar="U64")
+    p.add_argument("--seed", metavar="U64")
     p.add_argument("--out", metavar="DIR")
-    p.add_argument("--dump-images", action="store_const", const=True, dest="dump_images")
+    p.add_argument("--dump-images", action="store_const", const="true", dest="dump_images")
     p.add_argument("--methods", metavar="LIST", help="comma list of baseline,tta,ttga")
-    p.add_argument("--mask-scheme", choices=SCHEMES, dest="mask_scheme")
-    p.add_argument("--resample-masks-per-step", action="store_const", const=True,
-                   dest="resample_masks_per_step")
+    p.add_argument("--mask-scheme", dest="mask_scheme", help="|".join(SCHEMES))
+    p.add_argument("--resample-masks-per-step", action="store_const", const="true")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override any config field (repeatable)")
 
@@ -68,8 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=descr)
         _add_common_flags(p)
         if name == "augment":
-            p.add_argument("--count", type=int, default=4,
-                           help="number of test images to augment")
+            p.add_argument("--count", default="4", help="number of test images to augment")
     p = sub.add_parser("compare-report", help="merge aggregate tables across runs")
     p.add_argument("runs", nargs="+", metavar="RUN_DIR")
     p.add_argument("--out", default="compare.csv", metavar="CSV")
@@ -78,18 +76,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _overrides_from_args(args: argparse.Namespace) -> dict:
-    overrides = {
-        key: getattr(args, key)
-        for key in ("seed", "out", "dump_images", "methods",
-                    "mask_scheme", "resample_masks_per_step")
-        if getattr(args, key, None) is not None
-    }
+    # the config flags' values are read as --set values are
+    overrides = {key: _coerce(key, getattr(args, key))
+                 for key in ("seed", "out", "dump_images", "methods", "mask_scheme",
+                             "resample_masks_per_step") if getattr(args, key) is not None}
     for item in getattr(args, "set", []):
         if "=" not in item:
             raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
         key, raw = item.split("=", 1)
         overrides[key.strip()] = _coerce(key.strip(), raw)
     return overrides
+
+
+def _count(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"--count expects an integer, got {raw!r}") from None
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -104,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
             "make-data": cmd_make_data,
             "train-denoiser": cmd_train_denoiser,
             "train-segmenter": cmd_train_segmenter,
-            "augment": lambda cfg, log: cmd_augment(cfg, log, count=args.count),
+            "augment": lambda cfg, log: cmd_augment(cfg, log, count=_count(args.count)),
             "evaluate": cmd_evaluate,
             "full-pipeline": cmd_full_pipeline,
         }[args.command]

@@ -141,17 +141,11 @@ class Denoiser:
     def _null(self) -> ConditionEmbedding:
         return ConditionEmbedding(np.zeros(self.embedding_dim), role=ROLE_NULL)
 
-    def _check_call(self, x: np.ndarray, t: int, e: ConditionEmbedding) -> None:
-        # t = 0 is admitted: inversion ladders evaluate the predictor at the
-        # clean endpoint, where sqrt(1 - abar_0) = 0.
-        self.schedule.check_step(t)
-        self._check_embedding(e)
-
-    def _check_embedding(self, e: ConditionEmbedding) -> None:
-        if e.dim != self.embedding_dim:
-            raise ContractError(
-                f"embedding dim {e.dim} != model embedding_dim {self.embedding_dim}"
-            )
+    def _check_embeddings(self, embeddings: Sequence[ConditionEmbedding]) -> None:
+        for e in embeddings:
+            if e.dim != self.embedding_dim:
+                raise ContractError(
+                    f"embedding dim {e.dim} != model embedding_dim {self.embedding_dim}")
 
 
 class AnalyticGaussianDenoiser(Denoiser):
@@ -218,60 +212,42 @@ class AnalyticGaussianDenoiser(Denoiser):
         abar = schedule.alpha_bars
         self._sqrt_abar = np.sqrt(abar)
         self._scales = np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
-        # P @ e of the last embedding seen in each (role, input shape),
-        # matched by identity
-        self._proj_cache: dict[tuple, tuple[ConditionEmbedding, np.ndarray]] = {}
+        # P @ e of the last embedding seen in each role, matched by identity
+        self._proj_cache: dict[str, tuple[ConditionEmbedding, np.ndarray]] = {}
 
-    def _projected(self, e: ConditionEmbedding, shape: tuple) -> np.ndarray:
-        """``P @ e`` as a grid, or repeated into a stack of ``shape``: adding
-        a stack runs about a third faster than broadcasting a grid over it."""
-        hit = self._proj_cache.get((e.role, shape))
-        if hit is not None and hit[0] is e:
-            return hit[1]
-        if shape == self.shape:
-            value = self._product(e)
-        else:
-            value = np.broadcast_to(self._projected(e, self.shape), shape).copy()
-        self._proj_cache[e.role, shape] = (e, value)
-        return value
-
-    def _product(self, e: ConditionEmbedding) -> np.ndarray:
-        """``P @ e`` as a grid: the cached one if there is one, without
-        caching a new one."""
-        hit = self._proj_cache.get((e.role, self.shape))
-        if hit is not None and hit[0] is e:
-            return hit[1]
-        if self.projection is None:
-            raise CapabilityError("a pixel column predicts only the embeddings it was built with")
-        return (self.projection @ e.values).reshape(self.shape)
+    def _projected(self, e: ConditionEmbedding) -> np.ndarray:
+        """``P @ e`` as a grid, computed once per embedding in each role."""
+        hit = self._proj_cache.get(e.role)
+        if hit is None or hit[0] is not e:
+            if self.projection is None:
+                raise CapabilityError(
+                    "a pixel column predicts only the embeddings it was built with")
+            hit = self._proj_cache[e.role] = (e, (self.projection @ e.values).reshape(self.shape))
+        return hit[1]
 
     def at_pixels(self, pixels, embeddings):
         """Gathers ``mu`` and each embedding's ``P @ e`` at ``pixels``.
-        ``P @ e`` comes from the full product, this model's cached one when
-        it has one: a product over a subset of the rows may sum in another
-        order. The column keeps no projection, so it predicts only under
+        ``P @ e`` is this model's full product, cached here if it was not
+        yet: a product over a subset of the rows may sum in another order.
+        The column keeps no projection, so it predicts only under
         ``embeddings`` and has no embedding gradient. The null embedding is
-        this model's own object, which the caches match by identity, and
-        this model's cache is left as it is."""
+        this model's own object, which the caches match by identity."""
         pixels = np.asarray(pixels, dtype=np.intp)
         sub = copy.copy(self)
         sub.shape = (pixels.size, 1)
         sub.mu = self.mu.reshape(-1)[pixels].reshape(sub.shape)
         sub.projection = None
         sub._null = self.null_embedding()
-        sub._proj_cache = {
-            (e.role, sub.shape): (e, self._product(e).reshape(-1)[pixels].reshape(sub.shape))
-            for e in embeddings
-        }
+        sub._proj_cache = {e.role: (e, self._projected(e).reshape(-1)[pixels].reshape(sub.shape))
+                           for e in embeddings}
         return sub
 
     def predict_each(self, x, t, embeddings, out=None):
         """``scale*(x - sqrt(abar)*mu)`` once, in the last prediction's
-        buffer, plus ``P @ e`` per embedding."""
+        buffer, plus ``P @ e`` per embedding, broadcast over a stack."""
         if embeddings:
             self.schedule.check_step(t)
-        for e in embeddings:
-            self._check_embedding(e)
+        self._check_embeddings(embeddings)
         if x.shape != self.shape and x.shape[1:] != self.shape:
             raise ContractError(f"grid shape {x.shape} != model shape {self.shape}")
         if out is None:
@@ -280,7 +256,7 @@ class AnalyticGaussianDenoiser(Denoiser):
             base = np.subtract(x, self._sqrt_abar[t] * self.mu, out=out[-1])
             base *= self._scales[t]
             for e, pred in zip(embeddings, out):
-                np.add(base, self._projected(e, x.shape), out=pred)
+                np.add(base, self._projected(e), out=pred)
         return list(out)
 
     def predict_vjp(self, x, t, e, wrt="input"):
@@ -420,8 +396,10 @@ class ConvDenoiser(ConvStack, Denoiser):
         """One forward pass over the (k*N, H, W) batch that repeats the N
         items of ``x`` once per embedding, each copy with its own embedding;
         copied into ``out`` if given."""
-        for e in embeddings:
-            self._check_call(x, t, e)
+        # t = 0 is admitted: inversion ladders evaluate the predictor at the
+        # clean endpoint, where sqrt(1 - abar_0) = 0.
+        self.schedule.check_step(t)
+        self._check_embeddings(embeddings)
         xb, stacked = self._prepare(x)
         k, n = len(embeddings), xb.shape[0]
         rows = np.repeat([e.values for e in embeddings], n, axis=0)
@@ -437,7 +415,8 @@ class ConvDenoiser(ConvStack, Denoiser):
     def predict_vjp(self, x, t, e, wrt="input"):
         """One forward pass that keeps its graph; each call of the returned
         function runs one backward pass over it."""
-        self._check_call(x, t, e)
+        self.schedule.check_step(t)
+        self._check_embeddings([e])
         _check_wrt(wrt)
         xb, stacked = self._prepare(x)
         xt = Tensor(xb, requires_grad=(wrt == "input"))

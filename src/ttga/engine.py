@@ -256,6 +256,8 @@ def _generate(
     def draw_masks(x: np.ndarray, t: int,
                    pred: tuple | None) -> tuple[list[MaskPair], np.ndarray]:
         relevance = relevance_fn(x, t, pred) if policy.needs_relevance else None
+        if relevance is not None and not np.isfinite(relevance).all():
+            raise NumericalAbort(f"non-finite relevance map at step {t}")
         if relevance is None or np.ndim(relevance) == 2:
             relevance = [relevance] * n
         masks = [make_mask(policy, mask_shape, rng, r) for rng, r in zip(rngs, relevance)]
@@ -353,13 +355,16 @@ def generate_set(
 ) -> AugmentationSet:
     """One inversion plus one null-text optimization shared across N
     generations that run as one batched loop, item i on stream
-    ``rng.derive(i)``."""
-    trajectory = _invert(model, x0, c, cfg)
-    null_opt = optimize_null_text(
-        model, trajectory, c, cfg.guidance.omega, model.schedule, cfg.null_opt
-    )
-    streams = [rng.derive(i) for i in range(cfg.n_augment)]
-    augmented, lambdas = _generate(model, trajectory, null_opt, c, cfg, streams, relevance_fn)
+    ``rng.derive(i)``. numpy does not report overflow here; the set's own
+    checks do: a non-finite latent or relevance map raises
+    ``NumericalAbort``, and an overflowing null-text loss is inf."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        trajectory = _invert(model, x0, c, cfg)
+        null_opt = optimize_null_text(
+            model, trajectory, c, cfg.guidance.omega, model.schedule, cfg.null_opt
+        )
+        streams = [rng.derive(i) for i in range(cfg.n_augment)]
+        augmented, lambdas = _generate(model, trajectory, null_opt, c, cfg, streams, relevance_fn)
     per_item = tuple(AugmentationItem(lambda_r=lam, mask_stream=stream.stream_id)
                      for stream, lam in zip(streams, lambdas))
     return AugmentationSet(

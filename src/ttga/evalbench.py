@@ -17,7 +17,7 @@ import numpy as np
 from scipy import ndimage
 
 # conv2d and adam_step stay module attributes: perfbench's tracer wraps them here by name
-from .autodiff import Tensor, conv2d  # noqa: F401
+from .autodiff import Tensor, conv2d, logistic  # noqa: F401
 from . import checkpoint
 from .denoiser import ConvStack, fit
 from .engine import EnsembleResult, ensemble
@@ -35,9 +35,11 @@ class Difficulty:
     def __post_init__(self):
         if not 0.0 <= self.occlusion <= 1.0:
             raise ConfigError(f"occlusion must be in [0,1], got {self.occlusion}")
-        for name in ("blur", "noise"):
-            if not 0.0 <= getattr(self, name) < np.inf:
-                raise ConfigError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
+        # a Gaussian width in pixels, whose kernel spans 8 sigma; a wider one only flattens a scene
+        if not 0.0 <= self.blur <= 100.0:
+            raise ConfigError(f"blur must be in [0,100], got {self.blur}")
+        if not 0.0 <= self.noise < np.inf:
+            raise ConfigError(f"noise must be finite and >= 0, got {self.noise}")
 
 
 @dataclass(frozen=True)
@@ -128,7 +130,7 @@ class ThresholdSegmenter(Segmenter):
     def segment(self, image: np.ndarray) -> np.ndarray:
         if image.ndim not in (2, 3):
             raise ContractError(f"expected an (H, W) image or (N, H, W) stack, got {image.shape}")
-        p_fg = 1.0 / (1.0 + np.exp(-self.sharpness * (image - self.threshold)))
+        p_fg = logistic(self.sharpness * (image - self.threshold))
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
 

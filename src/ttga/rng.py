@@ -37,7 +37,10 @@ class SeededRng:
             raise ValueError(f"stream_id must fit in 64 bits, got {stream_id}")
         self.seed = seed
         self.stream_id = stream_id
-        self._gen = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
+        # numpy reads a key holding an id past 2**63 as float64 and may cast it out
+        # of uint64's range; every stream keeps that key, without the cast's warning
+        with np.errstate(invalid="ignore"):
+            self._gen = np.random.Generator(np.random.Philox(key=[seed, stream_id]))
 
     def derive(self, substream: int) -> "SeededRng":
         """Child stream with the same seed and a mixed-in substream id."""

@@ -75,7 +75,8 @@ BAD_SETTINGS = [("evaluate", [s]) for s in (
     "data_std=1e-9", "size=0", "seg_epochs=0", "tta_views=0",
     "n_augment=0", "club_stride=0", "lambda_r_low=2", "invert_with=foo",
     "nulltext_lr=nan", "nulltext_max_steps=-5", "nulltext_early_stop=nan", "beta_end=0.9",
-    "test_blur=nan", "train_noise=nan", "test_occlusion=2", "train_occlusion=-1",
+    "test_blur=nan", "test_blur=101", "train_blur=1e300", "train_noise=nan",
+    "test_occlusion=2", "train_occlusion=-1",
     "tta_jitter=nan", "tta_jitter=-1", "methods=", "methods=,", "methods=ttga,ttga",
     "methods=baseline, tta,baseline",
 )] + [("train-denoiser", ["denoiser=trainable", s])
@@ -91,6 +92,24 @@ def test_bad_value_exits_3_before_any_work(tmp_path, capsys, command, sets):
     err = capsys.readouterr().err
     key = sets[-1].split("=")[0]
     assert f"invalid config: {key}" in err and "Traceback" not in err
+    assert not (out / "run.log").exists()
+
+
+BAD_FLAGS = [
+    ("evaluate", ["--seed", "abc"], "seed"),
+    ("evaluate", ["--seed", "1.5"], "seed"),
+    ("evaluate", ["--mask-scheme", "foo"], "mask_scheme"),
+    ("augment", ["--count", "x"], "--count"),
+]
+
+
+@pytest.mark.parametrize("command, flags, key", BAD_FLAGS,
+                         ids=[" ".join(f) for _, f, _ in BAD_FLAGS])
+def test_bad_flag_value_exits_3_naming_its_key(tmp_path, capsys, command, flags, key):
+    out = tmp_path / "x"
+    assert run_cli(command, "--out", out, *TINY, *flags) == 3
+    err = capsys.readouterr().err
+    assert "invalid config:" in err and key in err and "Traceback" not in err
     assert not (out / "run.log").exists()
 
 

@@ -169,6 +169,9 @@ def test_at_pixels_predicts_the_full_models_bits_at_those_pixels(schedule, rng):
                   ConditionEmbedding(rng.normal(6), role="optimized_null")]
     x = rng.normal((3, 5, 7))
     full = m.predict_each(x, 250, embeddings)
+    m.predict_each(x[0], 250, embeddings)
+    # one P @ e per role, whether a grid or a stack was predicted
+    assert len(m._proj_cache) == 3
     cache = dict(m._proj_cache)
     item, pix = np.nonzero(rng.random((3, 35)) < 0.4)
     sub = m.at_pixels(pix, embeddings)

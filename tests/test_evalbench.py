@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ttga import SeededRng
+from ttga.autodiff import Tensor
 from ttga.errors import ConfigError, ContractError
 from ttga.evalbench import (
     ConvSegmenter,
@@ -91,6 +94,14 @@ def test_constant_image_is_all_background():
     prob = seg.segment(np.zeros((8, 8)))
     assert np.all(prob[:, :, 0] > 0.5)
     assert np.allclose(prob.sum(axis=-1), 1.0, atol=1e-12)
+
+
+def test_saturated_logistics_return_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert Tensor(np.array([-800.0])).sigmoid().data[0] == 0.0
+        p = ThresholdSegmenter().segment(np.full((3, 3), -100.0))
+        assert np.all(p[..., 1] == 0.0) and np.all(p[..., 0] == 1.0)
 
 
 def test_segment_is_pure(trained_segmenter):

@@ -11,8 +11,10 @@
 # club pixels only) and once at data_std 0.5, where the analytic model's
 # posterior scale is not the unit-variance one, make-data,
 # train-denoiser, train-segmenter and evaluate in turn on the analytic one,
-# and `ttga evaluate --seed 7` on the analytic one with the threshold
-# segmenter and attention masks that read the segmenter's relevance;
+# `ttga evaluate --seed 7` on the analytic one with the threshold
+# segmenter and attention masks that read the segmenter's relevance, and
+# once more with the tiny settings read from a --config file and with
+# --methods baseline,ttga --mask-scheme attention --resample-masks-per-step;
 # and writes the sha256 digests of every file these runs write (datasets,
 # model files, CSVs, traces, grids, PGM dumps and SVG plots) to OUT, except
 # run.log, resolved-config.txt and data/manifest.csv.
@@ -74,9 +76,15 @@ run evaluate staged/run "${tiny[@]}" --set data_dir="$staged/data" \
     --set semantic_embedding="$staged/models/semantic.f64"
 run evaluate threshold "${tiny[@]}" --set segmenter=threshold \
     --set relevance_provider=segmenter --set mask_scheme=attention
+{
+    echo "# the tiny settings, read through --config"
+    printf '%s\n' "${tiny[@]}" | grep -v -- '^--set$'
+} > "$runs/tiny.cfg"
+run evaluate configured --config "$runs/tiny.cfg" --methods baseline,ttga \
+    --mask-scheme attention --resample-masks-per-step
 
 # every file the runs wrote but the three that differ between runs of the
 # same tree: run.log (timestamps), resolved-config.txt and data/manifest.csv
-# (both hold the run's temporary paths)
-(cd "$runs" && find . -type f ! -name run.log ! -name resolved-config.txt \
+# (both hold the run's temporary paths); tiny.cfg is an input
+(cd "$runs" && find . -type f ! -name run.log ! -name resolved-config.txt ! -name tiny.cfg \
     ! -path '*/data/manifest.csv' -printf '%P\n' | LC_ALL=C sort | xargs sha256sum) > "$out"
