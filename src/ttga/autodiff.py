@@ -22,7 +22,7 @@ product. The input gradient is one product and one scatter per item.
 from __future__ import annotations
 
 import functools
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -96,31 +96,6 @@ class Tensor:
                            if p.requires_grad)
 
 
-class _Concat(Tensor):
-    """The output of ``concat_channels``: ``parts`` holds each part with the
-    channel range [lo, hi) it fills."""
-
-    __slots__ = ("parts",)
-
-
-def concat_channels(tensors: list[Tensor]) -> Tensor:
-    """Concatenate along the last (channel) axis, broadcasting the leading
-    axes of every part to their common shape.
-
-    The result has no gradient rule of its own: ``conv2d``, its only
-    consumer, differentiates straight to the parts, so a part that needs no
-    gradient costs its backward nothing.
-    """
-    lead = np.broadcast_shapes(*(t.shape[:-1] for t in tensors))
-    bounds = np.cumsum([0] + [t.shape[-1] for t in tensors]).tolist()
-    data = np.empty(lead + (bounds[-1],))
-    for t, lo, hi in zip(tensors, bounds[:-1], bounds[1:]):
-        data[..., lo:hi] = t.data
-    out = _Concat(data)
-    out.parts = tuple(zip(tensors, bounds[:-1], bounds[1:]))
-    return out
-
-
 @functools.cache
 def scatter_matrix(h: int, w: int, k: int) -> sparse.csr_array:
     """The 0/1 (H*W, H*W*k*k) matrix of _col2im on an (H, W) grid.
@@ -154,14 +129,22 @@ def _col2im(gcols: np.ndarray, k: int, h: int, w: int) -> np.ndarray:
     return scatter_matrix(h, w, k) @ gcols.reshape(h * w * k * k, -1)
 
 
-def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
-    """Stride-1 'same' convolution. x: (B,H,W,Cin); weight: (k*k*Cin, Cout).
+def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int,
+           more: Sequence[Tensor] = ()) -> Tensor:
+    """Stride-1 'same' convolution. x: (B,H,W,Cx); weight: (k*k*Cin, Cout).
 
-    Over a ``concat_channels`` output the graph parents are its parts: each
-    part that requires a gradient gets one from its own weight rows, scattered
-    over its own channels only.
+    The input is x followed along the channel axis by each tensor of
+    ``more``, whose leading axes broadcast to (B, H, W): each part is written
+    straight into the padded grid, item by item. The graph parents are the
+    parts: each part that requires a gradient gets one from its own weight
+    rows, scattered over its own channels only.
     """
-    b, h, w, cin = x.data.shape
+    b, h, w, _ = x.data.shape
+    parts, cin = [], 0
+    for p in (x, *more):
+        c = p.data.shape[-1]
+        parts.append((p, cin, cin + c))
+        cin += c
     cout = weight.data.shape[1]
     pad = k // 2
     grid = np.zeros((h + 2 * pad, w + 2 * pad, cin))
@@ -175,7 +158,8 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
     cols = np.empty((b if keep else 1, h, w, k, k * cin))
     out = np.empty((b, h * w, cout))
     for n in range(b):
-        grid[pad:pad + h, pad:pad + w] = x.data[n]
+        for p, lo, hi in parts:
+            grid[pad:pad + h, pad:pad + w, lo:hi] = p.data[n if len(p.data) > 1 else 0]
         cols[n if keep else 0] = patches
         if not keep:
             np.matmul(cols.reshape(h * w, -1), weight.data, out=out[n])
@@ -186,7 +170,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int) -> Tensor:
     out += bias.data
     out = Tensor(out.reshape(b, h, w, cout))
 
-    parts = x.parts if isinstance(x, _Concat) else ((x, 0, cin),)
     if weight.requires_grad or bias.requires_grad or any(p.requires_grad for p, _, _ in parts):
         out.requires_grad = True
         out._parents = (*(p for p, _, _ in parts), weight, bias)

@@ -44,8 +44,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import checkpoint
-from .autodiff import Tensor, concat_channels, conv2d, scatter_matrix
-from .errors import CapabilityError, ConfigError, ContractError, CorruptFileError
+from .autodiff import Tensor, conv2d, scatter_matrix
+from .errors import CapabilityError, ConfigError, ContractError, CorruptFileError, NumericalAbort
 from .optim import AdamState, adam_step
 from .rng import SeededRng
 from .schedule import NoiseSchedule
@@ -340,12 +340,13 @@ class ConvStack:
     def _restore(out: np.ndarray, stacked: bool) -> np.ndarray:
         return out[..., 0] if stacked else out[0, ..., 0]
 
-    def forward(self, x: Tensor) -> Tensor:
-        """(B, H, W, C_in) -> (B, H, W, C_out) through every layer."""
+    def forward(self, x: Tensor, more: Sequence[Tensor] = ()) -> Tensor:
+        """(B, H, W, C_in) -> (B, H, W, C_out) through every layer; the first
+        layer reads ``more`` after x along the channel axis, as ``conv2d`` does."""
         out = x
         last = len(self.weights) - 1
         for li, (wt, bt) in enumerate(zip(self.weights, self.biases)):
-            out = conv2d(out, wt, bt, self.KERNEL)
+            out = conv2d(out, wt, bt, self.KERNEL, more if li == 0 else ())
             if li != last:
                 out = out.tanh()
         return out
@@ -383,14 +384,14 @@ class ConvDenoiser(ConvStack, Denoiser):
         w0 = self.weights[0].data.reshape(self.KERNEL * self.KERNEL, in_ch, hidden)
         w0[:, 1:1 + self.embedding_dim] = 0.0
 
-    def _assemble(self, x: Tensor, feats: Tensor, emb: Tensor) -> Tensor:
-        """Network input: the image channel, then the embedding and the time
-        features, (B|1, 1, 1, C) each, broadcast over the (B, H, W) grid."""
-        return concat_channels([x, emb, feats])
+    def forward(self, x: Tensor, emb: Tensor, feats: Tensor) -> Tensor:
+        """The network over its input channels: the (B, H, W, 1) image, then
+        the embedding and the time features, (B|1, 1, 1, C) each, broadcast
+        over the (B, H, W) grid."""
+        return super().forward(x, (emb, feats))
 
-    def _forward(self, xb: Tensor, t: int, emb: Tensor) -> Tensor:
-        feats = Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
-        return self.forward(self._assemble(xb, feats, emb))
+    def _feats(self, t: int) -> Tensor:
+        return Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
 
     def predict_each(self, x, t, embeddings, out=None):
         """One forward pass over the (k*N, H, W) batch that repeats the N
@@ -403,8 +404,8 @@ class ConvDenoiser(ConvStack, Denoiser):
         xb, stacked = self._prepare(x)
         k, n = len(embeddings), xb.shape[0]
         rows = np.repeat([e.values for e in embeddings], n, axis=0)
-        y = self._forward(Tensor(np.concatenate([xb] * k)), t,
-                          Tensor(rows.reshape(k * n, 1, 1, -1)))
+        y = self.forward(Tensor(np.concatenate([xb] * k)),
+                         Tensor(rows.reshape(k * n, 1, 1, -1)), self._feats(t))
         preds = [self._restore(part, stacked) for part in np.split(y.data, k)]
         if out is None:
             return preds
@@ -421,7 +422,7 @@ class ConvDenoiser(ConvStack, Denoiser):
         xb, stacked = self._prepare(x)
         xt = Tensor(xb, requires_grad=(wrt == "input"))
         emb = Tensor(e.values.reshape(1, 1, 1, -1), requires_grad=(wrt == "embedding"))
-        out = self._forward(xt, t, emb)
+        out = self.forward(xt, emb, self._feats(t))
         leaf = xt if wrt == "input" else emb
 
         def vjp(loss_grad: np.ndarray) -> np.ndarray:
@@ -488,10 +489,11 @@ def keep_freed_batches() -> None:
     mallopt(_M_TRIM_THRESHOLD, 128 << 20)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def fit(
     model: ConvStack,
     n: int,
-    batch: Callable[[np.ndarray], tuple[Tensor, np.ndarray]],
+    batch: Callable[[np.ndarray], tuple],
     epochs: int,
     batch_size: int,
     lr: float,
@@ -501,9 +503,11 @@ def fit(
     over ``n`` examples; the mean batch loss of each epoch.
 
     Each epoch draws a permutation from ``rng`` and calls ``batch`` with the
-    indices of each mini-batch in turn; it returns the network input and the
-    target of those examples. The model's parameters require gradients only
-    while this runs.
+    indices of each mini-batch in turn; it returns the arguments of
+    ``model.forward`` and then the target of those examples. The model's
+    parameters require gradients only while this runs. A batch whose loss or
+    updated parameters are not finite ends the training in NumericalAbort,
+    with numpy's overflow warnings silenced.
     """
     keep_freed_batches()
     params = model.flat_parameters()
@@ -512,28 +516,31 @@ def fit(
     for p in model.parameters():
         p.requires_grad = True
     try:
-        for _ in range(epochs):
+        for epoch in range(1, epochs + 1):
             order = rng.permutation(n)
             epoch_loss, batches = 0.0, 0
             for start in range(0, n, batch_size):
-                inputs, target = batch(order[start:start + batch_size])
+                *inputs, target = batch(order[start:start + batch_size])
                 # the backward's scatter matrix, built once per grid before any batch
                 # graph: built inside one, it would stay between that graph's buffers
-                scatter_matrix(*inputs.shape[1:3], model.KERNEL)
-                out = model.forward(inputs)
-                # the graph holds the parts of a concatenated input, not its buffer
-                del inputs
+                scatter_matrix(*inputs[0].shape[1:3], model.KERNEL)
+                out = model.forward(*inputs)
                 diff = out.data - target
-                epoch_loss += float(np.mean(diff * diff))
+                loss = float(np.mean(diff * diff))
+                epoch_loss += loss
                 # d mean(diff^2) / d out, summed in the order a graph of the loss would
                 h = (1.0 / diff.size) * diff
                 out.backward(seed=h + h)
                 # free this batch's arrays and graph before the next one is built
-                del target, out, diff, h
+                del inputs, target, out, diff, h
                 grads = np.concatenate([p.grad.ravel() for p in model.parameters()])
                 for p in model.parameters():
                     p.grad = None
                 params = adam_step(state, params, grads)
+                if not (np.isfinite(loss) and np.isfinite(params).all()):
+                    raise NumericalAbort(
+                        f"non-finite training loss or parameters in epoch {epoch} of {epochs}; "
+                        "training diverged")
                 model.set_flat_parameters(params)
                 batches += 1
             losses.append(epoch_loss / max(batches, 1))
@@ -567,7 +574,7 @@ def train_toy_denoiser(
     stats = TrainStats()
     s = schedule
 
-    def batch(idx: np.ndarray) -> tuple[Tensor, np.ndarray]:
+    def batch(idx: np.ndarray) -> tuple[Tensor, Tensor, Tensor, np.ndarray]:
         xs, feats, embs, zs = [], [], [], []
         for i in idx:
             x0, emb = dataset[i]
@@ -587,7 +594,7 @@ def train_toy_denoiser(
         xb = Tensor(np.stack(xs))
         fb = Tensor(np.stack(feats).reshape(b, 1, 1, -1))
         eb = Tensor(np.stack(embs).reshape(b, 1, 1, -1))
-        return model._assemble(xb, fb, eb), np.stack(zs)
+        return xb, eb, fb, np.stack(zs)
 
     stats.epoch_losses = fit(model, len(dataset), batch, config.epochs,
                              config.batch_size, config.lr, rng)

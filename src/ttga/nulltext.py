@@ -104,9 +104,10 @@ def optimize_null_text(
     """Adam on the null embedding against the one-step reconstruction MSE.
 
     Starts from the canonical null (zero vector), stops early once the loss
-    reaches ``early_stop``, and reports the best embedding seen. With
-    omega = 1 the guided noise is independent of the null embedding, so the
-    problem is degenerate and rejected up front.
+    reaches ``early_stop`` or overflows to inf, where it has no gradient to
+    step along, and reports the best embedding seen. With omega = 1 the
+    guided noise is independent of the null embedding, so the problem is
+    degenerate and rejected up front.
     """
     if omega == 1.0:
         raise DegenerateGuidanceError(
@@ -136,7 +137,7 @@ def optimize_null_text(
     trace = [loss]
     state = AdamState(dim=values.size, lr=opt_config.lr)
     iterations = 0
-    while loss > opt_config.early_stop and iterations < opt_config.max_steps:
+    while opt_config.early_stop < loss < np.inf and iterations < opt_config.max_steps:
         # dL/de via the chain recon -> eps_dot -> eps(x_tau, tau, e)
         upstream = (2.0 / n) * (recon - x0) * (-gamma_tau) * (1.0 - omega)
         values = adam_step(state, values, vjp(upstream))

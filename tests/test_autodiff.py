@@ -7,7 +7,7 @@ import pytest
 
 from conftest import central_difference, relative_gradient_match
 import ttga.autodiff as autodiff
-from ttga.autodiff import Tensor, concat_channels, conv2d
+from ttga.autodiff import Tensor, conv2d
 from ttga.denoiser import ConditionEmbedding, ConvDenoiser
 from ttga.rng import SeededRng
 from ttga.schedule import build_schedule
@@ -34,15 +34,29 @@ def test_tanh_sigmoid_grad(rng):
         _check_seeded_graph(build, x0, rng)
 
 
-def test_concat_channels_broadcasts_its_parts(rng):
+@pytest.mark.parametrize("weight_grad", [False, True])
+def test_conv2d_over_more_parts_is_conv2d_over_their_broadcast_concatenation(rng, weight_grad):
     x = rng.normal((3, 5, 4, 1))
     e = rng.normal((3, 1, 1, 6))
     f = rng.normal((1, 1, 1, 8))
-    out = concat_channels([Tensor(x), Tensor(e), Tensor(f)])
-    expected = np.concatenate(
+    weight, bias, seed = rng.normal((9 * 15, 4)), rng.normal(4), rng.normal((3, 5, 4, 4))
+    whole = np.concatenate(
         [x, np.broadcast_to(e, (3, 5, 4, 6)), np.broadcast_to(f, (3, 5, 4, 8))], axis=-1)
-    assert out.shape == (3, 5, 4, 15)
-    assert np.array_equal(out.data, expected)
+
+    def run(first, more):
+        wt = Tensor(weight, requires_grad=weight_grad)
+        out = conv2d(Tensor(first), wt, Tensor(bias), 3, more)
+        if weight_grad:
+            out.backward(seed=seed)
+        return out.data, wt.grad
+
+    (got, got_gw), (want, want_gw) = run(x, [Tensor(e), Tensor(f)]), run(whole, ())
+    assert got.shape == (3, 5, 4, 4)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if weight_grad:
+        assert np.array_equal(got_gw.view(np.uint64), want_gw.view(np.uint64))
+    else:
+        assert got_gw is None and want_gw is None
 
 
 def _layer0_parts(rng, b, e_rows):
@@ -64,7 +78,7 @@ def test_conv2d_part_gradients_equal_the_concatenated_input_gradient(rng, b, cou
 
     parts = [Tensor(x, requires_grad=wrt == "x"), Tensor(e, requires_grad=wrt == "e"),
              Tensor(f)]
-    conv2d(concat_channels(parts), weight, bias, 3).backward(seed=seed)
+    conv2d(parts[0], weight, bias, 3, parts[1:]).backward(seed=seed)
 
     whole = Tensor(np.concatenate([x, np.broadcast_to(e, (b, 6, 5, 16)),
                                    np.broadcast_to(f, (b, 6, 5, 8))], axis=-1),
@@ -87,7 +101,7 @@ def test_conv2d_grad_through_a_broadcast_concat_part(rng):
     zero4, zero2 = Tensor(np.zeros(4)), Tensor(np.zeros(2))
 
     def build(e):
-        hidden = conv2d(concat_channels([Tensor(x), e, Tensor(f)]), w, zero4, 3).tanh()
+        hidden = conv2d(Tensor(x), w, zero4, 3, [e, Tensor(f)]).tanh()
         return conv2d(hidden, w2, zero2, 3)
 
     _check_seeded_graph(build, e0, rng)
@@ -122,7 +136,7 @@ def test_grad_accumulates_over_reuse(rng):
     # x fills both halves of a conv's concatenated input, so it gets one
     # gradient per part, summed
     w, b = Tensor(rng.normal((9 * 4, 3))), Tensor(np.zeros(3))
-    _check_seeded_graph(lambda x: conv2d(concat_channels([x, x]), w, b, 3),
+    _check_seeded_graph(lambda x: conv2d(x, w, b, 3, [x]),
                         rng.normal((2, 3, 3, 2)), rng)
 
 
@@ -167,6 +181,25 @@ def test_conv2d_keeps_columns_only_for_a_weight_gradient(rng, no_cyclic_gc, weig
         tracemalloc.stop()
     assert out.requires_grad
     assert (grown >= columns_bytes) == weight_grad
+
+
+def test_predict_each_builds_no_array_the_size_of_the_concatenated_input(rng):
+    """The embedding and time channels go straight into the padded grid: no
+    (k*N, H, W, C_in) array of the whole layer-0 input is made."""
+    model = ConvDenoiser(build_schedule(50, 1e-4, 0.02), embedding_dim=256, hidden=4,
+                         rng=SeededRng(4))
+    x = rng.normal((4, 16, 16))
+    embeddings = [ConditionEmbedding(rng.normal(256)) for _ in range(3)]
+    concat_bytes = 3 * 4 * 16 * 16 * (1 + 256 + 8) * 8
+    model.predict_each(x, 10, embeddings)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        model.predict_each(x, 10, embeddings)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak < concat_bytes
 
 
 def test_conv2d_same_padding_shape(rng):
@@ -257,12 +290,9 @@ def test_conv2d_input_gradient_per_item_equals_the_whole_batch_reference(rng, hi
     g[rng.random(g.shape) < 0.1] = -0.0
     g[rng.random(g.shape) < 0.05] = 0.0
     x = Tensor(rng.normal((b, size, size, hi - lo)), requires_grad=True)
-    if layer == "first":
-        inputs = concat_channels([x, Tensor(rng.normal((b, 1, 1, 16))),
-                                  Tensor(rng.normal((1, 1, 1, 8)))])
-    else:
-        inputs = x
-    conv2d(inputs, Tensor(weight), Tensor(np.zeros(cout)), 3).backward(seed=g)
+    more = [Tensor(rng.normal((b, 1, 1, 16))),
+            Tensor(rng.normal((1, 1, 1, 8)))] if layer == "first" else []
+    conv2d(x, Tensor(weight), Tensor(np.zeros(cout)), 3, more).backward(seed=g)
 
     part_rows = weight.reshape(9, cin, cout)[:, lo:hi].reshape(-1, cout)
     products = {"single-grid": np.stack([item.reshape(-1, cout) @ part_rows.T for item in g])}

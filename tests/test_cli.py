@@ -642,10 +642,11 @@ def test_bad_checkpoint_exits_6_before_any_work(tmp_path, capsys, case):
     assert not (out / "run.log").exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, sets", [
     ("train-segmenter", ["seg_lr=1e308"]),
     ("train-denoiser", ["denoiser=trainable", "denoiser_hidden=4", "denoiser_lr=1e308"]),
+    ("evaluate", ["seg_lr=1e308"]),
 ])
 def test_diverged_training_exits_4_and_writes_no_checkpoint(tmp_path, capsys, command, sets):
     out = tmp_path / "x"

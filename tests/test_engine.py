@@ -556,8 +556,9 @@ def test_generate_set_reproducible(setup):
 
 
 def test_generate_set_past_the_float_range_warns_of_nothing(setup, schedule):
-    """A null-text loss that overflows is inf, and a model whose outputs
-    overflow ends in NumericalAbort; numpy reports neither."""
+    """A null-text loss that overflows is inf, with no step taken after it,
+    and a model whose outputs overflow ends in NumericalAbort; numpy reports
+    neither."""
     model, c, x0, traj, null_opt = setup
     conv = ConvDenoiser(schedule, channels=1, embedding_dim=8, hidden=4, rng=SeededRng(5))
     conv.set_flat_parameters(np.full(conv.flat_parameters().size, 1e300))
@@ -566,6 +567,7 @@ def test_generate_set_past_the_float_range_warns_of_nothing(setup, schedule):
         huge = small_cfg(guidance=GuidanceConfig(omega=1e300, lambda_c=1.0, lambda_r=1.0))
         aset = generate_set(model, x0, c, huge, SeededRng(53))
         assert aset.null_opt.final_loss == np.inf and np.isfinite(aset.augmented).all()
+        assert aset.null_opt.trace == (np.inf,) and aset.null_opt.iterations_used == 0
         with pytest.raises(NumericalAbort, match="non-finite relevance map"):
             generate_set(conv, x0, conv.null_embedding(), small_cfg(tau=20), SeededRng(54))
 

@@ -8,8 +8,10 @@
 # `ttga augment --seed 7` on the analytic one twice more with a club stride
 # of 3 and lambda_r fixed at 0 (once with masks redrawn at every step, once
 # with attention masks held and lambda_c at 0, which runs the loop on the
-# club pixels only) and once at data_std 0.5, where the analytic model's
-# posterior scale is not the unit-variance one, make-data,
+# club pixels only), once at data_std 0.5, where the analytic model's
+# posterior scale is not the unit-variance one, and once with attention
+# masks that read the segmenter's relevance, so `augment` trains a segmenter
+# and segments each original itself, make-data,
 # train-denoiser, train-segmenter and evaluate in turn on the analytic one,
 # `ttga evaluate --seed 7` on the analytic one with the threshold
 # segmenter and attention masks that read the segmenter's relevance, and
@@ -66,6 +68,8 @@ run augment augment-steps "${tiny[@]}" --count 2 --set club_stride=3 \
 run augment augment-held "${tiny[@]}" --count 2 --set club_stride=3 \
     --set lambda_r_low=0 --set lambda_r_high=0 --set lambda_c=0 --set mask_scheme=attention
 run augment augment-std "${tiny[@]}" --count 2 --set data_std=0.5
+run augment augment-seg "${tiny[@]}" --count 2 --set relevance_provider=segmenter \
+    --set mask_scheme=attention
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
