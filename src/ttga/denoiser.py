@@ -555,7 +555,7 @@ def train_toy_denoiser(
     dataset: Sequence[tuple[np.ndarray, ConditionEmbedding]],
     schedule: NoiseSchedule,
     rng: SeededRng,
-    config: DenoiserTrainConfig | None = None,
+    config: DenoiserTrainConfig,
     *,
     model: ConvDenoiser,
 ) -> tuple[ConvDenoiser, TrainStats]:
@@ -569,7 +569,6 @@ def train_toy_denoiser(
     """
     if not dataset:
         raise ConfigError("dataset must be nonempty (field: dataset)")
-    config = config or DenoiserTrainConfig()
     null = model.null_embedding()
     stats = TrainStats()
     s = schedule

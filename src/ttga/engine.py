@@ -15,6 +15,8 @@ A binary mask pair then selects, per pixel, which path's value survives:
 
     xbar_{t-1} = spade_mask * spade_value + club_mask * club_value.
 
+Both paths and the inversion take their coefficients from ``model.schedule``.
+
 The N augmentations of a set share one loop: their latents are one
 (N, *grid) stack, each step makes one identity-path jump and one denoiser
 call over the three guidance conditions, and each item draws its lambda_r
@@ -39,11 +41,12 @@ overwrites every spade pixel with the identity-path value, and a pixelwise
 prediction at a pixel reads that pixel alone, so a club value computed at a
 spade pixel is never read. The (item, pixel) pairs some item routes to the
 club path form one (L, 1) column; each step runs the same functions over it
-with ``model.at_pixels``, whose predictions are the full model's bits at
-those pixels, and one lambda_r per pair. No blend runs, and the column is
-scattered over the identity-path value at t = 0. The finite check reads the
-column and the spade pixels that some item keeps, which are exactly the
-values of the full loop's blended latent, so it aborts at the same step.
+with ``model.at_pixels``, a copy of the full model that holds its schedule
+and predicts its bits at those pixels, and one lambda_r per pair. No blend
+runs, and the column is scattered over the identity-path value at t = 0.
+The finite check reads the column and the spade pixels that some item
+keeps, which are exactly the values of the full loop's blended latent, so
+it aborts at the same step.
 
 The ensemble averages an (N, H, W, K) stack of member probability grids
 and reads per-pixel uncertainty from the Shannon entropy of the averaged
@@ -66,7 +69,7 @@ from .masks import MaskPair, MaskPolicy, make_mask, saliency_relevance
 from .nulltext import NullOptConfig, OptimizedNull, optimize_null_text
 from .rng import SeededRng
 from .sampler import InversionTrajectory, ddim_invert, move
-from .schedule import NoiseSchedule, from_xbar, to_xbar
+from .schedule import from_xbar, to_xbar
 
 INVERT_WITH_SEMANTIC = "semantic"
 INVERT_WITH_NULL = "null"
@@ -148,7 +151,6 @@ def augmentation_path_step(
     null_opt: OptimizedNull,
     c: ConditionEmbedding,
     g: GuidanceConfig,
-    schedule: NoiseSchedule,
     t_out: int | None = None,
     coefficient: IdentityCoefficient | None = None,
     eps_sem: np.ndarray | None = None,
@@ -178,6 +180,7 @@ def augmentation_path_step(
         pred_buffer[1] = eps_sem
         eps_sem = pred_buffer[1]
     mixed = cfg_multi(eps_null, eps_sem, eps_id, g, in_place=True, coefficient=coefficient)
+    schedule = model.schedule
     mixed *= schedule.gammas[t_out] - schedule.gammas[t]
     xbar = to_xbar(x_t, t, schedule, out=out)
     xbar += mixed
@@ -214,7 +217,7 @@ def blend(spade_value: np.ndarray, club_value: np.ndarray, words: np.ndarray,
 def _invert(model: Denoiser, x0: np.ndarray, c: ConditionEmbedding,
             cfg: TtgaConfig) -> InversionTrajectory:
     e_inv = c if cfg.invert_with == INVERT_WITH_SEMANTIC else model.null_embedding()
-    return ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, e_inv, model.schedule)
+    return ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, e_inv)
 
 
 def _generate(
@@ -292,7 +295,7 @@ def _generate(
         from_xbar(xbar, t, schedule, out=x_t)
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         augmentation_path_step(
-            step_model, x_t, t, null_opt, c, cfg.guidance, schedule, t_out=t_out,
+            step_model, x_t, t, null_opt, c, cfg.guidance, t_out=t_out,
             coefficient=coefficient, eps_sem=None if pred is None else pred[0],
             out=club_bar, pred_buffer=pred_buffer,
         )
@@ -360,9 +363,7 @@ def generate_set(
     ``NumericalAbort``, and an overflowing null-text loss is inf."""
     with np.errstate(over="ignore", invalid="ignore"):
         trajectory = _invert(model, x0, c, cfg)
-        null_opt = optimize_null_text(
-            model, trajectory, c, cfg.guidance.omega, model.schedule, cfg.null_opt
-        )
+        null_opt = optimize_null_text(model, trajectory, c, cfg.guidance.omega, cfg.null_opt)
         streams = [rng.derive(i) for i in range(cfg.n_augment)]
         augmented, lambdas = _generate(model, trajectory, null_opt, c, cfg, streams, relevance_fn)
     per_item = tuple(AugmentationItem(lambda_r=lam, mask_stream=stream.stream_id)

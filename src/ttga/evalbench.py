@@ -171,12 +171,11 @@ class SegTrainConfig:
 def train_toy_segmenter(
     scenes: list[ToyScene],
     rng: SeededRng,
-    config: SegTrainConfig | None = None,
+    config: SegTrainConfig,
 ) -> tuple[ConvSegmenter, list[float]]:
     """Mean-squared-probability training against the analytic disk masks."""
     if not scenes:
         raise ConfigError("scenes must be nonempty (field: scenes)")
-    config = config or SegTrainConfig()
     model = ConvSegmenter(hidden=config.hidden, rng=rng.derive(0x5E6))
 
     def batch(idx: np.ndarray) -> tuple[Tensor, np.ndarray]:

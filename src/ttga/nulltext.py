@@ -9,7 +9,7 @@ reconstructs an image. Optimizing only the null embedding to minimize the
 mean squared reconstruction error against the original image yields a
 per-image identity code: guided denoising that substitutes this embedding
 for the raw null reproduces the source content without touching any model
-weights or the semantic condition.
+weights or the semantic condition. The jump steps on ``model.schedule``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .errors import ConfigError, DegenerateGuidanceError
 from .guidance import cfg_single
 from .optim import AdamState, adam_step
 from .sampler import InversionTrajectory, move
-from .schedule import NoiseSchedule, to_xbar
+from .schedule import to_xbar
 
 __all__ = [
     "AdamState",
@@ -75,7 +75,6 @@ def one_step_reconstruct(
     c: ConditionEmbedding,
     null_e: ConditionEmbedding,
     omega: float,
-    schedule: NoiseSchedule,
 ) -> np.ndarray:
     """Single guided jump tau -> 0; the result is already un-barred since
     alpha_bar[0] = 1."""
@@ -84,7 +83,7 @@ def one_step_reconstruct(
         model.predict(x_tau, tau, c),
         omega,
     )
-    return move(to_xbar(x_tau, tau, schedule), tau, 0, eps_dot, schedule)
+    return move(to_xbar(x_tau, tau, model.schedule), tau, 0, eps_dot, model.schedule)
 
 
 def reconstruction_loss(recon: np.ndarray, x0: np.ndarray) -> float:
@@ -98,8 +97,7 @@ def optimize_null_text(
     traj: InversionTrajectory,
     c: ConditionEmbedding,
     omega: float,
-    schedule: NoiseSchedule,
-    opt_config: NullOptConfig | None = None,
+    opt_config: NullOptConfig,
 ) -> OptimizedNull:
     """Adam on the null embedding against the one-step reconstruction MSE.
 
@@ -113,7 +111,7 @@ def optimize_null_text(
         raise DegenerateGuidanceError(
             "omega=1 makes the one-step reconstruction independent of the null embedding"
         )
-    opt_config = opt_config or NullOptConfig()
+    schedule = model.schedule
     tau = traj.tau
     x_tau = traj.x_tau
     x0 = traj.x0

@@ -328,15 +328,15 @@ def _metric_block(mean_prob: np.ndarray, err_score: np.ndarray, gt: np.ndarray,
                   err_gt: np.ndarray) -> tuple[dict, list[str]]:
     flags = []
     fg = mean_prob[:, :, 1]
-    pred = binarize(fg)
+    pred, err_pred = binarize(fg), binarize(err_score)
     row = {
         "dsc": dice(pred, gt),
         "auc": roc_auc(fg, gt),
         "hd95": hd95(pred, gt),
         "nsd": nsd(pred, gt),
-        "err_dsc": dice(binarize(err_score), err_gt),
+        "err_dsc": dice(err_pred, err_gt),
         "err_auc": roc_auc(err_score, err_gt),
-        "err_nsd": nsd(binarize(err_score), err_gt),
+        "err_nsd": nsd(err_pred, err_gt),
     }
     if not np.isfinite(row["auc"]):
         flags.append("auc_degenerate")

@@ -13,6 +13,8 @@ the target step by the noise predicted at the current one:
 
 which is first-order accurate in the interval and is what bounds the
 round-trip reconstruction error.
+
+Each function that takes a model steps on its schedule, ``model.schedule``.
 """
 
 from __future__ import annotations
@@ -76,9 +78,9 @@ def ddim_step(
     t: int,
     t_next: int,
     e: ConditionEmbedding,
-    schedule: NoiseSchedule,
 ) -> np.ndarray:
     """Deterministic jump t -> t_next (t_next < t), returned un-barred."""
+    schedule = model.schedule
     schedule.check_step(t, low=1)
     schedule.check_step(t_next)
     if t_next >= t:
@@ -92,12 +94,11 @@ def ddim_sample(
     x_start: np.ndarray,
     steps_desc: list[int],
     e: ConditionEmbedding,
-    schedule: NoiseSchedule,
 ) -> np.ndarray:
     """Chain ddim_step down a descending ladder; steps_desc[0] holds x_start's step."""
     x = x_start
     for t, t_next in zip(steps_desc[:-1], steps_desc[1:]):
-        x = ddim_step(model, x, t, t_next, e, schedule)
+        x = ddim_step(model, x, t, t_next, e)
     return x
 
 
@@ -107,13 +108,13 @@ def ddim_invert(
     tau: int,
     interval: int,
     e: ConditionEmbedding,
-    schedule: NoiseSchedule,
 ) -> InversionTrajectory:
     """Walk x0 up the ladder to tau, recording every visited latent.
 
     Each rung u -> t is the upward ``move`` along eps(x_u, u); no guidance
     mixing is applied during inversion.
     """
+    schedule = model.schedule
     schedule.check_step(tau, low=1)
     steps = inversion_ladder(tau, interval)
     x = np.asarray(x0, dtype=np.float64).copy()

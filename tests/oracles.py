@@ -100,7 +100,7 @@ def nsd_oracle(a, b, tolerance):
     return 100.0 * (frac_a + frac_b) / 2.0
 
 
-def stepwise_nulltext_inversion(model, traj, c, omega, schedule, opt_config):
+def stepwise_nulltext_inversion(model, traj, c, omega, opt_config):
     """Vanilla per-rung null-text tuning: walking the ladder downward, tune a
     separate null embedding at every rung so each guided step reproduces the
     next inversion template. Test-only reference for the one-step shortcut.
@@ -110,6 +110,7 @@ def stepwise_nulltext_inversion(model, traj, c, omega, schedule, opt_config):
     from ttga.nulltext import AdamState, adam_step
     from ttga.schedule import from_xbar, to_xbar
 
+    schedule = model.schedule
     steps_desc = list(traj.steps)[::-1]
     x = traj.x_tau.copy()
     embeddings = []

@@ -87,8 +87,8 @@ def test_criterion_1_inversion_round_trip():
     for interval in (50, 25, 10, 5):
         errs = []
         for x0 in batch:
-            traj = ddim_invert(model, x0, 300, interval, e, SCHEDULE)
-            back = ddim_sample(model, traj.x_tau, list(traj.steps)[::-1], e, SCHEDULE)
+            traj = ddim_invert(model, x0, 300, interval, e)
+            back = ddim_sample(model, traj.x_tau, list(traj.steps)[::-1], e)
             errs.append(np.linalg.norm(back - x0) / np.linalg.norm(x0))
         mean_err[interval] = float(np.mean(errs))
     elapsed = time.monotonic() - start
@@ -113,10 +113,10 @@ def test_criterion_2_one_step_null_text_quality():
     opt = NullOptConfig(lr=0.1, max_steps=500, early_stop=5e-4)
     passed = 0
     for x0 in _toy_batch(100, seed=3100):
-        traj = ddim_invert(model, x0, 300, 10, c, SCHEDULE)
-        result = optimize_null_text(model, traj, c, 2.0, SCHEDULE, opt)
+        traj = ddim_invert(model, x0, 300, 10, c)
+        result = optimize_null_text(model, traj, c, 2.0, opt)
         recon = one_step_reconstruct(model, traj.x_tau, traj.tau, c,
-                                     result.embedding, 2.0, SCHEDULE)
+                                     result.embedding, 2.0)
         if reconstruction_loss(recon, traj.x0) <= 5e-4:
             passed += 1
 
@@ -124,13 +124,13 @@ def test_criterion_2_one_step_null_text_quality():
     small = AnalyticGaussianDenoiser(SCHEDULE, (8, 8), 24, mu=0.0, rng=SeededRng(33))
     c_small = ConditionEmbedding(SeededRng(34).normal(24))
     x0 = _toy_batch(1, size=8, seed=3200)[0]
-    traj = ddim_invert(small, x0, 300, 10, c_small, SCHEDULE)
+    traj = ddim_invert(small, x0, 300, 10, c_small)
     base = one_step_reconstruct(small, traj.x_tau, traj.tau, c_small,
-                                small.null_embedding(), 2.0, SCHEDULE)
+                                small.null_embedding(), 2.0)
     b_mat = SCHEDULE.gammas[300] * (1.0 - 2.0) * small.projection
     e_star, *_ = np.linalg.lstsq(b_mat, (traj.x0 - base).ravel(), rcond=None)
     min_loss = float(np.mean(((traj.x0 - base).ravel() - b_mat @ e_star) ** 2))
-    result = optimize_null_text(small, traj, c_small, 2.0, SCHEDULE,
+    result = optimize_null_text(small, traj, c_small, 2.0,
                                 NullOptConfig(lr=0.1, max_steps=2000, early_stop=0.0))
     gap = abs(result.final_loss - min_loss)
     elapsed = time.monotonic() - start
@@ -202,8 +202,8 @@ def degenerate_setup():
     model = AnalyticGaussianDenoiser(SCHEDULE, (8, 8), 48, mu=0.25, rng=rng.derive(1))
     c = ConditionEmbedding(rng.derive(2).normal(48))
     x0 = _toy_batch(1, size=8, seed=5100)[0]
-    traj = ddim_invert(model, x0, 60, 10, c, SCHEDULE)
-    null_opt = optimize_null_text(model, traj, c, 2.0, SCHEDULE,
+    traj = ddim_invert(model, x0, 60, 10, c)
+    null_opt = optimize_null_text(model, traj, c, 2.0,
                                   NullOptConfig(lr=0.1, max_steps=200, early_stop=1e-7))
     return model, c, x0, traj, null_opt
 
@@ -222,8 +222,7 @@ def test_criterion_5_degenerate_generation_identities(degenerate_setup):
 
     all_spade = generate_one(model, x0, null_opt, c, cfg_with(1.0), SeededRng(1),
                              trajectory=traj)
-    recon = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding,
-                                 2.0, SCHEDULE)
+    recon = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding, 2.0)
     spade_exact = np.array_equal(all_spade, recon)
 
     lam = 1.2

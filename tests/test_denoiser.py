@@ -492,7 +492,8 @@ def test_drop_p_one_conditional_equals_unconditional(schedule):
 
 def test_empty_dataset_rejected(schedule, rng):
     with pytest.raises(ConfigError, match="dataset"):
-        train_toy_denoiser([], schedule, rng, model=ConvDenoiser(schedule, embedding_dim=4))
+        train_toy_denoiser([], schedule, rng, DenoiserTrainConfig(),
+                           model=ConvDenoiser(schedule, embedding_dim=4))
 
 
 @pytest.mark.parametrize("kwargs, key", [

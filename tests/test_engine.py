@@ -32,7 +32,7 @@ from ttga.denoiser import Denoiser
 from ttga.engine import (_generate, _invert, augmentation_path_step, blend, entropy_bits,
                          select_words)
 import ttga.engine as engine_module
-from ttga.guidance import cfg_single, identity_coefficient
+from ttga.guidance import cfg_multi, cfg_single, identity_coefficient
 from ttga.sampler import move
 from ttga.errors import ConfigError, ContractError, NumericalAbort
 from ttga.masks import MaskPair, consistency_relevance, saliency_relevance
@@ -51,8 +51,8 @@ def setup(schedule):
     yy, xx = np.mgrid[0:8, 0:8]
     x0 = 0.2 + 0.6 * (((yy - 4) ** 2 + (xx - 4) ** 2) <= 6.0)
     x0 = x0 + rng.derive(3).normal((8, 8)) * 0.02
-    traj = ddim_invert(model, x0, 60, 10, c, schedule)
-    null_opt = optimize_null_text(model, traj, c, 2.0, schedule,
+    traj = ddim_invert(model, x0, 60, 10, c)
+    null_opt = optimize_null_text(model, traj, c, 2.0,
                                   NullOptConfig(lr=0.1, max_steps=200, early_stop=1e-7))
     return model, c, x0, traj, null_opt
 
@@ -81,8 +81,7 @@ def test_identity_path_jumps_along_identity_noise(setup, schedule):
         expected = move(xbar_tau, traj.tau, rec["t_out"], null_opt.identity_noise, schedule)
         assert np.array_equal(rec["spade"], expected)
     assert records[-1]["t_out"] == 0
-    rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding,
-                               2.0, schedule)
+    rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding, 2.0)
     assert np.array_equal(records[-1]["spade"], rec)
 
 
@@ -91,8 +90,8 @@ def _conv_setup(schedule):
     model = ConvDenoiser(schedule, channels=1, embedding_dim=8, hidden=6, rng=rng.derive(1))
     c = ConditionEmbedding(rng.derive(2).normal(8))
     x0 = 0.2 + 0.5 * rng.derive(3).random((8, 8))
-    traj = ddim_invert(model, x0, 20, 10, c, schedule)
-    null_opt = optimize_null_text(model, traj, c, 2.0, schedule,
+    traj = ddim_invert(model, x0, 20, 10, c)
+    null_opt = optimize_null_text(model, traj, c, 2.0,
                                   NullOptConfig(lr=0.1, max_steps=5, early_stop=0.0))
     return model, c, x0, traj, null_opt
 
@@ -110,8 +109,8 @@ def test_augmentation_step_reduces_to_conditional_ddim(setup, schedule):
     g = GuidanceConfig(omega=2.0, lambda_c=1.0, lambda_r=0.0)
     x_t = traj.x_tau
     t = traj.tau
-    got = augmentation_path_step(model, x_t, t, null_opt, c, g, schedule)
-    plain = to_xbar(ddim_step(model, x_t, t, t - 1, c, schedule), t - 1, schedule)
+    got = augmentation_path_step(model, x_t, t, null_opt, c, g)
+    plain = to_xbar(ddim_step(model, x_t, t, t - 1, c), t - 1, schedule)
     assert np.max(np.abs(got - plain)) < 1e-12
 
 
@@ -120,11 +119,55 @@ def test_augmentation_step_unconditional_reduction(setup, schedule):
     g = GuidanceConfig(omega=2.0, lambda_c=0.0, lambda_r=0.0)
     x_t = traj.x_tau
     t = traj.tau
-    got = augmentation_path_step(model, x_t, t, null_opt, c, g, schedule)
+    got = augmentation_path_step(model, x_t, t, null_opt, c, g)
     plain = to_xbar(
-        ddim_step(model, x_t, t, t - 1, model.null_embedding(), schedule), t - 1, schedule
+        ddim_step(model, x_t, t, t - 1, model.null_embedding()), t - 1, schedule
     )
     assert np.max(np.abs(got - plain)) < 1e-12
+
+
+def test_stages_read_the_models_own_schedule():
+    """Every stage that takes a model steps on ``model.schedule``: on a
+    non-default schedule each one equals the hand computation from that
+    schedule's gammas and alpha_bars."""
+    s = build_schedule(200, 1e-4, 0.05)
+    assert not np.allclose(s.gammas, build_schedule().gammas[:201])
+    gam, root = s.gammas, np.sqrt(s.alpha_bars)
+    rng = SeededRng(43)
+    model = AnalyticGaussianDenoiser(s, (6, 6), 8, mu=0.3, rng=rng.derive(1))
+    c, null = ConditionEmbedding(rng.derive(2).normal(8)), model.null_embedding()
+    x0 = 0.2 + 0.5 * rng.derive(3).random((6, 6))
+
+    x_t = rng.derive(4).normal((6, 6))
+    hand = (x_t / root[150] + (gam[90] - gam[150]) * model.predict(x_t, 150, c)) * root[90]
+    assert np.max(np.abs(ddim_step(model, x_t, 150, 90, c) - hand)) < 1e-12
+
+    traj = ddim_invert(model, x0, 60, 25, c)
+    assert traj.steps == (0, 25, 50, 60)
+    xbar = x0.copy()
+    for k in range(1, len(traj.steps)):
+        u, t = traj.steps[k - 1], traj.steps[k]
+        xbar = xbar + (gam[t] - gam[u]) * model.predict(traj.latents[k - 1], u, c)
+        assert np.max(np.abs(traj.latents[k] - xbar * root[t])) < 1e-12
+
+    def recon(e):
+        eps = cfg_single(model.predict(traj.x_tau, 60, e), model.predict(traj.x_tau, 60, c), 2.0)
+        return traj.x_tau / root[60] - gam[60] * eps
+
+    got = one_step_reconstruct(model, traj.x_tau, 60, c, null, 2.0)
+    assert np.max(np.abs(got - recon(null))) < 1e-12
+    null_opt = optimize_null_text(model, traj, c, 2.0,
+                                  NullOptConfig(lr=0.1, max_steps=3, early_stop=0.0))
+    assert abs(null_opt.trace[0] - np.mean((x0 - recon(null)) ** 2)) < 1e-15
+
+    g = GuidanceConfig(omega=2.0, lambda_c=1.0, lambda_r=0.7)
+    x_t = traj.x_tau
+    preds = [model.predict(x_t, 60, e) for e in (null, c, null_opt.embedding)]
+    hand = x_t / root[60] + (gam[57] - gam[60]) * cfg_multi(*preds, g)
+    got = augmentation_path_step(model, x_t, 60, null_opt, c, g, t_out=57)
+    assert np.max(np.abs(got - hand)) < 1e-12
+    # the club-pixel column steps on the same schedule
+    assert model.at_pixels(np.arange(3), (null, c, null_opt.embedding)).schedule is s
 
 
 # ---- blend ----
@@ -173,12 +216,11 @@ def test_blend_rejects_an_output_over_the_club_value():
 # ---- generate_one ----
 
 
-def test_all_spade_is_bit_identical_to_reconstruction(setup, schedule):
+def test_all_spade_is_bit_identical_to_reconstruction(setup):
     model, c, x0, traj, null_opt = setup
     cfg = small_cfg(mask_policy=MaskPolicy(scheme="bernoulli", p_m=1.0))
     out = generate_one(model, x0, null_opt, c, cfg, SeededRng(100), trajectory=traj)
-    rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding,
-                               2.0, schedule)
+    rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null_opt.embedding, 2.0)
     assert np.array_equal(out, rec)
 
 
@@ -251,7 +293,7 @@ def test_loop_replays_the_allocating_step_bit_for_bit(setup, schedule, overrides
     for rec in records:
         club = augmentation_path_step(
             model, from_xbar(xbar, rec["t"], schedule), rec["t"], null_opt, c, cfg.guidance,
-            schedule, t_out=rec["t_out"],
+            t_out=rec["t_out"],
             coefficient=identity_coefficient(cfg.guidance, out.shape, np.array(lambdas)))
         assert np.array_equal(rec["club"].view(np.int64), club.view(np.int64))
         sel = np.stack([m.spade for m in rec["masks"]]).astype(bool)
@@ -271,8 +313,8 @@ def wide_setup(schedule):
                                      rng=rng.derive(2))
     c = ConditionEmbedding(rng.derive(3).normal(16))
     x0 = 0.3 + 0.4 * rng.derive(4).random((6, 9))
-    traj = ddim_invert(model, x0, 60, 10, c, schedule)
-    null_opt = optimize_null_text(model, traj, c, 2.0, schedule,
+    traj = ddim_invert(model, x0, 60, 10, c)
+    null_opt = optimize_null_text(model, traj, c, 2.0,
                                   NullOptConfig(lr=0.1, max_steps=30, early_stop=0.0))
     return model, c, traj, null_opt
 
@@ -535,8 +577,7 @@ def test_generate_set_shares_one_optimization(setup):
     cfg = small_cfg(n_augment=3)
     aset = generate_set(model, x0, c, cfg, SeededRng(50))
     assert len(aset.augmented) == 3
-    shared = optimize_null_text(model, _invert(model, x0, c, cfg), c, 2.0, model.schedule,
-                                cfg.null_opt)
+    shared = optimize_null_text(model, _invert(model, x0, c, cfg), c, 2.0, cfg.null_opt)
     assert aset.null_opt.final_loss == shared.final_loss
     assert aset.null_opt.trace == shared.trace
     assert np.array_equal(aset.null_opt.identity_noise, shared.identity_noise)
@@ -572,20 +613,19 @@ def test_generate_set_past_the_float_range_warns_of_nothing(setup, schedule):
             generate_set(conv, x0, conv.null_embedding(), small_cfg(tau=20), SeededRng(54))
 
 
-def test_single_all_spade_augmentation_is_reconstruction(setup, schedule):
+def test_single_all_spade_augmentation_is_reconstruction(setup):
     model, c, x0, traj, null_opt = setup
     cfg = small_cfg(n_augment=1, mask_policy=MaskPolicy(scheme="bernoulli", p_m=1.0))
     aset = generate_set(model, x0, c, cfg, SeededRng(52))
-    shared = optimize_null_text(model, traj, c, 2.0, schedule, cfg.null_opt)
-    rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, shared.embedding,
-                               2.0, schedule)
+    shared = optimize_null_text(model, traj, c, 2.0, cfg.null_opt)
+    rec = one_step_reconstruct(model, traj.x_tau, traj.tau, c, shared.embedding, 2.0)
     assert np.array_equal(aset.augmented[0], rec)
 
 
-def test_invert_with_null_inverts_under_the_null_embedding(setup, schedule):
+def test_invert_with_null_inverts_under_the_null_embedding(setup):
     model, c, x0, traj, _ = setup
     got = _invert(model, x0, c, small_cfg(invert_with="null"))
-    want = ddim_invert(model, x0, 60, 10, model.null_embedding(), schedule)
+    want = ddim_invert(model, x0, 60, 10, model.null_embedding())
     assert got.steps == want.steps
     assert all(np.array_equal(a, b) for a, b in zip(got.latents, want.latents))
     # the setup's semantic inversion takes another path
@@ -596,9 +636,8 @@ def _set_equals_single_generations(model, x0, c, cfg, rng, relevance_fn):
     """generate_set against a loop of generate_one on the streams
     rng.derive(i), sharing the set's inversion and null-text optimization."""
     aset = generate_set(model, x0, c, cfg, rng, relevance_fn=relevance_fn)
-    traj = ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, c, model.schedule)
-    null_opt = optimize_null_text(model, traj, c, cfg.guidance.omega, model.schedule,
-                                  cfg.null_opt)
+    traj = ddim_invert(model, x0, cfg.tau, cfg.inversion_interval, c)
+    null_opt = optimize_null_text(model, traj, c, cfg.guidance.omega, cfg.null_opt)
     assert len(aset.augmented) == cfg.n_augment
     for i, (got, item) in enumerate(zip(aset.augmented, aset.per_item)):
         single = generate_one(model, x0, null_opt, c, cfg, rng.derive(i),

@@ -87,8 +87,7 @@ def test_one_step_zero_eps_is_rescale(schedule, rng):
     m = ZeroDenoiser(schedule)
     x_tau = rng.normal((6, 6))
     tau = 300
-    out = one_step_reconstruct(m, x_tau, tau, m.null_embedding(), m.null_embedding(),
-                               2.0, schedule)
+    out = one_step_reconstruct(m, x_tau, tau, m.null_embedding(), m.null_embedding(), 2.0)
     assert np.allclose(out, x_tau / np.sqrt(schedule.alpha_bars[tau]), rtol=1e-13)
 
 
@@ -105,7 +104,7 @@ def test_one_step_matches_hand_computed_closed_form(schedule, rng):
     pc = (m.projection @ c.values).reshape(5, 5)
     eps_dot = (1.0 - omega) * base + omega * (base + pc)
     hand = x_tau / np.sqrt(abar) - schedule.gammas[tau] * eps_dot
-    got = one_step_reconstruct(m, x_tau, tau, c, null, omega, schedule)
+    got = one_step_reconstruct(m, x_tau, tau, c, null, omega)
     assert np.max(np.abs(got - hand)) < 1e-10
 
 
@@ -113,9 +112,9 @@ def test_one_step_omega_one_ignores_null_embedding(schedule, rng):
     m = AnalyticGaussianDenoiser(schedule, (5, 5), 3, mu=0.2, rng=SeededRng(4))
     x_tau = rng.normal((5, 5))
     c = ConditionEmbedding(rng.normal(3))
-    a = one_step_reconstruct(m, x_tau, 100, c, m.null_embedding(), 1.0, schedule)
+    a = one_step_reconstruct(m, x_tau, 100, c, m.null_embedding(), 1.0)
     b = one_step_reconstruct(m, x_tau, 100, c,
-                             ConditionEmbedding(rng.normal(3)), 1.0, schedule)
+                             ConditionEmbedding(rng.normal(3)), 1.0)
     assert np.array_equal(a, b)
 
 
@@ -127,8 +126,7 @@ def _least_squares_target(model, traj, c, omega, schedule):
     linear oracle; solved through the normal equations."""
     tau = traj.tau
     x_tau = traj.x_tau
-    base = one_step_reconstruct(model, x_tau, tau, c, model.null_embedding(),
-                                omega, schedule)
+    base = one_step_reconstruct(model, x_tau, tau, c, model.null_embedding(), omega)
     r0 = (traj.x0 - base).ravel()
     # residual(e) = r0 + gamma_tau * (1 - omega) * P e
     b_mat = schedule.gammas[tau] * (1.0 - omega) * model.projection
@@ -145,7 +143,7 @@ def _invert_scene(schedule, dim=24, size=8, seed=31, mu=0.0):
     yy, xx = np.mgrid[0:size, 0:size]
     x0 = 0.2 + 0.6 * (((yy - size / 2) ** 2 + (xx - size / 2) ** 2) <= 6.0)
     x0 = x0 + rng.derive(3).normal((size, size)) * 0.02
-    traj = ddim_invert(model, x0, 300, 10, c, schedule)
+    traj = ddim_invert(model, x0, 300, 10, c)
     return model, c, traj
 
 
@@ -154,7 +152,7 @@ def test_optimizer_reaches_least_squares_minimum(schedule):
     e_star, min_loss = _least_squares_target(model, c, 2.0, schedule) if False else \
         _least_squares_target(model, traj, c, 2.0, schedule)
     result = optimize_null_text(
-        model, traj, c, 2.0, schedule,
+        model, traj, c, 2.0,
         NullOptConfig(lr=0.1, max_steps=2000, early_stop=0.0),
     )
     assert abs(result.final_loss - min_loss) < 1e-6
@@ -162,18 +160,17 @@ def test_optimizer_reaches_least_squares_minimum(schedule):
 
 def test_optimizer_starting_at_minimum_stops_immediately(schedule):
     model, c, traj = _invert_scene(schedule, dim=128, size=8)
-    result = optimize_null_text(model, traj, c, 2.0, schedule,
+    result = optimize_null_text(model, traj, c, 2.0,
                                 NullOptConfig(lr=0.1, max_steps=500, early_stop=5e-4))
     # re-run with the solved embedding as the canonical start by shifting the
     # projection offset into the model is overkill; instead assert the
     # trivial restatement: a second optimization whose early_stop already
     # exceeds the initial loss stops at iteration 0
     init_loss = reconstruction_loss(
-        one_step_reconstruct(model, traj.x_tau, traj.tau, c, model.null_embedding(),
-                             2.0, schedule),
+        one_step_reconstruct(model, traj.x_tau, traj.tau, c, model.null_embedding(), 2.0),
         traj.x0,
     )
-    again = optimize_null_text(model, traj, c, 2.0, schedule,
+    again = optimize_null_text(model, traj, c, 2.0,
                                NullOptConfig(lr=0.1, max_steps=500,
                                              early_stop=init_loss * 1.0000001))
     assert again.iterations_used == 0
@@ -182,7 +179,7 @@ def test_optimizer_starting_at_minimum_stops_immediately(schedule):
 
 def test_best_so_far_loss_monotone(schedule):
     model, c, traj = _invert_scene(schedule, dim=16)
-    result = optimize_null_text(model, traj, c, 2.0, schedule,
+    result = optimize_null_text(model, traj, c, 2.0,
                                 NullOptConfig(lr=0.1, max_steps=120, early_stop=0.0))
     assert len(result.trace) == 121
     best = np.minimum.accumulate(result.trace)
@@ -195,11 +192,10 @@ def test_trace_holds_the_loss_of_every_iteration(schedule, dim, early_stop):
     the least of them, not always the last, is the reported loss, bit for
     bit."""
     model, c, traj = _invert_scene(schedule, dim=dim)
-    result = optimize_null_text(model, traj, c, 2.0, schedule,
+    result = optimize_null_text(model, traj, c, 2.0,
                                 NullOptConfig(lr=0.1, max_steps=200, early_stop=early_stop))
     assert len(result.trace) == result.iterations_used + 1
-    zero = one_step_reconstruct(model, traj.x_tau, traj.tau, c, model.null_embedding(),
-                                2.0, schedule)
+    zero = one_step_reconstruct(model, traj.x_tau, traj.tau, c, model.null_embedding(), 2.0)
     assert result.trace[0] == reconstruction_loss(zero, traj.x0)
     assert min(result.trace) == result.final_loss
     if early_stop:
@@ -239,10 +235,10 @@ def test_conv_null_text_iteration_runs_one_forward_and_one_backward(schedule, co
     rng = SeededRng(58)
     model = ConvDenoiser(schedule, channels=1, embedding_dim=4, hidden=6, rng=rng.derive(1))
     c = ConditionEmbedding(rng.normal(4))
-    traj = ddim_invert(model, 0.2 + 0.5 * rng.derive(2).random((8, 8)), 20, 10, c, schedule)
+    traj = ddim_invert(model, 0.2 + 0.5 * rng.derive(2).random((8, 8)), 20, 10, c)
     conv_passes.clear()
     k = 7
-    result = optimize_null_text(model, traj, c, 2.0, schedule,
+    result = optimize_null_text(model, traj, c, 2.0,
                                 NullOptConfig(lr=0.1, max_steps=k, early_stop=0.0))
     assert result.iterations_used == k
     # the semantic prediction, the starting embedding, then one of each per
@@ -253,7 +249,7 @@ def test_conv_null_text_iteration_runs_one_forward_and_one_backward(schedule, co
 def test_omega_one_is_rejected(schedule):
     model, c, traj = _invert_scene(schedule)
     with pytest.raises(DegenerateGuidanceError):
-        optimize_null_text(model, traj, c, 1.0, schedule)
+        optimize_null_text(model, traj, c, 1.0, NullOptConfig())
 
 
 def test_one_step_variant_comparable_to_stepwise_oracle(schedule):
@@ -261,17 +257,15 @@ def test_one_step_variant_comparable_to_stepwise_oracle(schedule):
     must reach similar reconstruction quality, with the one-step variant
     spending no more optimizer iterations."""
     model, c, traj_full = _invert_scene(schedule, dim=96, size=8, seed=77)
-    traj = ddim_invert(model, traj_full.x0, 30, 10, c, schedule)
+    traj = ddim_invert(model, traj_full.x0, 30, 10, c)
     opt = NullOptConfig(lr=0.1, max_steps=300, early_stop=1e-6)
 
-    one = optimize_null_text(model, traj, c, 2.0, schedule, opt)
+    one = optimize_null_text(model, traj, c, 2.0, opt)
     recon_one = one_step_reconstruct(model, traj.x_tau, traj.tau, c,
-                                     one.embedding, 2.0, schedule)
+                                     one.embedding, 2.0)
     mse_one = reconstruction_loss(recon_one, traj.x0)
 
-    recon_step, _, iters_step = stepwise_nulltext_inversion(
-        model, traj, c, 2.0, schedule, opt
-    )
+    recon_step, _, iters_step = stepwise_nulltext_inversion(model, traj, c, 2.0, opt)
     mse_step = reconstruction_loss(recon_step, traj.x0)
 
     assert mse_one <= max(5.0 * mse_step, 1e-5)
@@ -282,10 +276,10 @@ def test_optimized_null_improves_round_trip(schedule):
     """Guided resampling down the ladder with the optimized embedding must
     beat the unoptimized null embedding at reconstructing the input."""
     model, c, traj = _invert_scene(schedule, dim=128)
-    result = optimize_null_text(model, traj, c, 2.0, schedule,
+    result = optimize_null_text(model, traj, c, 2.0,
                                 NullOptConfig(lr=0.1, max_steps=400, early_stop=1e-8))
     raw = one_step_reconstruct(model, traj.x_tau, traj.tau, c,
-                               model.null_embedding(), 2.0, schedule)
+                               model.null_embedding(), 2.0)
     tuned = one_step_reconstruct(model, traj.x_tau, traj.tau, c,
-                                 result.embedding, 2.0, schedule)
+                                 result.embedding, 2.0)
     assert reconstruction_loss(tuned, traj.x0) < 0.01 * reconstruction_loss(raw, traj.x0)

@@ -46,7 +46,7 @@ def test_ddim_zero_eps_is_pure_rescale(schedule, rng):
     m = ZeroDenoiser(schedule)
     x = rng.normal((5, 5))
     t, t_next = 400, 100
-    out = ddim_step(m, x, t, t_next, m.null_embedding(), schedule)
+    out = ddim_step(m, x, t, t_next, m.null_embedding())
     ratio = np.sqrt(schedule.alpha_bars[t_next] / schedule.alpha_bars[t])
     assert np.allclose(out, ratio * x, rtol=1e-13)
 
@@ -56,7 +56,7 @@ def test_ddim_endpoint_identity(schedule, rng):
     x = rng.normal((8, 8))
     e = m.null_embedding()
     t = 250
-    out = ddim_step(m, x, t, 0, e, schedule)
+    out = ddim_step(m, x, t, 0, e)
     expected = to_xbar(x, t, schedule) - schedule.gammas[t] * m.predict(x, t, e)
     assert np.array_equal(out, expected)
 
@@ -64,7 +64,7 @@ def test_ddim_endpoint_identity(schedule, rng):
 def test_ddim_rejects_non_descending(schedule, rng):
     m = ZeroDenoiser(schedule)
     with pytest.raises(ContractError):
-        ddim_step(m, rng.normal((2, 2)), 100, 100, m.null_embedding(), schedule)
+        ddim_step(m, rng.normal((2, 2)), 100, 100, m.null_embedding())
 
 
 def test_ddim_deterministic_bitwise(schedule, rng):
@@ -72,7 +72,7 @@ def test_ddim_deterministic_bitwise(schedule, rng):
     x = rng.normal((8, 8))
     e = ConditionEmbedding(rng.normal(4))
     assert np.array_equal(
-        ddim_step(m, x, 500, 450, e, schedule), ddim_step(m, x, 500, 450, e, schedule)
+        ddim_step(m, x, 500, 450, e), ddim_step(m, x, 500, 450, e)
     )
 
 
@@ -81,8 +81,8 @@ def test_ddim_chain_vs_single_jump(schedule, rng):
     e = m.null_embedding()
     x = rng.normal((8, 8))
     t, t_next = 320, 280
-    jump = ddim_step(m, x, t, t_next, e, schedule)
-    chained = ddim_sample(m, x, list(range(t, t_next - 1, -1)), e, schedule)
+    jump = ddim_step(m, x, t, t_next, e)
+    chained = ddim_sample(m, x, list(range(t, t_next - 1, -1)), e)
     rel = np.linalg.norm(chained - jump) / np.linalg.norm(chained)
     assert rel < 0.02
 
@@ -100,7 +100,7 @@ def test_ddim_mean_dynamics_match_closed_form(schedule, rng):
         s_t = np.sqrt(1.0 - schedule.alpha_bars[t])
         scale = np.sqrt(schedule.alpha_bars[t])
         hand = hand + (schedule.gammas[t_next] - schedule.gammas[t]) * s_t * scale * hand
-        got = ddim_step(m, got, t, t_next, e, schedule)
+        got = ddim_step(m, got, t, t_next, e)
         hand_unbarred = hand * np.sqrt(schedule.alpha_bars[t_next])
         assert np.max(np.abs(got - hand_unbarred)) < 1e-6
 
@@ -120,7 +120,7 @@ def test_inversion_ladder_structure():
 def test_invert_records_input_exactly(schedule, rng):
     m = analytic(schedule)
     x0 = rng.normal((8, 8))
-    traj = ddim_invert(m, x0, 300, 10, m.null_embedding(), schedule)
+    traj = ddim_invert(m, x0, 300, 10, m.null_embedding())
     assert np.array_equal(traj.x0, x0)
     assert traj.steps == tuple(range(0, 301, 10))
     assert traj.tau == 300
@@ -130,7 +130,7 @@ def test_single_rung_is_one_update(schedule, rng):
     m = analytic(schedule, mu=0.1)
     e = ConditionEmbedding(rng.normal(4))
     x0 = rng.normal((8, 8))
-    traj = ddim_invert(m, x0, 10, 10, e, schedule)
+    traj = ddim_invert(m, x0, 10, 10, e)
     assert len(traj.steps) == 2
     eps = m.predict(x0, 0, e)
     expected = (to_xbar(x0, 0, schedule) + schedule.gammas[10] * eps)
@@ -142,9 +142,9 @@ def test_invert_bad_args(schedule, rng):
     m = analytic(schedule)
     x0 = rng.normal((8, 8))
     with pytest.raises(IndexError):
-        ddim_invert(m, x0, 2000, 10, m.null_embedding(), schedule)
+        ddim_invert(m, x0, 2000, 10, m.null_embedding())
     with pytest.raises(ContractError):
-        ddim_invert(m, x0, 100, -1, m.null_embedding(), schedule)
+        ddim_invert(m, x0, 100, -1, m.null_embedding())
 
 
 def test_trajectory_invariants():
@@ -175,8 +175,8 @@ def test_round_trip_error_small_and_monotone(schedule):
     for interval in (50, 25, 10, 5):
         errs = []
         for x0 in batch:
-            traj = ddim_invert(m, x0, 300, interval, e, schedule)
-            back = ddim_sample(m, traj.x_tau, list(traj.steps)[::-1], e, schedule)
+            traj = ddim_invert(m, x0, 300, interval, e)
+            back = ddim_sample(m, traj.x_tau, list(traj.steps)[::-1], e)
             errs.append(np.linalg.norm(back - x0) / np.linalg.norm(x0))
         mean_errors[interval] = float(np.mean(errs))
     assert mean_errors[10] < 0.05
@@ -192,7 +192,7 @@ def test_ddim_from_pure_noise_recovers_data_mean(schedule):
     e = m.null_embedding()
     x = SeededRng(30).normal((25, 40))
     steps = list(range(1000, -1, -50))
-    out = ddim_sample(m, x, steps, e, schedule)
+    out = ddim_sample(m, x, steps, e)
     n = out.size
     se = out.std(ddof=1) / np.sqrt(n)
     assert abs(out.mean() - mu) < 3.0 * se

@@ -9,9 +9,12 @@
 # of 3 and lambda_r fixed at 0 (once with masks redrawn at every step, once
 # with attention masks held and lambda_c at 0, which runs the loop on the
 # club pixels only), once at data_std 0.5, where the analytic model's
-# posterior scale is not the unit-variance one, and once with attention
+# posterior scale is not the unit-variance one, once with attention
 # masks that read the segmenter's relevance, so `augment` trains a segmenter
-# and segments each original itself, make-data,
+# and segments each original itself, and once with null-text traces on a
+# 500-step schedule with beta_end 0.03, the one run whose noise schedule is
+# not the default, so a stage that steps on another schedule than the
+# model's changes its digests; make-data,
 # train-denoiser, train-segmenter and evaluate in turn on the analytic one,
 # `ttga evaluate --seed 7` on the analytic one with the threshold
 # segmenter and attention masks that read the segmenter's relevance, and
@@ -70,6 +73,8 @@ run augment augment-held "${tiny[@]}" --count 2 --set club_stride=3 \
 run augment augment-std "${tiny[@]}" --count 2 --set data_std=0.5
 run augment augment-seg "${tiny[@]}" --count 2 --set relevance_provider=segmenter \
     --set mask_scheme=attention
+run augment augment-sched "${tiny[@]}" --count 2 --set total_steps=500 --set beta_end=0.03 \
+    --set nulltext_trace=true
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
