@@ -100,9 +100,10 @@ class Denoiser:
         self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding],
         out: np.ndarray | None = None,
     ) -> list[np.ndarray]:
-        """The noise predicted at (x, t) under each embedding, in order.
-        ``out``, a (len(embeddings), *x.shape) array, receives them if given,
-        and the returned predictions are its items."""
+        """The noise predicted at (x, t) under each embedding, in order, as
+        arrays that share no memory. ``out``, a (len(embeddings), *x.shape)
+        array, receives them if given, and the returned predictions are its
+        items."""
         raise NotImplementedError
 
     def predict_vjp(
@@ -141,11 +142,14 @@ class Denoiser:
     def _null(self) -> ConditionEmbedding:
         return ConditionEmbedding(np.zeros(self.embedding_dim), role=ROLE_NULL)
 
-    def _check_embeddings(self, embeddings: Sequence[ConditionEmbedding]) -> None:
+    def _check_embeddings(self, embeddings: Sequence[ConditionEmbedding],
+                          x: np.ndarray | None = None, out: np.ndarray | None = None) -> None:
         for e in embeddings:
             if e.dim != self.embedding_dim:
                 raise ContractError(
                     f"embedding dim {e.dim} != model embedding_dim {self.embedding_dim}")
+        if out is not None and out.shape != (len(embeddings),) + np.shape(x):
+            raise ContractError(f"out shape {out.shape} != {(len(embeddings),) + np.shape(x)}")
 
 
 class AnalyticGaussianDenoiser(Denoiser):
@@ -247,7 +251,7 @@ class AnalyticGaussianDenoiser(Denoiser):
         buffer, plus ``P @ e`` per embedding, broadcast over a stack."""
         if embeddings:
             self.schedule.check_step(t)
-        self._check_embeddings(embeddings)
+        self._check_embeddings(embeddings, x, out)
         if x.shape != self.shape and x.shape[1:] != self.shape:
             raise ContractError(f"grid shape {x.shape} != model shape {self.shape}")
         if out is None:
@@ -394,21 +398,28 @@ class ConvDenoiser(ConvStack, Denoiser):
         return Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))
 
     def predict_each(self, x, t, embeddings, out=None):
-        """One forward pass over the (k*N, H, W) batch that repeats the N
-        items of ``x`` once per embedding, each copy with its own embedding;
-        copied into ``out`` if given."""
+        """One forward over the distinct embeddings, those whose values'
+        bytes no earlier one has: the (k*N, H, W) batch repeats the N items
+        of ``x`` once per distinct embedding. A repeat gets a copy of its
+        first equal's prediction; all are copied into ``out`` if given."""
         # t = 0 is admitted: inversion ladders evaluate the predictor at the
         # clean endpoint, where sqrt(1 - abar_0) = 0.
         self.schedule.check_step(t)
-        self._check_embeddings(embeddings)
+        self._check_embeddings(embeddings, x, out)
         xb, stacked = self._prepare(x)
-        k, n = len(embeddings), xb.shape[0]
-        rows = np.repeat([e.values for e in embeddings], n, axis=0)
+        if not embeddings:
+            return []
+        keys = [e.values.tobytes() for e in embeddings]
+        first = {key: keys.index(key) for key in keys}
+        k, n = len(first), xb.shape[0]
+        rows = np.repeat([embeddings[i].values for i in first.values()], n, axis=0)
         y = self.forward(Tensor(np.concatenate([xb] * k)),
                          Tensor(rows.reshape(k * n, 1, 1, -1)), self._feats(t))
-        preds = [self._restore(part, stacked) for part in np.split(y.data, k)]
+        parts = dict(zip(first, np.split(y.data, k)))
+        preds = [self._restore(parts[key], stacked) for key in keys]
         if out is None:
-            return preds
+            return [pred if first[key] == i else pred.copy()
+                    for i, (key, pred) in enumerate(zip(keys, preds))]
         for dst, pred in zip(out, preds):
             dst[...] = pred
         return list(out)

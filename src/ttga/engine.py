@@ -19,7 +19,8 @@ Both paths and the inversion take their coefficients from ``model.schedule``.
 
 The N augmentations of a set share one loop: their latents are one
 (N, *grid) stack, each step makes one identity-path jump and one denoiser
-call over the three guidance conditions, and each item draws its lambda_r
+call over the three guidance conditions, where equal embeddings share one
+forward, and each item draws its lambda_r
 and masks from its own random stream, so an item's output does not depend
 on N. A step that redraws relevance masks predicts the semantic condition
 on its own, keeping the graph for the relevance's input gradient, and the
@@ -158,7 +159,7 @@ def augmentation_path_step(
     pred_buffer: np.ndarray | None = None,
 ) -> np.ndarray:
     """Rescaled augmentation-path value at step t_out (default t-1); three
-    denoiser evaluations, in one call, feed the multi-condition guidance.
+    predictions from one denoiser call feed the multi-condition guidance.
     ``x_t`` may be a stack of latents. ``coefficient``, when given, is
     ``identity_coefficient(g, x_t.shape, lambda_r)`` with one lambda_r per
     item; without it every item takes ``g.lambda_r``.

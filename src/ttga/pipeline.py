@@ -44,6 +44,7 @@ from .evalbench import (
 )
 from .masks import consistency_relevance, saliency_relevance
 from .metrics import binarize, dice, error_ground_truth, hd95, nsd, roc_auc
+from .nulltext import OptimizedNull
 from .rng import SeededRng
 from .runconfig import RunConfig
 from .schedule import NoiseSchedule
@@ -305,6 +306,14 @@ def augment_metadata(image_id: int, aset: AugmentationSet) -> list[dict]:
             for j, item in enumerate(aset.per_item)]
 
 
+def nulltext_summary(null_opts: list[OptimizedNull], null: ConditionEmbedding) -> str:
+    """The run.log line on null-text: iterations, and images left at the raw null."""
+    its = [o.iterations_used for o in null_opts]
+    raw = sum(o.embedding.values.tobytes() == null.values.tobytes() for o in null_opts)
+    return (f"null-text iterations min/median/max {min(its)}/{np.median(its):g}/{max(its)}; "
+            f"optimized null equals the raw null on {raw} of {len(its)} images")
+
+
 def write_augment_metadata(path: Path, rows: list[dict]) -> None:
     write_csv(path, AUGMENT_HEADER, ([m["image_id"], m["aug_index"], fmt(m["lambda_r"]),
                                       m["mask_stream"], fmt(m["reconstruction_loss"])]
@@ -320,6 +329,7 @@ class ImageResult:
     occluded: int
     rows: list[dict]
     aug_metadata: list[dict] = field(default_factory=list)
+    null_opt: OptimizedNull | None = None
     flags: list[str] = field(default_factory=list)
     dumps: dict = field(default_factory=dict)
 
@@ -375,6 +385,7 @@ def evaluate_image(
                         base_prob=base_prob)
         er = per_method["ttga"] = ensemble(segmenter.segment(aset.augmented))
         result.aug_metadata = augment_metadata(image_id, aset)
+        result.null_opt = aset.null_opt
         if cfg.dump_images:
             result.dumps["augmented"] = aset.augmented
             result.dumps["ttga_entropy"] = er.entropy_map
@@ -449,6 +460,8 @@ def run_evaluation(
         for line in res.flags:
             log.write(line)
     log.write(f"evaluated {len(scenes)} images, methods={cfg.methods}")
+    if "ttga" in cfg.method_list():
+        log.write(nulltext_summary([res.null_opt for res in results], denoiser.null_embedding()))
     return rows
 
 
@@ -541,9 +554,10 @@ def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
     models = _load_models(cfg, log, augment=True)
     aug_dir = Path(cfg.out) / "augment"
     aug_dir.mkdir(exist_ok=True)
-    metadata = []
+    metadata, null_opts = [], []
     for i, scene in enumerate(scenes):
         aset = ttga_set(i, scene, cfg, *models)
+        null_opts.append(aset.null_opt)
         if cfg.nulltext_trace:
             write_csv(aug_dir / f"nulltext_trace_{i:04d}.csv", ["iteration", "loss"],
                       ([it, f"{loss:.12e}"] for it, loss in enumerate(aset.null_opt.trace)))
@@ -555,6 +569,7 @@ def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
         metadata += augment_metadata(i, aset)
     write_augment_metadata(aug_dir / "metadata.csv", metadata)
     log.write(f"augmented {len(scenes)} images x {cfg.n_augment}")
+    log.write(nulltext_summary(null_opts, models[0].null_embedding()))
     return aug_dir
 
 

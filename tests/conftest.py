@@ -61,3 +61,18 @@ def conv_passes(monkeypatch):
             return _original(*args, **kwargs)
         monkeypatch.setattr(owner, name, counted)
     return counts
+
+
+@pytest.fixture()
+def conv_batch_items(monkeypatch):
+    """The batch size of each conv-stack forward pass made while the test
+    runs, in call order."""
+    items = []
+    forward = ConvStack.forward
+
+    def counted(self, x, more=()):
+        items.append(len(x.data))
+        return forward(self, x, more)
+
+    monkeypatch.setattr(ConvStack, "forward", counted)
+    return items

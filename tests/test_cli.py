@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -478,7 +479,23 @@ def test_compare_report_stddev_matches_hand_value(tmp_path, pipeline_run):
 def test_run_log_holds_timestamps_not_csvs(pipeline_run):
     per_image = (pipeline_run / "eval" / "per_image.csv").read_text()
     assert "T" not in per_image.split("\n")[0].replace("TTGA", "")
-    assert (pipeline_run / "run.log").read_text().count("-") >= 2
+    log = (pipeline_run / "run.log").read_text()
+    assert log.count("-") >= 2
+    assert len(re.findall(r" null-text iterations min/median/max \d+/[\d.]+/\d+; "
+                          r"optimized null equals the raw null on \d of 6 images\n", log)) == 1
+
+
+def test_run_log_counts_the_images_left_at_the_raw_null(tmp_path):
+    """Without a null-text step every image keeps the raw null's bytes."""
+    out = tmp_path / "aug_run"
+    assert run_cli("augment", "--out", out, "--seed", 2, "--count", 2, *TINY,
+                   "--set", "denoiser=trainable", "--set", "denoiser_hidden=4",
+                   "--set", "denoiser_epochs=1", "--set", "embedding_dim=8",
+                   "--set", "nulltext_max_steps=0") == 0
+    lines = [line for line in (out / "run.log").read_text().splitlines() if "null-text" in line]
+    assert len(lines) == 1
+    assert lines[0].endswith(" null-text iterations min/median/max 0/0/0; "
+                             "optimized null equals the raw null on 2 of 2 images")
 
 
 def test_trainable_denoiser_pipeline_path(tmp_path):

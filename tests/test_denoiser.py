@@ -163,6 +163,49 @@ def test_predict_each_equals_one_predict_per_embedding(kind, stacked, k, schedul
         assert np.shares_memory(written, buffer) and np.array_equal(written, pred)
 
 
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+@pytest.mark.parametrize("stacked", [False, True])
+@pytest.mark.parametrize("case", ["optimized_null", "repeat", "signed_zero"])
+def test_predict_each_gives_equal_embeddings_their_own_bits_in_distinct_arrays(
+        kind, stacked, case, schedule, conditioned_conv, rng, conv_batch_items):
+    """The conv model runs one forward over the distinct value bytes, two in
+    each case: -0.0 == +0.0, but they are not the same bytes. A repeat's
+    prediction still equals its own ``predict``, bit for bit, and shares no
+    memory with the others."""
+    m = make_analytic(schedule, mu=0.3) if kind == "analytic" else conditioned_conv
+    null, dim = m.null_embedding(), m.embedding_dim
+    a, b = (ConditionEmbedding(rng.normal(dim)) for _ in range(2))
+    embeddings = {
+        "optimized_null": [null, a, ConditionEmbedding(null.values, role="optimized_null")],
+        "repeat": [a, b, a],
+        "signed_zero": [ConditionEmbedding(np.zeros(dim)), ConditionEmbedding(-np.zeros(dim))],
+    }[case]
+    x = rng.normal((4, 8, 8) if stacked else (8, 8))
+    got = m.predict_each(x, 250, embeddings)
+    assert conv_batch_items == ([] if kind == "analytic" else [2 * (4 if stacked else 1)])
+    into = m.predict_each(x, 250, embeddings,
+                          out=np.full((len(embeddings),) + x.shape, np.nan))
+    for e, pred, written in zip(embeddings, got, into):
+        want = m.predict(x, 250, e).view(np.int64)
+        assert np.array_equal(pred.view(np.int64), want)
+        assert np.array_equal(written.view(np.int64), want)
+    for i, pred in enumerate(got):
+        assert not any(np.shares_memory(pred, other) for other in got[i + 1:])
+
+
+@pytest.mark.parametrize("kind", ["analytic", "conv"])
+def test_predict_each_rejects_an_out_of_another_shape(kind, schedule, conditioned_conv, rng):
+    m = make_analytic(schedule) if kind == "analytic" else conditioned_conv
+    x = rng.normal((2, 8, 8))
+    embeddings = [m.null_embedding(), ConditionEmbedding(rng.normal(m.embedding_dim))]
+    # too few items, too many, a missing stack axis, a stack of another size
+    for shape in ((1, 2, 8, 8), (3, 2, 8, 8), (2, 8, 8), (2, 1, 8, 8)):
+        with pytest.raises(ContractError, match="out shape"):
+            m.predict_each(x, 250, embeddings, out=np.zeros(shape))
+    assert m.predict_each(x, 250, []) == []
+    assert m.predict_each(x, 250, [], out=np.zeros((0, 2, 8, 8))) == []
+
+
 def test_at_pixels_predicts_the_full_models_bits_at_those_pixels(schedule, rng):
     m = make_analytic(schedule, mu=rng.normal((5, 7)), dim=6, shape=(5, 7))
     embeddings = [m.null_embedding(), ConditionEmbedding(rng.normal(6)),

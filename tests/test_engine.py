@@ -723,6 +723,54 @@ def test_conv_step_forward_and_backward_counts(schedule, conv_passes, resample):
         assert conv_passes == {"forward": cfg.tau + 1, "backward": 1}
 
 
+class _OneForwardPerEmbedding(ConvDenoiser):
+    """The reference for a shared forward: one ``predict`` per embedding."""
+
+    def predict_each(self, x, t, embeddings, out=None):
+        preds = [self.predict(x, t, e) for e in embeddings]
+        if out is None:
+            return preds
+        out[...] = preds
+        return list(out)
+
+    def predict(self, x, t, e):
+        return ConvDenoiser.predict_each(self, x, t, [e])[0]
+
+
+@pytest.mark.parametrize("resample, max_steps, per_step", [
+    (False, 0, [2]),     # null and semantic; the identity term reuses the null's
+    (True, 0, [1, 1]),   # the semantic, kept for the relevance; null and identity
+    (False, 5, [3]),     # null-text moved the null off zero: three embeddings
+])
+def test_conv_loop_forwards_each_distinct_embedding_once(schedule, conv_batch_items, resample,
+                                                         max_steps, per_step):
+    """Batch items of each conv forward over a loop of N = 3: each step
+    predicts every distinct embedding once, and the stack keeps the bytes of
+    a model that predicts each embedding on its own."""
+    model, c, x0, _, _ = _conv_setup(schedule)
+    # embedding channels that carry weight, so a null-text step can lower the loss
+    flat = model.flat_parameters()
+    model.set_flat_parameters(flat + 0.05 * SeededRng(63).normal(flat.shape))
+    traj = ddim_invert(model, x0, 20, 10, c)
+    null_opt = optimize_null_text(model, traj, c, 2.0,
+                                  NullOptConfig(lr=0.1, max_steps=max_steps, early_stop=0.0))
+    raw = null_opt.embedding.values.tobytes() == model.null_embedding().values.tobytes()
+    assert raw == (max_steps == 0)
+    reference = _OneForwardPerEmbedding(schedule, embedding_dim=8, hidden=6)
+    reference.set_flat_parameters(model.flat_parameters())
+    n = 3
+    cfg = small_cfg(tau=20, n_augment=n,
+                    mask_policy=MaskPolicy(scheme="hybrid", resample_per_step=resample))
+    conv_batch_items.clear()
+    got, _ = _generate(model, traj, null_opt, c, cfg,
+                       [SeededRng(64).derive(i) for i in range(n)], None)
+    # held masks read one relevance map, at x_tau, before the first step
+    assert conv_batch_items == [1] * (not resample) + [k * n for k in per_step] * cfg.tau
+    want, _ = _generate(reference, traj, null_opt, c, cfg,
+                        [SeededRng(64).derive(i) for i in range(n)], None)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_shared_semantic_prediction_leaves_generation_unchanged(schedule):
     model, c, x0, traj, null_opt = _conv_setup(schedule)
     cfg = small_cfg(tau=20, mask_policy=MaskPolicy(scheme="hybrid", resample_per_step=True))

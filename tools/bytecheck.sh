@@ -23,6 +23,12 @@
 # and writes the sha256 digests of every file these runs write (datasets,
 # model files, CSVs, traces, grids, PGM dumps and SVG plots) to OUT, except
 # run.log, resolved-config.txt and data/manifest.csv.
+# The two conv runs cover both sides of the conv denoiser's shared forward:
+# `full-pipeline trainable` stops null-text before its first step, so the
+# identity term repeats the raw null and shares its prediction (160 of its
+# 180 conv `predict_each` calls repeat an embedding); `augment-conv`
+# (nulltext_early_stop=0) moves the null, and none of its 90 calls repeats
+# one. Keep both when retuning either run.
 # Two trees that should produce the same bytes produce the same OUT:
 #
 #     tools/bytecheck.sh path/to/base base.sha256
