@@ -16,7 +16,11 @@ Without a weight gradient (every inference call) it reuses one item's
 single-grid call runs, so item i of a batch has the bits of the single-grid
 call. A weight gradient reads every column, so a training forward writes
 item n's columns into block n of one (B*H*W, k*k*C) buffer and runs one
-product. The input gradient is one product and one scatter per item.
+product. The input gradient is one product and one scatter per item. With
+one output channel (the last layer of every conv model) that product has
+K = 1 and sums nothing, so it is an outer product into one reused buffer,
+which has its bits up to the sign of a zero; the scatter sums each pixel
+from +0, which drops that sign.
 """
 
 from __future__ import annotations
@@ -186,9 +190,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int,
                 if p.requires_grad:
                     wpt = rows[:, lo:hi].reshape(-1, cout).T
                     gx = np.empty((b, h * w, hi - lo))
+                    if cout == 1:
+                        # a product with K = 1 sums nothing: the outer product has its
+                        # bits but a zero's sign, which the scatter's sums from +0 drop
+                        gcols, wrow = np.empty((h * w, wpt.shape[1])), wpt[0]
+                        patch_grads = lambda gn: np.einsum("i,j->ij", gn[:, 0], wrow, out=gcols)
+                    else:
+                        patch_grads = lambda gn: gn @ wpt
                     # one item's gradient columns at a time, each scattered at once
                     for n in range(b):
-                        gx[n] = _col2im(gitems[n] @ wpt, k, h, w)
+                        gx[n] = _col2im(patch_grads(gitems[n]), k, h, w)
                     gx = gx.reshape(b, h, w, hi - lo)
                     # a part broadcast over an axis gets the sum over it
                     axes = tuple(i for i, size in enumerate(p.shape) if size < gx.shape[i])

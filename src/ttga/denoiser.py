@@ -452,7 +452,7 @@ class ConvDenoiser(ConvStack, Denoiser):
 
 @dataclass(frozen=True)
 class DenoiserTrainConfig:
-    epochs: int = 30
+    epochs: int
     batch_size: int = 16
     drop_p: float = 0.1
     lr: float = 1e-3

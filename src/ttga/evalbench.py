@@ -154,7 +154,7 @@ class ConvSegmenter(ConvStack, Segmenter):
 
 @dataclass(frozen=True)
 class SegTrainConfig:
-    epochs: int = 60
+    epochs: int
     batch_size: int = 16
     lr: float = 3e-3
     hidden: int = 16

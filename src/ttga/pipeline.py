@@ -12,6 +12,7 @@ import csv
 import datetime
 import io
 import json
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -314,6 +315,18 @@ def nulltext_summary(null_opts: list[OptimizedNull], null: ConditionEmbedding) -
             f"optimized null equals the raw null on {raw} of {len(its)} images")
 
 
+def flag_counts(rows: list[dict], methods: list[str]) -> list[str]:
+    """The run.log lines on metric flags: one per method and flag raised, with
+    its image count; ``per_image.csv``'s flags column names the images."""
+    lines = []
+    for method in methods:
+        flags = [r["flags"] for r in rows if r["method"] == method]
+        counts = Counter(f for joined in flags for f in joined.split(";") if f)
+        lines += [f"{flag}: {hits} of {len(flags)} images, method {method} "
+                  "(excluded from aggregates)" for flag, hits in sorted(counts.items())]
+    return lines
+
+
 def write_augment_metadata(path: Path, rows: list[dict]) -> None:
     write_csv(path, AUGMENT_HEADER, ([m["image_id"], m["aug_index"], fmt(m["lambda_r"]),
                                       m["mask_stream"], fmt(m["reconstruction_loss"])]
@@ -330,7 +343,6 @@ class ImageResult:
     rows: list[dict]
     aug_metadata: list[dict] = field(default_factory=list)
     null_opt: OptimizedNull | None = None
-    flags: list[str] = field(default_factory=list)
     dumps: dict = field(default_factory=dict)
 
 
@@ -396,8 +408,6 @@ def evaluate_image(
         row.update({"image_id": image_id, "method": method, "occluded": occluded,
                     "flags": ";".join(flags)})
         result.rows.append(row)
-        for flag in flags:
-            result.flags.append(f"image {image_id} method {method}: {flag} (excluded from aggregates)")
     return result
 
 
@@ -456,9 +466,8 @@ def run_evaluation(
                 gridio.save_pgm(dump_dir / f"entropy_{res.image_id:04d}.pgm",
                                 res.dumps["ttga_entropy"])
 
-    for res in results:
-        for line in res.flags:
-            log.write(line)
+    for line in flag_counts(rows, cfg.method_list()):
+        log.write(line)
     log.write(f"evaluated {len(scenes)} images, methods={cfg.methods}")
     if "ttga" in cfg.method_list():
         log.write(nulltext_summary([res.null_opt for res in results], denoiser.null_embedding()))

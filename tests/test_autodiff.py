@@ -1,5 +1,6 @@
 import sys
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -305,6 +306,61 @@ def test_conv2d_input_gradient_per_item_equals_the_whole_batch_reference(rng, hi
         want = _col2im_loops(gcols.reshape(b, size, size, -1), 3, x.shape)
         assert np.array_equal(x.grad.view(np.uint64),
                               np.ascontiguousarray(want).view(np.uint64)), name
+
+
+def _last_layer_grads(x, weight, g, weight_grad):
+    """x.grad of a one-output-channel conv, and the reference: the scatter of
+    each item's (H*W, 1) @ (1, 9C) matrix product."""
+    b, h, w, _ = x.shape
+    leaf = Tensor(x, requires_grad=True)
+    conv2d(leaf, Tensor(weight, requires_grad=weight_grad), Tensor(np.zeros(1)), 3).backward(seed=g)
+    gitems, wpt = g.reshape(b, h * w, 1), weight.T
+    want = np.stack([autodiff._col2im(gitems[n] @ wpt, 3, h, w) for n in range(b)])
+    return leaf.grad, want.reshape(x.shape)
+
+
+# the last layer of the segmenters (hidden 12 and 16, batch 8 and 16) and of the
+# denoisers (hidden 16 and 48, batch 2 and 10) the program trains and runs
+@pytest.mark.parametrize("b, h, w, hidden", [
+    *((b, 32, 32, c) for c in (12, 16) for b in (8, 16)),
+    *((b, 32, 32, c) for c in (16, 48) for b in (2, 10)),
+    (3, 7, 5, 16)])
+@pytest.mark.parametrize("weight_grad", [False, True])
+def test_one_output_channel_input_gradient_is_the_matrix_product_scatter(rng, b, h, w, hidden,
+                                                                         weight_grad):
+    """A one-output-channel layer forms its patch gradients as an outer
+    product, not a K = 1 matrix product. Only a zero's sign may differ
+    between the two, and the scatter's sums from +0 drop it, so the input
+    gradient keeps its bits: magnitudes spread over 24 decades and planted
+    signed zeros, in both the output gradient and the weights."""
+    def spread(shape):
+        v = rng.normal(shape) * 10.0 ** rng.integers(-12, 13, shape)
+        v[rng.random(shape) < 0.1] = -0.0
+        v[rng.random(shape) < 0.05] = 0.0
+        return v
+
+    got, want = _last_layer_grads(rng.normal((b, h, w, hidden)), spread((9 * hidden, 1)),
+                                  spread((b, h, w, 1)), weight_grad)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_one_output_channel_input_gradient_keeps_its_bits_past_overflow(rng):
+    """Under the training loop's np.errstate: products that overflow to inf,
+    inf times zero and NaN in the output gradient give the matrix product's
+    bits, NaN payloads included, and no warning."""
+    weight = rng.normal((9 * 16, 1)) * 1e10
+    weight[::7] = 0.0
+    weight[1::7] = -0.0
+    g = rng.normal((4, 9, 9, 1)) * 1e300
+    g[0, :3, :3] = np.inf
+    g[1, 4:, 2:] = -np.inf
+    g[2, 2, 2] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = _last_layer_grads(rng.normal((4, 9, 9, 16)), weight, g, True)
+    assert np.isinf(got).any() and np.isnan(got).any()
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_col2im_caches_one_matrix_per_grid_whatever_the_batch(rng):

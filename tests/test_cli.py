@@ -485,6 +485,24 @@ def test_run_log_holds_timestamps_not_csvs(pipeline_run):
                           r"optimized null equals the raw null on \d of 6 images\n", log)) == 1
 
 
+def test_run_log_counts_each_flag_per_method_and_csv_names_the_images(tmp_path):
+    """A threshold segmenter is exact on some scenes, so their error ground
+    truth is empty and the error AUC of every method is flagged there."""
+    out = tmp_path / "flagged"
+    assert run_cli("evaluate", "--out", out, "--seed", 3, *TINY,
+                   "--set", "segmenter=threshold") == 0
+    with open(out / "eval" / "per_image.csv", newline="") as f:
+        rows = list(csv.DictReader(f))
+    flagged = [r["image_id"] for r in rows
+               if r["method"] == "ttga" and r["flags"] == "err_auc_degenerate"]
+    assert flagged and all(r["flags"] in ("", "err_auc_degenerate") for r in rows)
+    log = (out / "run.log").read_text()
+    assert "image " not in log
+    lines = [line.split(" ", 1)[1] for line in log.splitlines() if "degenerate" in line]
+    assert lines == [f"err_auc_degenerate: {len(flagged)} of 6 images, method {m} "
+                     "(excluded from aggregates)" for m in ("baseline", "tta", "ttga")]
+
+
 def test_run_log_counts_the_images_left_at_the_raw_null(tmp_path):
     """Without a null-text step every image keeps the raw null's bytes."""
     out = tmp_path / "aug_run"

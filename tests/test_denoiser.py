@@ -535,7 +535,7 @@ def test_drop_p_one_conditional_equals_unconditional(schedule):
 
 def test_empty_dataset_rejected(schedule, rng):
     with pytest.raises(ConfigError, match="dataset"):
-        train_toy_denoiser([], schedule, rng, DenoiserTrainConfig(),
+        train_toy_denoiser([], schedule, rng, DenoiserTrainConfig(epochs=1),
                            model=ConvDenoiser(schedule, embedding_dim=4))
 
 
@@ -549,7 +549,7 @@ def test_empty_dataset_rejected(schedule, rng):
 ])
 def test_train_config_validation(kwargs, key):
     with pytest.raises(ConfigError, match=key):
-        DenoiserTrainConfig(**kwargs)
+        DenoiserTrainConfig(**{"epochs": 1, **kwargs})
 
 
 def test_checkpoint_round_trip_analytic(tmp_path, schedule, rng):

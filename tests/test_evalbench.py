@@ -158,7 +158,7 @@ def test_difficulty_validation():
 ])
 def test_seg_train_config_validation(kwargs, key):
     with pytest.raises(ConfigError, match=key):
-        SegTrainConfig(**kwargs)
+        SegTrainConfig(**{"epochs": 1, **kwargs})
 
 
 # ---- geometric TTA baseline ----
