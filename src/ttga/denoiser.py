@@ -17,9 +17,9 @@ with its mean-squared-error loss that ``ConvDenoiser`` and the toy segmenter
 in ``evalbench`` share.
 
 A denoiser implements two methods: ``predict_each`` evaluates several
-embeddings at once, into a caller's buffer if given one, and
-``predict_vjp`` returns one prediction with its
-vector-Jacobian product. ``Denoiser`` derives ``predict`` and
+embeddings at once, as the rows of one array (a caller's buffer if given
+one), and ``predict_vjp`` returns one prediction with its vector-Jacobian
+product. ``Denoiser`` derives ``predict`` and
 ``grad_wrt_input``/``grad_wrt_embedding`` from them. Each takes one
 single-channel (H, W) grid, or an (N, H, W) stack of them; item i of a
 stacked prediction or input gradient equals the single-grid call on item i,
@@ -99,11 +99,10 @@ class Denoiser:
     def predict_each(
         self, x: np.ndarray, t: int, embeddings: Sequence[ConditionEmbedding],
         out: np.ndarray | None = None,
-    ) -> list[np.ndarray]:
+    ) -> np.ndarray:
         """The noise predicted at (x, t) under each embedding, in order, as
-        arrays that share no memory. ``out``, a (len(embeddings), *x.shape)
-        array, receives them if given, and the returned predictions are its
-        items."""
+        the rows of one (len(embeddings), *x.shape) array: ``out`` itself if
+        given, else a new array."""
         raise NotImplementedError
 
     def predict_vjp(
@@ -261,7 +260,7 @@ class AnalyticGaussianDenoiser(Denoiser):
             base *= self._scales[t]
             for e, pred in zip(embeddings, out):
                 np.add(base, self._projected(e), out=pred)
-        return list(out)
+        return out
 
     def predict_vjp(self, x, t, e, wrt="input"):
         _check_wrt(wrt)
@@ -400,15 +399,17 @@ class ConvDenoiser(ConvStack, Denoiser):
     def predict_each(self, x, t, embeddings, out=None):
         """One forward over the distinct embeddings, those whose values'
         bytes no earlier one has: the (k*N, H, W) batch repeats the N items
-        of ``x`` once per distinct embedding. A repeat gets a copy of its
-        first equal's prediction; all are copied into ``out`` if given."""
+        of ``x`` once per distinct embedding. Each row of the result is a
+        copy of its embedding's part of the batch."""
         # t = 0 is admitted: inversion ladders evaluate the predictor at the
         # clean endpoint, where sqrt(1 - abar_0) = 0.
         self.schedule.check_step(t)
         self._check_embeddings(embeddings, x, out)
         xb, stacked = self._prepare(x)
+        if out is None:
+            out = np.empty((len(embeddings),) + np.shape(x))
         if not embeddings:
-            return []
+            return out
         keys = [e.values.tobytes() for e in embeddings]
         first = {key: keys.index(key) for key in keys}
         k, n = len(first), xb.shape[0]
@@ -416,13 +417,9 @@ class ConvDenoiser(ConvStack, Denoiser):
         y = self.forward(Tensor(np.concatenate([xb] * k)),
                          Tensor(rows.reshape(k * n, 1, 1, -1)), self._feats(t))
         parts = dict(zip(first, np.split(y.data, k)))
-        preds = [self._restore(parts[key], stacked) for key in keys]
-        if out is None:
-            return [pred if first[key] == i else pred.copy()
-                    for i, (key, pred) in enumerate(zip(keys, preds))]
-        for dst, pred in zip(out, preds):
-            dst[...] = pred
-        return list(out)
+        for dst, key in zip(out, keys):
+            dst[...] = self._restore(parts[key], stacked)
+        return out
 
     def predict_vjp(self, x, t, e, wrt="input"):
         """One forward pass that keeps its graph; each call of the returned

@@ -29,12 +29,13 @@ other two conditions in one call.
 The loop allocates one workspace per set and runs every step in it: the
 stacks x_t, the club value and the blended latent, and a (3, N, *grid)
 buffer that receives the three predictions, which the guidance then
-overwrites in place. The blend is a branch-free select on the values' int64
-bit patterns, ``club ^ ((club ^ spade) & words)``, where the words are all
-ones on spade pixels and are built once per mask draw; it copies bits as
-``np.where`` does, but does not stall on random masks. Every step computes
-the same values with the same operations as the allocating functions, bit
-for bit.
+overwrites in place; ``augmentation_path_step`` takes the club value and
+that buffer as arguments and allocates neither. The blend is a branch-free
+select on the values' int64 bit patterns, ``club ^ ((club ^ spade) &
+words)``, where the words are all ones on spade pixels and are built once
+per mask draw; it copies bits as ``np.where`` does, but does not stall on
+random masks. Every step computes the same values with the same operations
+as the allocating functions, bit for bit.
 
 When the masks are held for the whole loop, the model is ``pixelwise`` and
 no steps are recorded, the loop runs on the club pixels only. A blend
@@ -152,35 +153,29 @@ def augmentation_path_step(
     null_opt: OptimizedNull,
     c: ConditionEmbedding,
     g: GuidanceConfig,
-    t_out: int | None = None,
-    coefficient: IdentityCoefficient | None = None,
+    t_out: int,
+    coefficient: IdentityCoefficient,
+    pred_buffer: np.ndarray,
+    out: np.ndarray,
     eps_sem: np.ndarray | None = None,
-    out: np.ndarray | None = None,
-    pred_buffer: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Rescaled augmentation-path value at step t_out (default t-1); three
-    predictions from one denoiser call feed the multi-condition guidance.
-    ``x_t`` may be a stack of latents. ``coefficient``, when given, is
-    ``identity_coefficient(g, x_t.shape, lambda_r)`` with one lambda_r per
-    item; without it every item takes ``g.lambda_r``.
-    ``eps_sem``, when given, is ``model.predict(x_t, t, c)`` and is left
-    unchanged. The value is written to ``out`` if given; ``pred_buffer``, a
-    (3, *x_t.shape) scratch array, holds the predictions and the guidance.
+    """Rescaled augmentation-path value at step t_out, written to ``out``;
+    three predictions from one denoiser call feed the multi-condition
+    guidance. ``x_t`` may be a stack of latents. ``coefficient`` is
+    ``identity_coefficient(g, x_t.shape, lambda_r)``, with one lambda_r per
+    item or none. ``pred_buffer``, a (3, *x_t.shape) scratch array, holds
+    the predictions and the guidance. ``eps_sem``, when given, is
+    ``model.predict(x_t, t, c)`` and is left unchanged.
     """
     if t < 1:
         raise ContractError(f"augmentation path needs t >= 1, got {t}")
-    t_out = t - 1 if t_out is None else t_out
     null, identity = model.null_embedding(), null_opt.embedding
-    if pred_buffer is None:
-        pred_buffer = np.empty((3,) + x_t.shape)
     if eps_sem is None:
-        eps_null, eps_sem, eps_id = model.predict_each(
-            x_t, t, [null, c, identity], out=pred_buffer)
+        model.predict_each(x_t, t, [null, c, identity], out=pred_buffer)
     else:
-        eps_null, eps_id = model.predict_each(x_t, t, [null, identity], out=pred_buffer[::2])
+        model.predict_each(x_t, t, [null, identity], out=pred_buffer[::2])
         pred_buffer[1] = eps_sem
-        eps_sem = pred_buffer[1]
-    mixed = cfg_multi(eps_null, eps_sem, eps_id, g, in_place=True, coefficient=coefficient)
+    mixed = cfg_multi(*pred_buffer, g, in_place=True, coefficient=coefficient)
     schedule = model.schedule
     mixed *= schedule.gammas[t_out] - schedule.gammas[t]
     xbar = to_xbar(x_t, t, schedule, out=out)
@@ -296,9 +291,8 @@ def _generate(
         from_xbar(xbar, t, schedule, out=x_t)
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         augmentation_path_step(
-            step_model, x_t, t, null_opt, c, cfg.guidance, t_out=t_out,
-            coefficient=coefficient, eps_sem=None if pred is None else pred[0],
-            out=club_bar, pred_buffer=pred_buffer,
+            step_model, x_t, t, null_opt, c, cfg.guidance, t_out, coefficient, pred_buffer,
+            club_bar, eps_sem=None if pred is None else pred[0],
         )
         if policy.resample_per_step:
             masks, words = draw_masks(x_t, t, pred)

@@ -27,14 +27,12 @@ import numpy as np
 
 from .errors import ConfigError, ContractError
 
-DEFAULT_OMEGA = 2.0
-
 
 @dataclass(frozen=True)
 class GuidanceConfig:
     """Guidance scales for one run; omega is shared with null-text optimization."""
 
-    omega: float = DEFAULT_OMEGA
+    omega: float = 2.0
     lambda_c: float = 1.0
     lambda_r: float = 1.0
 

@@ -1,8 +1,9 @@
 """Spatial mask pairs routing pixels between the identity-preserving path
 (spade) and the augmentation-enhancing path (club).
 
-Every pair is an exact binary partition: spade + club = 1 elementwise.
-Three generation schemes:
+A pair is held as its spade mask and the club mask is its complement, so
+every pair is an exact binary partition, spade + club = 1 elementwise, by
+construction. Three generation schemes:
 
 * bernoulli -- spade[i] = 1 with probability p_m, independently;
 * attention -- spade = pixels whose relevance clears a per-image threshold
@@ -30,30 +31,24 @@ SCHEMES = (SCHEME_BERNOULLI, SCHEME_ATTENTION, SCHEME_HYBRID)
 
 @dataclass(frozen=True)
 class MaskPair:
-    """An exact 0/1 partition of the grid. Both masks are read-only copies,
-    so the arrays a caller passes stay its own and writeable."""
+    """An exact 0/1 partition of the grid, held as its spade mask: a
+    read-only uint8 copy, so the array a caller passes stays its own and
+    writeable. The club mask is its complement."""
     spade: np.ndarray
-    club: np.ndarray
 
     def __post_init__(self):
-        spade, club = np.array(self.spade), np.array(self.club)
-        if spade.shape != club.shape:
-            raise ContractError("spade/club shape mismatch")
-        # a 0/1 spade whose sum with the club is 1 everywhere makes the club 0/1 too
+        spade = np.asarray(self.spade)
         if not ((spade == 0) | (spade == 1)).all():
             raise ContractError("masks must be binary")
-        if not (spade.astype(np.int64) + club == 1).all():
-            raise ContractError("spade + club must equal 1 everywhere")
+        spade = spade.astype(np.uint8)
         spade.setflags(write=False)
-        club.setflags(write=False)
         object.__setattr__(self, "spade", spade)
-        object.__setattr__(self, "club", club)
 
-    @classmethod
-    def from_spade(cls, spade: np.ndarray) -> "MaskPair":
-        """The pair of a 0/1 spade mask, as uint8."""
-        spade = np.asarray(spade, dtype=np.uint8)
-        return cls(spade, 1 - spade)
+    @property
+    def club(self) -> np.ndarray:
+        club = 1 - self.spade
+        club.setflags(write=False)
+        return club
 
 
 @dataclass(frozen=True)
@@ -78,17 +73,13 @@ class MaskPolicy:
         return self.scheme in (SCHEME_ATTENTION, SCHEME_HYBRID)
 
 
-def bernoulli_mask(shape, p_m: float, rng: SeededRng) -> MaskPair:
+def _bernoulli_spade(shape, p_m: float, rng: SeededRng) -> np.ndarray:
     if not 0.0 <= p_m <= 1.0:
         raise ContractError(f"p_m must be in [0,1], got {p_m}")
-    return MaskPair.from_spade(rng.random(shape) < p_m)
+    return rng.random(shape) < p_m
 
 
-def attention_mask(relevance: np.ndarray, quantile: float) -> MaskPair:
-    """Threshold the relevance map at the per-image range quantile
-    ``min + quantile * (max - min)``; pixels at or above it take the
-    identity-preserving path. A constant map therefore yields all-spade.
-    """
+def _attention_spade(relevance: np.ndarray, quantile: float) -> np.ndarray:
     relevance = np.asarray(relevance, dtype=np.float64)
     if relevance.ndim != 2:
         raise ContractError(f"relevance must be single-channel 2-D, got shape {relevance.shape}")
@@ -97,32 +88,40 @@ def attention_mask(relevance: np.ndarray, quantile: float) -> MaskPair:
     if not 0.0 < quantile < 1.0:
         raise ContractError(f"quantile must be in (0,1), got {quantile}")
     lo, hi = float(relevance.min()), float(relevance.max())
-    threshold = lo + quantile * (hi - lo)
-    return MaskPair.from_spade(relevance >= threshold)
+    return relevance >= lo + quantile * (hi - lo)
+
+
+def bernoulli_mask(shape, p_m: float, rng: SeededRng) -> MaskPair:
+    return MaskPair(_bernoulli_spade(shape, p_m, rng))
+
+
+def attention_mask(relevance: np.ndarray, quantile: float) -> MaskPair:
+    """Threshold the relevance map at the per-image range quantile
+    ``min + quantile * (max - min)``; pixels at or above it take the
+    identity-preserving path. A constant map therefore yields all-spade.
+    """
+    return MaskPair(_attention_spade(relevance, quantile))
 
 
 def hybrid_mask(mb: MaskPair, mp: MaskPair) -> MaskPair:
     if mb.spade.shape != mp.spade.shape:
         raise ContractError("hybrid inputs must share a shape")
-    return MaskPair.from_spade(mb.spade == mp.spade)
+    return MaskPair(mb.spade == mp.spade)
 
 
-def make_mask(
-    policy: MaskPolicy,
-    shape,
-    rng: SeededRng,
-    relevance: np.ndarray | None = None,
-) -> MaskPair:
-    """Generate one pair under the policy; attention/hybrid need a relevance map."""
+def make_mask(policy: MaskPolicy, shape, rng: SeededRng,
+              relevance: np.ndarray | None = None) -> MaskPair:
+    """The one pair a draw under the policy builds; attention/hybrid need a relevance map."""
     if policy.scheme == SCHEME_BERNOULLI:
         return bernoulli_mask(shape, policy.p_m, rng)
     if relevance is None:
         raise ContractError(f"scheme {policy.scheme!r} requires a relevance map")
-    mp = attention_mask(relevance, policy.relevance_quantile)
-    if policy.scheme == SCHEME_ATTENTION:
-        return mp
-    mb = bernoulli_mask(shape, policy.p_m, rng)
-    return hybrid_mask(mb, mp)
+    spade = _attention_spade(relevance, policy.relevance_quantile)
+    if spade.shape != tuple(shape):
+        raise ContractError(f"relevance shape {spade.shape} != mask shape {tuple(shape)}")
+    if policy.scheme == SCHEME_HYBRID:
+        spade = _bernoulli_spade(shape, policy.p_m, rng) == spade
+    return MaskPair(spade)
 
 
 def saliency_relevance(model, x: np.ndarray, t: int, e, pred=None) -> np.ndarray:

@@ -25,15 +25,6 @@ from .optim import AdamState, adam_step
 from .sampler import InversionTrajectory, move
 from .schedule import to_xbar
 
-__all__ = [
-    "AdamState",
-    "adam_step",
-    "NullOptConfig",
-    "OptimizedNull",
-    "one_step_reconstruct",
-    "optimize_null_text",
-]
-
 
 @dataclass(frozen=True)
 class NullOptConfig:

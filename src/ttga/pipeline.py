@@ -114,7 +114,7 @@ class RunLog:
     def write(self, message: str) -> None:
         if self.path is not None:
             stamp = datetime.datetime.now().isoformat(timespec="seconds")
-            with open(self.path, "a") as f:
+            with open(self.path, "a", encoding="utf-8") as f:
                 f.write(f"{stamp} {message}\n")
 
 
@@ -725,4 +725,4 @@ def _write_plots(out_dir: Path, labels: list[str], merged_rows: list[list[str]])
                 f'fill="{color}">{method}</text>'
             )
         parts.append("</svg>")
-        (out_dir / f"plot_{task}_{metric}.svg").write_text("\n".join(parts))
+        (out_dir / f"plot_{task}_{metric}.svg").write_text("\n".join(parts), encoding="utf-8")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -28,6 +29,8 @@ CHOICES = {
     "relevance_provider": ("consistency", "segmenter", "saliency"),
 }
 METHODS = ("baseline", "tta", "ttga")
+_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 @dataclass(frozen=True)
@@ -112,6 +115,11 @@ class RunConfig:
         for name, allowed in CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ConfigError(f"{name} must be {'|'.join(allowed)}, got {getattr(self, name)!r}")
+        for f in dataclasses.fields(self):  # each string reloads from a config file as itself
+            v = getattr(self, f.name, None)
+            if isinstance(v, str) and (v != v.strip() or v.splitlines()[1:] or _COMMENT.search(v)):
+                raise ConfigError(f"{f.name} must have no line break, no leading or trailing "
+                                  f"whitespace and no '#' after whitespace, got {v!r}")
         methods = self.method_list()
         if not methods:
             raise ConfigError("methods must name at least one method")
@@ -179,28 +187,25 @@ def _coerce(name: str, raw: str):
     f = _FIELDS.get(name)
     if f is None:
         raise ConfigError(f"unknown config field: {name}")
-    if f.type in ("bool", bool):
+    if f.type == "bool":
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"field {name} expects a boolean, got {raw!r}")
-    if f.type in ("int", int):
+    if f.type in _NUMBERS:
+        parse, kind = _NUMBERS[f.type]
         try:
-            return int(raw)
+            return parse(raw)
         except ValueError:
-            raise ConfigError(f"field {name} expects an integer, got {raw!r}") from None
-    if f.type in ("float", float):
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"field {name} expects a number, got {raw!r}") from None
+            raise ConfigError(f"field {name} expects {kind}, got {raw!r}") from None
     return raw.strip()
 
 
 def load_config_file(path) -> dict:
-    """Parse a flat ``key = value`` UTF-8 file; '#' starts a comment."""
+    """Parse a flat ``key = value`` UTF-8 file; a '#' at the start of a line
+    or after whitespace starts a comment."""
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -208,7 +213,7 @@ def load_config_file(path) -> dict:
         raise ConfigError(f"--config {path} is not a UTF-8 text file: {exc}") from None
     values = {}
     for lineno, line in enumerate(text.splitlines(), 1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not stripped:
             continue
         if "=" not in stripped:
@@ -243,4 +248,4 @@ def write_resolved_config(cfg: RunConfig, path) -> None:
         if isinstance(val, bool):
             val = "true" if val else "false"
         lines.append(f"{name} = {val}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -22,10 +22,6 @@ import numpy as np
 
 from .errors import ConfigError, NumericalAbort
 
-DEFAULT_T = 1000
-DEFAULT_BETA_START = 1e-4
-DEFAULT_BETA_END = 0.02
-
 
 @dataclass(frozen=True)
 class NoiseSchedule:
@@ -52,11 +48,8 @@ class NoiseSchedule:
             )
 
 
-def build_schedule(
-    total_steps: int = DEFAULT_T,
-    beta_start: float = DEFAULT_BETA_START,
-    beta_end: float = DEFAULT_BETA_END,
-) -> NoiseSchedule:
+def build_schedule(total_steps: int = 1000, beta_start: float = 1e-4,
+                   beta_end: float = 0.02) -> NoiseSchedule:
     """Linear-beta schedule: beta_t linearly spaced, alpha_t = 1 - beta_t.
 
     Endpoint values alpha_bar[0] = 1 and gamma[0] = 0 are stored exactly

@@ -107,7 +107,7 @@ def stepwise_nulltext_inversion(model, traj, c, omega, opt_config):
     """
     from ttga.denoiser import ConditionEmbedding
     from ttga.guidance import cfg_single
-    from ttga.nulltext import AdamState, adam_step
+    from ttga.optim import AdamState, adam_step
     from ttga.schedule import from_xbar, to_xbar
 
     schedule = model.schedule

@@ -23,6 +23,7 @@ from ttga import (
     ConditionEmbedding,
     ConvDenoiser,
     GuidanceConfig,
+    MaskPair,
     MaskPolicy,
     NullOptConfig,
     SeededRng,
@@ -181,9 +182,8 @@ def test_criterion_4_mask_laws():
         spade_total += int(mb.spade.sum())
         pixel_total += mb.spade.size
     # exhaustive four-case truth table
-    mb4 = bernoulli_mask((2, 2), 0.5, SeededRng(43))
-    mb4 = mb4.from_spade(np.array([[0, 0], [1, 1]], dtype=np.uint8))
-    mp4 = mb4.from_spade(np.array([[0, 1], [0, 1]], dtype=np.uint8))
+    mb4 = MaskPair(np.array([[0, 0], [1, 1]], dtype=np.uint8))
+    mp4 = MaskPair(np.array([[0, 1], [0, 1]], dtype=np.uint8))
     truth = np.array_equal(hybrid_mask(mb4, mp4).spade,
                            np.array([[1, 0], [0, 1]], dtype=np.uint8))
     density = spade_total / pixel_total

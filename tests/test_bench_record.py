@@ -129,3 +129,95 @@ def test_cli_prints_each_end_to_end_metric_the_runs_report(tmp_path, capsys):
     assert lines[0] == "eval-conv: 3 alternating pairs"
     assert len(lines) == 3 and lines[2].split() == [
         "ttga_s_per_image", "(lower)", "0.2", "[0.2,", "0.2]", "0.1", "-50.0%", "3/3"]
+
+
+# ---- --record ----
+
+BENCH = {"end_to_end": [dict(m, unit="s") for m in METRICS[:2]],
+         "per_layer": [{"name": "host.reference_s", "unit": "s", "better": "lower"}]}
+
+
+class RecordRunner:
+    """Stands in for subprocess.run in a recording: an untraced run reports
+    ``answer(seed)``, a traced one fixed per-layer figures."""
+
+    def __init__(self, answer):
+        self.answer, self.calls = answer, []
+
+    def __call__(self, cmd, capture_output, text):
+        args = dict(zip(cmd[2::2], cmd[3::2]))
+        traced = args.get("--trace") == "1"
+        seed = int(args["--seed"])
+        self.calls.append((args["--workload"], seed, traced))
+        stdout = result_line({"host.reference_s": 0.012, "masks.make_mask_calls": 40}
+                             if traced else self.answer(seed))
+        return SimpleNamespace(returncode=0, stderr="", stdout=stdout)
+
+
+def fake_record(runner, workloads=("eval-conv",), runs=5, seed=3):
+    def run(tree, workload, s, seconds, trace=False):
+        return bench_record.run_perfbench(tree, workload, s, seconds, runner=runner, trace=trace)
+    return bench_record.record(Path("/trees/head"), list(workloads), runs, seed, 2.5, BENCH,
+                               run=run)
+
+
+def test_record_runs_k_untraced_seeds_then_one_traced_run_per_workload():
+    runner = RecordRunner(lambda seed: {"ttga_s_per_image": 0.1 * seed, "images_per_s": 2.0})
+    out = fake_record(runner, workloads=("eval-conv", "train"), runs=3)
+    assert runner.calls == [(w, s, False) for s in (3, 4, 5) for w in ("eval-conv",)] + [
+        ("eval-conv", 3, True)] + [("train", s, False) for s in (3, 4, 5)] + [("train", 3, True)]
+    ttga = out["eval-conv"]["end_to_end"]["ttga_s_per_image"]
+    assert ttga == dict(median=pytest.approx(0.4), q1=pytest.approx(0.35),
+                        q3=pytest.approx(0.45), n=3, unit="s", better="lower")
+    assert out["train"]["end_to_end"]["images_per_s"]["median"] == 2.0
+    assert out["eval-conv"]["per_layer"] == {
+        "host.reference_s": {"value": 0.012, "unit": "s"},
+        "masks.make_mask_calls": {"value": 40, "unit": None}}
+
+
+def test_record_leaves_out_a_metric_one_run_lacks():
+    runner = RecordRunner(lambda seed: {"ttga_s_per_image": 0.2,
+                                        **({"images_per_s": 4.0} if seed != 4 else {})})
+    assert list(fake_record(runner)["eval-conv"]["end_to_end"]) == ["ttga_s_per_image"]
+
+
+@pytest.mark.parametrize("bad", [dict(correct=False), dict(failed=2)])
+@pytest.mark.parametrize("traced", [False, True])
+def test_a_failed_run_stops_the_recording(bad, traced):
+    def runner(cmd, capture_output, text):
+        is_traced = "--trace" in cmd
+        return SimpleNamespace(returncode=0, stderr="", stdout=result_line(
+            {"ttga_s_per_image": 0.2}, **(bad if is_traced == traced else {})))
+    with pytest.raises(bench_record.RunFailed, match="traced" if traced else "seed 3:"):
+        fake_record(runner, runs=2)
+
+
+def test_record_and_compare_are_exclusive_and_one_is_required(capsys):
+    for argv in ([], ["--record", "b.json", "--compare", "a", "b"]):
+        with pytest.raises(SystemExit) as exc:
+            bench_record.main(argv)
+        assert exc.value.code == 2
+    assert "not allowed with" in capsys.readouterr().err
+
+
+def test_cli_records_this_trees_figures(tmp_path, monkeypatch, capsys):
+    tree = tmp_path / "tree"
+    (tree / "perfbench").mkdir(parents=True)
+    (tree / "BENCHMARK.json").write_text((bench_record.ROOT / "BENCHMARK.json").read_text())
+    (tree / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        f"print({result_line({'ttga_s_per_image': 0.25})!r} if '--trace' not in sys.argv "
+        f"else {result_line({'host.reference_s': 0.01})!r})")
+    monkeypatch.setattr(bench_record, "ROOT", tree)
+    out = tmp_path / "BENCH_ttga.json"
+    assert bench_record.main(["--record", str(out), "--workload", "train", "--runs", "2",
+                              "--seconds", "1"]) == 0
+    got = json.loads(out.read_text())
+    assert got["runs"] == 2 and got["seed"] == 1
+    assert set(got) >= {"revision", "python", "numpy", "scipy", "blas_threads", "modified"}
+    assert set(got["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                                        "MKL_NUM_THREADS"}
+    train = got["workloads"]["train"]
+    assert train["end_to_end"]["ttga_s_per_image"]["median"] == 0.25
+    assert train["per_layer"]["host.reference_s"] == {"value": 0.01, "unit": "s"}
+    assert capsys.readouterr().out == f"wrote {out}\n"

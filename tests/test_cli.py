@@ -163,6 +163,54 @@ def test_run_config_builds_typed_configs_once(tmp_path):
     assert keys == sorted(f.name for f in CONFIG_FIELDS)
 
 
+def test_resolved_config_reloads_to_the_run_config(tmp_path):
+    """A '#' inside a value is not a comment, and the file is UTF-8."""
+    cfg = resolve_config(None, {"out": "runs/a#b", "data_dir": "données#2", "tau": 40,
+                                "methods": "baseline, ttga", "beta_start": 1e-4 / 3,
+                                "dump_images": True})
+    path = tmp_path / "resolved-config.txt"
+    write_resolved_config(cfg, path)
+    assert "out = runs/a#b\n" in path.read_text(encoding="utf-8")
+    assert resolve_config(str(path)) == cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(CONFIG_FIELDS).flatmap(
+    lambda f: st.tuples(st.just(f.name), _values_of(f))))
+def test_every_resolved_value_writes_a_file_that_reloads_to_it(tmp_path_factory, item):
+    name, value = item
+    try:
+        cfg = resolve_config(None, {name: value})
+    except ConfigError:
+        return
+    path = tmp_path_factory.mktemp("resolved") / "resolved-config.txt"
+    write_resolved_config(cfg, path)
+    first = path.read_bytes()
+    write_resolved_config(resolve_config(str(path)), path)
+    assert path.read_bytes() == first
+
+
+@pytest.mark.parametrize("value", ["a #b", "#b", "a\tb #c", " runs", "runs ", "a\nb", "a\rb",
+                                   "a\u2028b"])
+def test_a_string_a_config_file_cannot_hold_is_rejected(value, tmp_path, capsys):
+    with pytest.raises(ConfigError, match="data_dir"):
+        RunConfig(data_dir=value)
+    # --set strips its value, so only an inner '#' or line break reaches the config
+    if value == value.strip():
+        assert run_cli("make-data", "--out", tmp_path, "--set", f"data_dir={value}") == 3
+        assert "data_dir" in capsys.readouterr().err
+
+
+def test_make_data_reruns_from_its_resolved_config(tmp_path):
+    out = tmp_path / "a#b"
+    tiny = ["--set", "n_train=4", "--set", "n_test=2", "--set", "size=8"]
+    assert run_cli("make-data", "--out", out, *tiny) == 0
+    first = (out / "resolved-config.txt").read_bytes()
+    assert run_cli("make-data", "--config", out / "resolved-config.txt") == 0
+    assert not (tmp_path / "a").exists()
+    assert (out / "resolved-config.txt").read_bytes() == first
+
+
 def test_compare_schema_mismatch_exit_code(tmp_path, pipeline_run):
     other = tmp_path / "other"
     (other / "eval").mkdir(parents=True)

@@ -155,9 +155,10 @@ def test_predict_each_equals_one_predict_per_embedding(kind, stacked, k, schedul
     embeddings = [m.null_embedding()] + [ConditionEmbedding(rng.normal(m.embedding_dim))
                                          for _ in range(k - 1)]
     got = m.predict_each(x, 250, embeddings)
-    assert len(got) == k
+    assert isinstance(got, np.ndarray) and got.shape == (k,) + x.shape
     out = np.full((k,) + x.shape, np.nan)
     into = m.predict_each(x, 250, embeddings, out=out)
+    assert into is out
     for pred, e, buffer, written in zip(got, embeddings, out, into):
         assert np.array_equal(pred, m.predict(x, 250, e))
         assert np.shares_memory(written, buffer) and np.array_equal(written, pred)
@@ -202,8 +203,9 @@ def test_predict_each_rejects_an_out_of_another_shape(kind, schedule, conditione
     for shape in ((1, 2, 8, 8), (3, 2, 8, 8), (2, 8, 8), (2, 1, 8, 8)):
         with pytest.raises(ContractError, match="out shape"):
             m.predict_each(x, 250, embeddings, out=np.zeros(shape))
-    assert m.predict_each(x, 250, []) == []
-    assert m.predict_each(x, 250, [], out=np.zeros((0, 2, 8, 8))) == []
+    assert m.predict_each(x, 250, []).shape == (0, 2, 8, 8)
+    empty = np.zeros((0, 2, 8, 8))
+    assert m.predict_each(x, 250, [], out=empty) is empty
 
 
 def test_at_pixels_predicts_the_full_models_bits_at_those_pixels(schedule, rng):
@@ -252,7 +254,7 @@ def test_analytic_predict_checks_the_step_before_the_tables(schedule, rng):
             m.predict_each(x, t, [m.null_embedding(), m.null_embedding()])
     with pytest.raises(ContractError, match="embedding dim"):
         m.predict_each(x, 5, [m.null_embedding(), ConditionEmbedding(np.zeros(3))])
-    assert m.predict_each(x, -1, []) == []
+    assert m.predict_each(x, -1, []).shape == (0, 8, 8)
 
 
 def test_at_pixels_keeps_no_projection_and_reuses_cached_products(schedule, rng):

@@ -104,12 +104,21 @@ def test_identity_noise_is_guided_noise_of_best_embedding(setup, schedule, kind)
     assert np.array_equal(null_opt.identity_noise, expected)
 
 
+def fresh_step(model, x_t, t, null_opt, c, g, t_out=None, lambda_r=None):
+    """``augmentation_path_step`` at t_out (default t - 1), in new buffers;
+    ``lambda_r``, when given, holds one identity scale per item."""
+    return augmentation_path_step(
+        model, x_t, t, null_opt, c, g, t - 1 if t_out is None else t_out,
+        identity_coefficient(g, x_t.shape, lambda_r), np.empty((3,) + x_t.shape),
+        np.empty(x_t.shape))
+
+
 def test_augmentation_step_reduces_to_conditional_ddim(setup, schedule):
     model, c, x0, traj, null_opt = setup
     g = GuidanceConfig(omega=2.0, lambda_c=1.0, lambda_r=0.0)
     x_t = traj.x_tau
     t = traj.tau
-    got = augmentation_path_step(model, x_t, t, null_opt, c, g)
+    got = fresh_step(model, x_t, t, null_opt, c, g)
     plain = to_xbar(ddim_step(model, x_t, t, t - 1, c), t - 1, schedule)
     assert np.max(np.abs(got - plain)) < 1e-12
 
@@ -119,7 +128,7 @@ def test_augmentation_step_unconditional_reduction(setup, schedule):
     g = GuidanceConfig(omega=2.0, lambda_c=0.0, lambda_r=0.0)
     x_t = traj.x_tau
     t = traj.tau
-    got = augmentation_path_step(model, x_t, t, null_opt, c, g)
+    got = fresh_step(model, x_t, t, null_opt, c, g)
     plain = to_xbar(
         ddim_step(model, x_t, t, t - 1, model.null_embedding()), t - 1, schedule
     )
@@ -164,7 +173,7 @@ def test_stages_read_the_models_own_schedule():
     x_t = traj.x_tau
     preds = [model.predict(x_t, 60, e) for e in (null, c, null_opt.embedding)]
     hand = x_t / root[60] + (gam[57] - gam[60]) * cfg_multi(*preds, g)
-    got = augmentation_path_step(model, x_t, 60, null_opt, c, g, t_out=57)
+    got = fresh_step(model, x_t, 60, null_opt, c, g, t_out=57)
     assert np.max(np.abs(got - hand)) < 1e-12
     # the club-pixel column steps on the same schedule
     assert model.at_pixels(np.arange(3), (null, c, null_opt.embedding)).schedule is s
@@ -177,7 +186,7 @@ def test_blend_is_exact_selection():
     rng = SeededRng(4)
     spade_val = rng.normal((6, 6))
     club_val = rng.normal((6, 6))
-    mask = MaskPair.from_spade((rng.random((6, 6)) < 0.5).astype(np.uint8))
+    mask = MaskPair((rng.random((6, 6)) < 0.5).astype(np.uint8))
     out = blend(spade_val, club_val, select_words(mask.spade), np.empty((6, 6)))
     sel = mask.spade.astype(bool)
     assert np.array_equal(out[sel], spade_val[sel])
@@ -199,7 +208,7 @@ def test_blend_copies_the_bits_np_where_selects(data, n, h, w):
     club = data.draw(arrays(np.int64, (n, h, w), elements=_FLOAT_BITS)).view(np.float64)
     spade = data.draw(arrays(np.int64, (h, w), elements=_FLOAT_BITS)).view(np.float64)
     sel = data.draw(arrays(np.bool_, (n, h, w)))
-    pair = MaskPair.from_spade(sel[0].astype(np.uint8))
+    pair = MaskPair(sel[0].astype(np.uint8))
     out = np.empty_like(club)
     for spade_sel in (sel, pair.spade):
         want = np.where(spade_sel, spade, club).view(np.int64)
@@ -279,8 +288,8 @@ def test_blend_partition_holds_at_every_step(setup, schedule):
     dict(mask_policy=MaskPolicy(resample_per_step=True)),
 ], ids=["club_stride", "lambda_r_zero", "lambda_c_zero", "masks_per_step"])
 def test_loop_replays_the_allocating_step_bit_for_bit(setup, schedule, overrides):
-    """Each recorded club value is ``augmentation_path_step``, run without a
-    workspace, from the previous recorded blended latent; each blended latent
+    """Each recorded club value is ``augmentation_path_step``, run in fresh
+    buffers, from the previous recorded blended latent; each blended latent
     is ``np.where`` over the recorded masks; the output is the last one
     unbarred. The loop reuses its buffers, so the records must be copies."""
     model, c, x0, traj, null_opt = setup
@@ -291,10 +300,8 @@ def test_loop_replays_the_allocating_step_bit_for_bit(setup, schedule, overrides
     assert len(records) == -(-cfg.tau // cfg.club_stride)
     xbar = np.broadcast_to(to_xbar(traj.x_tau, traj.tau, schedule), out.shape)
     for rec in records:
-        club = augmentation_path_step(
-            model, from_xbar(xbar, rec["t"], schedule), rec["t"], null_opt, c, cfg.guidance,
-            t_out=rec["t_out"],
-            coefficient=identity_coefficient(cfg.guidance, out.shape, np.array(lambdas)))
+        club = fresh_step(model, from_xbar(xbar, rec["t"], schedule), rec["t"], null_opt, c,
+                          cfg.guidance, t_out=rec["t_out"], lambda_r=np.array(lambdas))
         assert np.array_equal(rec["club"].view(np.int64), club.view(np.int64))
         sel = np.stack([m.spade for m in rec["masks"]]).astype(bool)
         xbar = np.where(sel, rec["spade"], club)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,21 +78,21 @@ def test_attention_validates_input():
 
 def test_hybrid_reduces_to_attention_when_bernoulli_all_ones():
     rng = SeededRng(5)
-    mp = MaskPair.from_spade((rng.random((8, 8)) < 0.5).astype(np.uint8))
-    mb = MaskPair.from_spade(np.ones((8, 8), dtype=np.uint8))
+    mp = MaskPair((rng.random((8, 8)) < 0.5).astype(np.uint8))
+    mb = MaskPair(np.ones((8, 8), dtype=np.uint8))
     assert np.array_equal(hybrid_mask(mb, mp).spade, mp.spade)
 
 
 def test_hybrid_reduces_to_bernoulli_when_attention_all_ones():
     rng = SeededRng(6)
-    mb = MaskPair.from_spade((rng.random((8, 8)) < 0.5).astype(np.uint8))
-    mp = MaskPair.from_spade(np.ones((8, 8), dtype=np.uint8))
+    mb = MaskPair((rng.random((8, 8)) < 0.5).astype(np.uint8))
+    mp = MaskPair(np.ones((8, 8), dtype=np.uint8))
     assert np.array_equal(hybrid_mask(mb, mp).spade, mb.spade)
 
 
 def test_hybrid_truth_table_exhaustive():
-    mb = MaskPair.from_spade(np.array([[0, 0], [1, 1]], dtype=np.uint8))
-    mp = MaskPair.from_spade(np.array([[0, 1], [0, 1]], dtype=np.uint8))
+    mb = MaskPair(np.array([[0, 0], [1, 1]], dtype=np.uint8))
+    mp = MaskPair(np.array([[0, 1], [0, 1]], dtype=np.uint8))
     out = hybrid_mask(mb, mp)
     # spade = 1 iff mb == mp; equivalently NOT(mb XOR mp)
     assert np.array_equal(out.spade, np.array([[1, 0], [0, 1]], dtype=np.uint8))
@@ -111,30 +113,47 @@ def test_partition_property_all_schemes(seed, p, q):
 
 
 def test_maskpair_rejects_bad_partitions():
-    with pytest.raises(ContractError):
-        MaskPair(np.ones((2, 2), dtype=np.uint8), np.ones((2, 2), dtype=np.uint8))
-    with pytest.raises(ContractError):
-        MaskPair(np.full((2, 2), 2, dtype=np.uint8), np.full((2, 2), -1, dtype=np.int8))
-    with pytest.raises(ContractError):
-        MaskPair(np.ones((2, 2), dtype=bool), np.ones((2, 2), dtype=bool))
     with pytest.raises(ContractError, match="binary"):
-        MaskPair.from_spade(np.array([[0, 1], [2, 1]]))
+        MaskPair(np.array([[0, 1], [2, 1]]))
+    with pytest.raises(ContractError, match="binary"):
+        MaskPair(np.full((2, 2), -1, dtype=np.int8))
+    with pytest.raises(ContractError, match="binary"):
+        MaskPair(np.array([[0.0, 0.5], [1.0, np.nan]]))
 
 
-@pytest.mark.parametrize("build", [
-    lambda spade: MaskPair.from_spade(spade),
-    lambda spade: MaskPair(spade, 1 - spade),
-])
-def test_maskpair_keeps_read_only_copies_of_the_callers_arrays(build):
-    spade = np.array([[0, 1], [1, 1]], dtype=np.uint8)
+@pytest.mark.parametrize("dtype", [np.uint8, bool, np.float64])
+def test_maskpair_keeps_read_only_copies_of_the_callers_arrays(dtype):
+    spade = np.array([[0, 1], [1, 1]], dtype=dtype)
     before = spade.copy()
-    pair = build(spade)
+    pair = MaskPair(spade)
     assert spade.flags.writeable and np.array_equal(spade, before)
     assert not pair.spade.flags.writeable and not pair.club.flags.writeable
     assert not np.may_share_memory(pair.spade, spade)
     spade[0, 0] = 1
     assert pair.spade[0, 0] == 0
     assert pair.spade.dtype == pair.club.dtype == np.uint8
+    assert np.array_equal(pair.club, [[1, 0], [0, 0]])
+
+
+def test_maskpair_has_one_field_and_a_read_only_club():
+    pair = MaskPair(np.array([[True, False]]))
+    assert [f.name for f in dataclasses.fields(pair)] == ["spade"]
+    assert np.array_equal(pair.spade, [[1, 0]]) and np.array_equal(pair.club, [[0, 1]])
+    with pytest.raises(AttributeError):
+        pair.club = np.array([[1, 0]])
+    with pytest.raises(ValueError, match="read-only"):
+        pair.club[0, 0] = 1
+
+
+def test_a_hybrid_draw_builds_one_pair(monkeypatch):
+    built = []
+    init = MaskPair.__post_init__
+    monkeypatch.setattr(MaskPair, "__post_init__", lambda self: (built.append(1), init(self)))
+    relevance = SeededRng(8).normal((8, 8))
+    pair = make_mask(MaskPolicy(scheme="hybrid"), (8, 8), SeededRng(9), relevance)
+    assert len(built) == 1
+    mb = bernoulli_mask((8, 8), 0.75, SeededRng(9))
+    assert np.array_equal(pair.spade, hybrid_mask(mb, attention_mask(relevance, 0.5)).spade)
 
 
 def test_make_mask_dispatch_and_relevance_requirement():
@@ -147,6 +166,11 @@ def test_make_mask_dispatch_and_relevance_requirement():
     att = make_mask(MaskPolicy(scheme="attention"), (8, 8), rng, relevance)
     hyb = make_mask(MaskPolicy(scheme="hybrid", p_m=1.0), (8, 8), rng, relevance)
     assert np.array_equal(att.spade, hyb.spade)  # p_m=1 keeps attention assignment
+    # a relevance map of another shape, broadcastable against the grid or not
+    for scheme in ("attention", "hybrid"):
+        for other in (relevance[:1], relevance[:, :6]):
+            with pytest.raises(ContractError, match="mask shape"):
+                make_mask(MaskPolicy(scheme=scheme), (8, 8), rng, other)
 
 
 def test_policy_validation():

@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
-"""Compare two source trees on the benchmark in alternating pairs.
+"""Compare two source trees on the benchmark in alternating pairs, or record
+this tree's benchmark figures.
 
     tools/bench_record.py --compare BASE HEAD --workload eval-conv --pairs 10
+    tools/bench_record.py --record BENCH_ttga.json --runs 5
 
 Pair i runs ``TREE/perfbench/run.py --workload W --seed S+i --seconds T`` on
 both trees with the same seed. BASE runs first on even pairs and HEAD on odd
@@ -11,18 +13,32 @@ print a JSON result as its last line, with ``correct`` true and ``failed``
 metric in BENCHMARK.json that both trees report, it prints BASE's median and
 quartiles, HEAD's median, the change of the medians, and in how many pairs
 HEAD did better, in the metric's direction.
+
+``--record OUT`` runs this tree's ``perfbench/run.py`` K times per workload
+(``--runs``, seeds S .. S+K-1) and once more with ``--trace 1`` at seed S.
+A bad run stops the recording as it stops a comparison. It writes OUT as
+JSON: per workload, the median, quartiles and run count of each end-to-end
+metric in BENCHMARK.json, and every per-layer metric of the traced run,
+``host.reference_s`` among them; and the git revision, whether tracked files
+were modified, the Python, numpy and scipy versions and the BLAS thread
+variables of the recording process (``perfbench/run.py`` sets each to 1 for
+itself).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
+import platform
 import statistics
 import subprocess
 import sys
+from importlib.metadata import version
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 class RunFailed(Exception):
@@ -30,12 +46,13 @@ class RunFailed(Exception):
 
 
 def run_perfbench(tree: Path, workload: str, seed: int, seconds: float,
-                  runner=subprocess.run) -> dict:
-    """One untraced benchmark run from ``tree``; its metric values by name."""
+                  runner=subprocess.run, trace: bool = False) -> dict:
+    """One benchmark run from ``tree``, untraced unless ``trace``; its metric
+    values by name."""
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds)]
+           "--seed", str(seed), "--seconds", str(seconds)] + (["--trace", "1"] if trace else [])
     proc = runner(cmd, capture_output=True, text=True)
-    where = f"{tree} {workload} seed {seed}"
+    where = f"{tree} {workload} seed {seed}" + (" traced" if trace else "")
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])
@@ -59,6 +76,48 @@ def compare(base: Path, head: Path, workload: str, pairs: int, seed: int, second
     return out
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """q1, median and q3, inclusive of the extremes; one value is all three."""
+    return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+
+
+def record(tree: Path, workloads: list[str], runs: int, seed: int, seconds: float,
+           bench: dict, run=run_perfbench) -> dict:
+    """Per workload: the spread of each end-to-end metric that every one of
+    ``runs`` untraced runs reports, and the metrics of one traced run."""
+    units = {m["name"]: m["unit"] for m in bench["end_to_end"] + bench["per_layer"]}
+    out = {}
+    for workload in workloads:
+        results = [run(tree, workload, seed + i, seconds) for i in range(runs)]
+        traced = run(tree, workload, seed, seconds, trace=True)
+        end_to_end = {}
+        for spec in bench["end_to_end"]:
+            name = spec["name"]
+            if all(name in r for r in results):
+                q1, median, q3 = quartiles([r[name] for r in results])
+                end_to_end[name] = dict(median=median, q1=q1, q3=q3, n=len(results),
+                                        unit=spec["unit"], better=spec["better"])
+        per_layer = {name: dict(value=value, unit=units.get(name))
+                     for name, value in traced.items()}
+        out[workload] = dict(end_to_end=end_to_end, per_layer=per_layer)
+    return out
+
+
+def environment(tree: Path) -> dict:
+    """The revision of ``tree`` and the versions the runs used."""
+    def git(*args) -> str | None:
+        try:
+            proc = subprocess.run(["git", "-C", str(tree), *args], capture_output=True, text=True)
+        except OSError:
+            return None
+        return proc.stdout.strip() if proc.returncode == 0 else None
+    status = git("status", "--porcelain", "--untracked-files=no")
+    return dict(revision=git("rev-parse", "HEAD"),
+                modified=None if status is None else bool(status),
+                python=platform.python_version(), numpy=version("numpy"), scipy=version("scipy"),
+                blas_threads={var: os.environ.get(var) for var in BLAS_VARS})
+
+
 def summarize(results: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """Per end-to-end metric both trees report in every pair: BASE's median
     and quartiles, HEAD's median, the relative change and HEAD's wins."""
@@ -69,8 +128,7 @@ def summarize(results: list[tuple[dict, dict]], metrics: list[dict]) -> list[dic
             continue
         base = [b[name] for b, _ in results]
         head = [h[name] for _, h in results]
-        q1, _, q3 = (statistics.quantiles(base, n=4, method="inclusive") if len(base) > 1
-                     else base * 3)
+        q1, _, q3 = quartiles(base)
         base_median = statistics.median(base)
         head_median = statistics.median(head)
         rows.append(dict(
@@ -97,16 +155,34 @@ def main(argv=None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     names = [w["name"] for w in bench["workloads"]]
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), required=True,
-                        type=Path, help="the two source trees")
+    mode = parser.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), type=Path,
+                      help="the two source trees")
+    mode.add_argument("--record", metavar="OUT", type=Path,
+                      help="write this tree's figures to OUT, such as BENCH_ttga.json")
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeat for several; default: every workload")
     parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--seed", type=int, default=1, help="the first pair's seed")
+    parser.add_argument("--runs", type=int, default=5, help="untraced runs per workload")
+    parser.add_argument("--seed", type=int, default=1, help="the first pair's or run's seed")
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
+    if args.runs < 1:
+        parser.error(f"--runs must be >= 1, got {args.runs}")
+    if args.record:
+        try:
+            workloads = record(ROOT, args.workload or names, args.runs, args.seed,
+                               args.seconds, bench)
+        except RunFailed as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        args.record.write_text(json.dumps(dict(
+            environment(ROOT), runs=args.runs, seed=args.seed, seconds=args.seconds,
+            workloads=workloads), indent=2) + "\n", encoding="utf-8")
+        print(f"wrote {args.record}")
+        return 0
     base, head = (tree.resolve() for tree in args.compare)
     for tree in (base, head):
         if not (tree / "perfbench" / "run.py").is_file():
