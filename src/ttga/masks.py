@@ -103,24 +103,30 @@ def attention_mask(relevance: np.ndarray, quantile: float) -> MaskPair:
     return MaskPair(_attention_spade(relevance, quantile))
 
 
-def hybrid_mask(mb: MaskPair, mp: MaskPair) -> MaskPair:
-    if mb.spade.shape != mp.spade.shape:
+def _hybrid_spade(bernoulli: np.ndarray, attention: np.ndarray) -> np.ndarray:
+    if bernoulli.shape != attention.shape:
         raise ContractError("hybrid inputs must share a shape")
-    return MaskPair(mb.spade == mp.spade)
+    return bernoulli == attention
 
 
-def make_mask(policy: MaskPolicy, shape, rng: SeededRng,
-              relevance: np.ndarray | None = None) -> MaskPair:
+def hybrid_mask(mb: MaskPair, mp: MaskPair) -> MaskPair:
+    return MaskPair(_hybrid_spade(mb.spade, mp.spade))
+
+
+def make_mask(
+    policy: MaskPolicy,
+    shape,
+    rng: SeededRng,
+    relevance: np.ndarray | None = None,
+) -> MaskPair:
     """The one pair a draw under the policy builds; attention/hybrid need a relevance map."""
     if policy.scheme == SCHEME_BERNOULLI:
         return bernoulli_mask(shape, policy.p_m, rng)
     if relevance is None:
         raise ContractError(f"scheme {policy.scheme!r} requires a relevance map")
     spade = _attention_spade(relevance, policy.relevance_quantile)
-    if spade.shape != tuple(shape):
-        raise ContractError(f"relevance shape {spade.shape} != mask shape {tuple(shape)}")
     if policy.scheme == SCHEME_HYBRID:
-        spade = _bernoulli_spade(shape, policy.p_m, rng) == spade
+        spade = _hybrid_spade(_bernoulli_spade(shape, policy.p_m, rng), spade)
     return MaskPair(spade)
 
 

@@ -29,7 +29,6 @@ CHOICES = {
     "relevance_provider": ("consistency", "segmenter", "saliency"),
 }
 METHODS = ("baseline", "tta", "ttga")
-_NUMBERS = {"int": (int, "an integer"), "float": (float, "a number")}
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -187,19 +186,23 @@ def _coerce(name: str, raw: str):
     f = _FIELDS.get(name)
     if f is None:
         raise ConfigError(f"unknown config field: {name}")
-    if f.type == "bool":
+    if f.type in ("bool", bool):
         low = raw.strip().lower()
         if low in ("1", "true", "yes", "on"):
             return True
         if low in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"field {name} expects a boolean, got {raw!r}")
-    if f.type in _NUMBERS:
-        parse, kind = _NUMBERS[f.type]
+    if f.type in ("int", int):
         try:
-            return parse(raw)
+            return int(raw)
         except ValueError:
-            raise ConfigError(f"field {name} expects {kind}, got {raw!r}") from None
+            raise ConfigError(f"field {name} expects an integer, got {raw!r}") from None
+    if f.type in ("float", float):
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(f"field {name} expects a number, got {raw!r}") from None
     return raw.strip()
 
 

@@ -48,8 +48,11 @@ class NoiseSchedule:
             )
 
 
-def build_schedule(total_steps: int = 1000, beta_start: float = 1e-4,
-                   beta_end: float = 0.02) -> NoiseSchedule:
+def build_schedule(
+    total_steps: int = 1000,
+    beta_start: float = 1e-4,
+    beta_end: float = 0.02,
+) -> NoiseSchedule:
     """Linear-beta schedule: beta_t linearly spaced, alpha_t = 1 - beta_t.
 
     Endpoint values alpha_bar[0] = 1 and gamma[0] = 0 are stored exactly

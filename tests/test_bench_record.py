@@ -210,10 +210,9 @@ def test_cli_records_this_trees_figures(tmp_path, monkeypatch, capsys):
         f"else {result_line({'host.reference_s': 0.01})!r})")
     monkeypatch.setattr(bench_record, "ROOT", tree)
     out = tmp_path / "BENCH_ttga.json"
-    assert bench_record.main(["--record", str(out), "--workload", "train", "--runs", "2",
-                              "--seconds", "1"]) == 0
+    assert bench_record.main(["--record", str(out), "--workload", "train", "--seconds", "1"]) == 0
     got = json.loads(out.read_text())
-    assert got["runs"] == 2 and got["seed"] == 1
+    assert got["runs"] == bench_record.RUNS and got["seed"] == 1
     assert set(got) >= {"revision", "python", "numpy", "scipy", "blas_threads", "modified"}
     assert set(got["blas_threads"]) == {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
                                         "MKL_NUM_THREADS"}

@@ -517,7 +517,7 @@ def test_generate_one_aborts_on_nonfinite(setup, schedule):
             if out is None:
                 out = np.empty((len(embeddings),) + x.shape)
             out[...] = np.inf
-            return list(out)
+            return out
 
     cfg = small_cfg(mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.0))
     # inf - inf in both guidance terms warns once each before the abort
@@ -734,11 +734,11 @@ class _OneForwardPerEmbedding(ConvDenoiser):
     """The reference for a shared forward: one ``predict`` per embedding."""
 
     def predict_each(self, x, t, embeddings, out=None):
-        preds = [self.predict(x, t, e) for e in embeddings]
+        preds = np.stack([self.predict(x, t, e) for e in embeddings])
         if out is None:
             return preds
         out[...] = preds
-        return list(out)
+        return out
 
     def predict(self, x, t, e):
         return ConvDenoiser.predict_each(self, x, t, [e])[0]

@@ -166,11 +166,10 @@ def test_make_mask_dispatch_and_relevance_requirement():
     att = make_mask(MaskPolicy(scheme="attention"), (8, 8), rng, relevance)
     hyb = make_mask(MaskPolicy(scheme="hybrid", p_m=1.0), (8, 8), rng, relevance)
     assert np.array_equal(att.spade, hyb.spade)  # p_m=1 keeps attention assignment
-    # a relevance map of another shape, broadcastable against the grid or not
-    for scheme in ("attention", "hybrid"):
-        for other in (relevance[:1], relevance[:, :6]):
-            with pytest.raises(ContractError, match="mask shape"):
-                make_mask(MaskPolicy(scheme=scheme), (8, 8), rng, other)
+    # a hybrid draw's relevance map of another shape, broadcastable against the grid or not
+    for other in (relevance[:1], relevance[:, :6]):
+        with pytest.raises(ContractError, match="share a shape"):
+            make_mask(MaskPolicy(scheme="hybrid"), (8, 8), rng, other)
 
 
 def test_policy_validation():

@@ -3,7 +3,7 @@
 this tree's benchmark figures.
 
     tools/bench_record.py --compare BASE HEAD --workload eval-conv --pairs 10
-    tools/bench_record.py --record BENCH_ttga.json --runs 5
+    tools/bench_record.py --record BENCH_ttga.json
 
 Pair i runs ``TREE/perfbench/run.py --workload W --seed S+i --seconds T`` on
 both trees with the same seed. BASE runs first on even pairs and HEAD on odd
@@ -14,8 +14,8 @@ metric in BENCHMARK.json that both trees report, it prints BASE's median and
 quartiles, HEAD's median, the change of the medians, and in how many pairs
 HEAD did better, in the metric's direction.
 
-``--record OUT`` runs this tree's ``perfbench/run.py`` K times per workload
-(``--runs``, seeds S .. S+K-1) and once more with ``--trace 1`` at seed S.
+``--record OUT`` runs this tree's ``perfbench/run.py`` RUNS = 5 times per
+workload (seeds S .. S+4) and once more with ``--trace 1`` at seed S.
 A bad run stops the recording as it stops a comparison. It writes OUT as
 JSON: per workload, the median, quartiles and run count of each end-to-end
 metric in BENCHMARK.json, and every per-layer metric of the traced run,
@@ -39,6 +39,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+RUNS = 5  # untraced runs per workload in a recording
 
 
 class RunFailed(Exception):
@@ -163,23 +164,20 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeat for several; default: every workload")
     parser.add_argument("--pairs", type=int, default=6)
-    parser.add_argument("--runs", type=int, default=5, help="untraced runs per workload")
     parser.add_argument("--seed", type=int, default=1, help="the first pair's or run's seed")
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error(f"--pairs must be >= 1, got {args.pairs}")
-    if args.runs < 1:
-        parser.error(f"--runs must be >= 1, got {args.runs}")
     if args.record:
         try:
-            workloads = record(ROOT, args.workload or names, args.runs, args.seed,
+            workloads = record(ROOT, args.workload or names, RUNS, args.seed,
                                args.seconds, bench)
         except RunFailed as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         args.record.write_text(json.dumps(dict(
-            environment(ROOT), runs=args.runs, seed=args.seed, seconds=args.seconds,
+            environment(ROOT), runs=RUNS, seed=args.seed, seconds=args.seconds,
             workloads=workloads), indent=2) + "\n", encoding="utf-8")
         print(f"wrote {args.record}")
         return 0
