@@ -144,7 +144,7 @@ class Denoiser:
     def _check_embeddings(self, embeddings: Sequence[ConditionEmbedding],
                           x: np.ndarray | None = None, out: np.ndarray | None = None) -> None:
         for e in embeddings:
-            if e.dim != self.embedding_dim:
+            if e.values.size != self.embedding_dim:
                 raise ContractError(
                     f"embedding dim {e.dim} != model embedding_dim {self.embedding_dim}")
         if out is not None and out.shape != (len(embeddings),) + np.shape(x):
@@ -210,10 +210,9 @@ class AnalyticGaussianDenoiser(Denoiser):
             self.projection = rng.normal((n, self.embedding_dim)) / np.sqrt(self.embedding_dim)
         self.mu.setflags(write=False)
         self.projection.setflags(write=False)
-        # sqrt(abar_t) and the posterior scale of eps* at every t, computed
-        # elementwise by the scalar expressions and so with their bits
+        # the posterior scale of eps* at every t, computed elementwise by the
+        # scalar expression and so with its bits
         abar = schedule.alpha_bars
-        self._sqrt_abar = np.sqrt(abar)
         self._scales = np.sqrt(1.0 - abar) / (abar * self.data_std ** 2 + 1.0 - abar)
         # P @ e of the last embedding seen in each role, matched by identity
         self._proj_cache: dict[str, tuple[ConditionEmbedding, np.ndarray]] = {}
@@ -256,7 +255,7 @@ class AnalyticGaussianDenoiser(Denoiser):
         if out is None:
             out = np.empty((len(embeddings),) + x.shape)
         if len(out):
-            base = np.subtract(x, self._sqrt_abar[t] * self.mu, out=out[-1])
+            base = np.subtract(x, self.schedule.sqrt_alpha_bars[t] * self.mu, out=out[-1])
             base *= self._scales[t]
             for e, pred in zip(embeddings, out):
                 np.add(base, self._projected(e), out=pred)
@@ -272,9 +271,10 @@ class AnalyticGaussianDenoiser(Denoiser):
             return pred, lambda loss_grad: scale * np.asarray(loss_grad, dtype=np.float64)
 
         def vjp(loss_grad: np.ndarray) -> np.ndarray:
-            # a stack's items share the embedding, so their gradients add up
+            # a stack's items share the embedding, so their gradients add up; one
+            # row goes in unsummed (a sum turns -0.0 into +0.0, which the product drops)
             g = np.asarray(loss_grad, dtype=np.float64).reshape(-1, self.projection.shape[0])
-            return self.projection.T @ g.sum(axis=0)
+            return self.projection.T @ (g[0] if len(g) == 1 else g.sum(axis=0))
 
         return pred, vjp
 

@@ -45,10 +45,16 @@ spade pixel is never read. The (item, pixel) pairs some item routes to the
 club path form one (L, 1) column; each step runs the same functions over it
 with ``model.at_pixels``, a copy of the full model that holds its schedule
 and predicts its bits at those pixels, and one lambda_r per pair. No blend
-runs, and the column is scattered over the identity-path value at t = 0.
-The finite check reads the column and the spade pixels that some item
-keeps, which are exactly the values of the full loop's blended latent, so
-it aborts at the same step.
+runs, and the column is scattered over the identity-path value at t = 0,
+computed once before the loop. The finite check reads the column and the
+spade pixels some item keeps, exactly the full loop's blended latent, so
+it aborts at the same step. Where the t = 0 value is finite at the kept
+pixels, so is every step's, which the loop then neither computes nor
+checks: each element of fl(a + fl(d * b)), d = gamma_{t_out} - gamma_tau,
+lies between a and its t = 0 value, since gamma does not fall as t rises in
+any schedule ``build_schedule`` makes and rounding is monotone, and a NaN
+or an infinity in a or b shows at t = 0 too. Otherwise every step computes
+and checks it as the full loop does.
 
 The ensemble averages an (N, H, W, K) stack of member probability grids
 and reads per-pixel uncertainty from the Shannon entropy of the averaged
@@ -276,9 +282,11 @@ def _generate(
         # the column holds no spade pixel, so the club value is the latent
         xbar = club_bar = xbar_tau.reshape(-1)[pix].reshape(step_model.shape)
         blended = None
+        spade_bar = move(xbar_tau, tau, 0, null_opt.identity_noise, schedule)
+        spade_fixed = np.isfinite(spade_bar[kept]).all()
     else:
         xbar = np.broadcast_to(xbar_tau, (n,) + xbar_tau.shape)
-        club_bar, blended = np.empty(xbar.shape), np.empty(xbar.shape)
+        club_bar, blended, spade_fixed = np.empty(xbar.shape), np.empty(xbar.shape), False
     # every step runs in this workspace; records take copies
     x_t = np.empty(xbar.shape)
     pred_buffer = np.empty((3,) + xbar.shape)
@@ -287,7 +295,8 @@ def _generate(
     t = tau
     while t > 0:
         t_out = max(t - cfg.club_stride, 0)
-        spade_bar = move(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
+        if not spade_fixed:
+            spade_bar = move(xbar_tau, tau, t_out, null_opt.identity_noise, schedule)
         from_xbar(xbar, t, schedule, out=x_t)
         pred = model.predict_vjp(x_t, t, c) if share_semantic else None
         augmentation_path_step(
@@ -299,7 +308,7 @@ def _generate(
         if blended is None:
             # the blended latent is the column and the kept spade pixels
             finite = np.isfinite(club_bar).all() and (
-                np.isfinite(spade_bar).all() or np.isfinite(spade_bar[kept]).all())
+                spade_fixed or np.isfinite(spade_bar[kept]).all())
         else:
             xbar = blend(spade_bar, club_bar, words, out=blended)
             finite = np.isfinite(xbar).all()

@@ -44,9 +44,11 @@ class GuidanceConfig:
 
 
 def _check_shapes(*grids: np.ndarray) -> None:
-    shapes = {g.shape for g in grids}
-    if len(shapes) != 1:
-        raise ContractError(f"guidance inputs must share a shape, got {sorted(shapes)}")
+    shape = grids[0].shape
+    for g in grids:
+        if g.shape != shape:
+            raise ContractError(
+                f"guidance inputs must share a shape, got {sorted({g.shape for g in grids})}")
 
 
 def cfg_single(eps_null: np.ndarray, eps_cond: np.ndarray, omega: float) -> np.ndarray:
@@ -127,8 +129,8 @@ def cfg_multi(
     lambda_r)`` computed beforehand, with one identity scale per item of
     stacked predictions; without it every item takes ``g.lambda_r``.
 
-    Terms with an exactly zero coefficient are skipped, per item, so
-    degenerate scale settings reduce to the remaining inputs bit-for-bit.
+    Terms with an exactly zero coefficient are skipped, per item, and a unit
+    lambda_c scales nothing, so degenerate settings keep the inputs' bits.
 
     ``in_place`` writes the result into ``eps_null`` and uses ``eps_sem`` and
     ``eps_idnull`` as scratch, with the same arithmetic and so the same bits.
@@ -151,7 +153,8 @@ def cfg_multi(
     out = eps_null if in_place else eps_null.copy()
     if g.lambda_c != 0.0:
         d_sem = np.subtract(eps_sem, eps_null, out=eps_sem if in_place else None)
-        d_sem *= g.lambda_c
+        if g.lambda_c != 1.0:
+            d_sem *= g.lambda_c
         out += d_sem
     if every:
         out += d_id

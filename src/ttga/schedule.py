@@ -29,7 +29,8 @@ class NoiseSchedule:
 
     ``alphas`` has length T and is 1-indexed conceptually (``alphas[t-1]`` is
     alpha_t); ``alpha_bars`` and ``gammas`` have length T+1 with index 0
-    holding the exact endpoint values 1 and 0.
+    holding the exact endpoint values 1 and 0; ``sqrt_alpha_bars``, with the
+    bits of the scalar ``np.sqrt(alpha_bars[t])`` at every t, is derived.
     """
 
     total_steps: int
@@ -38,7 +39,8 @@ class NoiseSchedule:
     gammas: np.ndarray
 
     def __post_init__(self):
-        for arr in (self.alphas, self.alpha_bars, self.gammas):
+        object.__setattr__(self, "sqrt_alpha_bars", np.sqrt(self.alpha_bars))
+        for arr in (self.alphas, self.alpha_bars, self.gammas, self.sqrt_alpha_bars):
             arr.setflags(write=False)
 
     def check_step(self, t: int, low: int = 0) -> None:
@@ -86,7 +88,7 @@ def to_xbar(x: np.ndarray, t: int, schedule: NoiseSchedule,
             out: np.ndarray | None = None) -> np.ndarray:
     """xbar_t = x_t / sqrt(alpha_bar[t]), written to ``out`` if given."""
     schedule.check_step(t)
-    return np.divide(x, np.sqrt(schedule.alpha_bars[t]), out=out)
+    return np.divide(x, schedule.sqrt_alpha_bars[t], out=out)
 
 
 def from_xbar(xbar: np.ndarray, t: int, schedule: NoiseSchedule,
@@ -94,7 +96,7 @@ def from_xbar(xbar: np.ndarray, t: int, schedule: NoiseSchedule,
     """x_t = xbar_t * sqrt(alpha_bar[t]), written to ``out`` if given;
     inverse of to_xbar."""
     schedule.check_step(t)
-    return np.multiply(xbar, np.sqrt(schedule.alpha_bars[t]), out=out)
+    return np.multiply(xbar, schedule.sqrt_alpha_bars[t], out=out)
 
 
 def ensure_finite(x: np.ndarray, context: str) -> np.ndarray:

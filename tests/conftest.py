@@ -3,10 +3,20 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ttga import SeededRng, build_schedule
 from ttga.autodiff import Tensor
 from ttga.denoiser import ConvStack
+
+
+# finite float64 values, drawn often at the edges: both zeros, subnormals and
+# magnitudes whose sums and products leave the float range
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072014e-308,
+                     1e308, -1.7976931348623157e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
 
 
 @pytest.fixture(scope="session")

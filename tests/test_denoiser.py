@@ -3,8 +3,11 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import central_difference, relative_gradient_match
+from conftest import EDGE_FLOATS, central_difference, relative_gradient_match
 from ttga import (
     AnalyticGaussianDenoiser,
     ConditionEmbedding,
@@ -87,6 +90,20 @@ def test_analytic_embedding_gradient_exact(schedule, rng):
     assert np.array_equal(
         m.grad_wrt_embedding(np.zeros((8, 8)), x, 50, e), np.zeros(6)
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([(8, 8), (1, 8, 8), (3, 8, 8)]))
+def test_embedding_vjp_has_the_bits_of_the_summed_rows(schedule, data, shape):
+    """The embedding gradient of one grid reads its row without summing it,
+    with the bits of ``P.T @ rows.sum(axis=0)``, which a stack still runs."""
+    m = make_analytic(schedule, dim=5)
+    loss_grad = data.draw(arrays(np.float64, shape, elements=EDGE_FLOATS))
+    _, vjp = m.predict_vjp(np.zeros(shape), 50, m.null_embedding(), "embedding")
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = vjp(loss_grad)
+        want = m.projection.T @ loss_grad.reshape(-1, 64).sum(axis=0)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_null_embedding_is_one_object(schedule, conv_model):
@@ -232,9 +249,9 @@ def test_at_pixels_predicts_the_full_models_bits_at_those_pixels(schedule, rng):
 
 @pytest.mark.parametrize("data_std", [1.0, 0.37, 2.5, 1e-3, 1.06e-8, 1e150])
 def test_analytic_tables_equal_the_scalar_expressions_at_every_t(schedule, data_std):
-    """sqrt(abar_t) and the posterior scale, tabled once per model, have the
-    bits of the scalar expressions, down to just above the smallest
-    admitted data_std."""
+    """The posterior scale, tabled once per model, and sqrt(abar_t), which
+    the model reads from its schedule's table, have the bits of the scalar
+    expressions, down to just above the smallest admitted data_std."""
     assert AnalyticGaussianDenoiser.data_std_ok(1.06e-8)
     assert not AnalyticGaussianDenoiser.data_std_ok(1.05e-8)
     m = AnalyticGaussianDenoiser(schedule, (2, 2), 2, data_std=data_std)
@@ -242,7 +259,7 @@ def test_analytic_tables_equal_the_scalar_expressions_at_every_t(schedule, data_
         abar = schedule.alpha_bars[t]
         scale = np.sqrt(1.0 - abar) / (abar * data_std ** 2 + 1.0 - abar)
         assert m._scales[t].view(np.int64) == scale.view(np.int64)
-        assert m._sqrt_abar[t].view(np.int64) == np.sqrt(abar).view(np.int64)
+        assert m.schedule.sqrt_alpha_bars[t].view(np.int64) == np.sqrt(abar).view(np.int64)
     assert np.all(np.isfinite(m._scales))
 
 

@@ -483,6 +483,76 @@ def test_club_pixel_loop_checks_only_the_kept_spade_pixels(wide_setup):
             assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
+@pytest.fixture(scope="module")
+def steep_setup():
+    """An analytic set-up on a 60-step schedule so steep that gamma_60 -
+    gamma_t exceeds 1 at every t < 60: a finite identity noise can make the
+    identity-path jump overflow at any step."""
+    schedule = build_schedule(60, 1e-4, 0.2)
+    rng = SeededRng(47)
+    model = AnalyticGaussianDenoiser(schedule, (6, 9), 16, mu=0.2, rng=rng.derive(1))
+    c = ConditionEmbedding(rng.derive(2).normal(16))
+    traj = ddim_invert(model, 0.3 + 0.4 * rng.derive(3).random((6, 9)), 60, 10, c)
+    null_opt = optimize_null_text(model, traj, c, 2.0,
+                                  NullOptConfig(lr=0.1, max_steps=10, early_stop=0.0))
+    return model, c, traj, null_opt
+
+
+@pytest.mark.parametrize("k", [30, 45])
+def test_identity_path_overflow_at_an_interior_step_aborts_both_loops_there(steep_setup, k):
+    """An identity noise whose jump passes the float range first at step k,
+    at one pixel some item keeps: the club-pixel loop, which checks the
+    jump's t = 0 value once and then step by step, aborts at step k as the
+    full loop does. At a pixel no item keeps, neither loop aborts and their
+    bits agree."""
+    model, c, traj, null_opt = steep_setup
+    cfg = small_cfg(n_augment=3, null_opt=NullOptConfig(lr=0.1, max_steps=10, early_stop=0.0),
+                    mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.3))
+    kept = _held_masks(model, traj, null_opt, c, cfg).any(axis=0).ravel()
+    reach = model.schedule.gammas[cfg.tau] - model.schedule.gammas
+    # |reach[t]| * big overflows for t <= k, not for t = k + 1
+    big = np.finfo(np.float64).max / np.sqrt(reach[k] * reach[k + 1])
+    for pixel, aborts in ((np.flatnonzero(kept)[0], True), (np.flatnonzero(~kept)[0], False)):
+        noise = null_opt.identity_noise.copy()
+        noise.flat[pixel] = big
+        poisoned = dataclasses.replace(null_opt, identity_noise=noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if aborts:
+                for records in (None, []):
+                    streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+                    with pytest.raises(NumericalAbort,
+                                       match=f"^non-finite blended latent at step {k}$"):
+                        _generate(model, traj, poisoned, c, cfg, streams, None, records)
+            else:
+                (got, _), (want, _) = _both_loops(model, traj, poisoned, c, cfg)
+                assert np.isfinite(got).all()
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("club_stride", [1, 7])
+@pytest.mark.parametrize("resample, records, column", [
+    (False, None, True), (False, [], False), (True, None, False)],
+    ids=["column", "recorded", "masks_per_step"])
+def test_loop_work_counts(wide_setup, monkeypatch, club_stride, resample, records, column):
+    """The identity-path jump runs once per set on the club-pixel column,
+    whose t = 0 value is finite, and once per step on the full grid; the
+    guidance runs once per step on both."""
+    model, c, traj, null_opt = wide_setup
+    cfg = small_cfg(n_augment=3, club_stride=club_stride,
+                    mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.6,
+                                           resample_per_step=resample))
+    counts = {"move": 0, "cfg_multi": 0}
+    for name in counts:
+        def counted(*args, _original=getattr(engine_module, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(engine_module, name, counted)
+    streams = [SeededRng(31).derive(i) for i in range(cfg.n_augment)]
+    _generate(model, traj, null_opt, c, cfg, streams, None, records)
+    steps = -(-cfg.tau // club_stride)
+    assert counts == {"move": 1 if column else steps, "cfg_multi": steps}
+
+
 def test_generate_one_deterministic(setup):
     model, c, x0, traj, null_opt = setup
     cfg = small_cfg()

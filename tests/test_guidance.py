@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import EDGE_FLOATS
 from ttga import GuidanceConfig, SeededRng, cfg_multi, cfg_single
 from ttga.errors import ConfigError, ContractError
 from ttga.guidance import cfg_three_term, identity_coefficient
@@ -103,6 +105,29 @@ def test_cfg_multi_homogeneous_property(seed, k, omega, lc, lr):
     assert np.max(np.abs(scaled - ref)) <= 1e-12 * max(1.0, abs(k)) * (
         1.0 + np.max(np.abs(ref))
     )
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.integers(1, 3), st.booleans(), st.booleans())
+def test_cfg_multi_at_lambda_c_one_has_the_bits_of_the_multiply_by_one(data, n, per_item,
+                                                                       in_place):
+    """At lambda_c = 1 the semantic difference is added unscaled, with the
+    bits of the form that multiplies it by 1.0, overflows included."""
+    preds = data.draw(arrays(np.float64, (3, n, 2, 3), elements=EDGE_FLOATS))
+    g = GuidanceConfig(omega=2.0, lambda_c=1.0, lambda_r=1.0)
+    lambda_r = data.draw(arrays(np.float64, n, elements=st.sampled_from([0.0, 0.5, 1.5])))
+    coefficient = identity_coefficient(g, preds.shape[1:], lambda_r if per_item else None)
+    eps_null, eps_sem, eps_id = preds
+    live, coeff = coefficient.live, coefficient.coeff
+    with np.errstate(over="ignore", invalid="ignore"):
+        # cfg_multi's terms in its order, with the multiply by lambda_c
+        want = eps_null + (eps_sem - eps_null) * 1.0
+        if coefficient.every:
+            want += (eps_id - eps_sem) * coeff
+        elif live.any():
+            want[live] += coeff[live] * (eps_id[live] - eps_sem[live])
+        got = cfg_multi(*preds.copy(), g, in_place=in_place, coefficient=coefficient)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_cfg_multi_affine_in_each_argument():

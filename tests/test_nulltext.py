@@ -1,8 +1,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from conftest import central_difference, relative_gradient_match
+from conftest import EDGE_FLOATS, central_difference, relative_gradient_match
 from oracles import stepwise_nulltext_inversion
 from ttga import (
     AdamState,
@@ -175,6 +178,17 @@ def test_optimizer_starting_at_minimum_stops_immediately(schedule):
                                              early_stop=init_loss * 1.0000001))
     assert again.iterations_used == 0
     assert result.final_loss <= 5e-4
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data(), st.sampled_from([(1, 1), (2, 3), (8, 8), (17, 40), (32, 32)]))
+def test_reconstruction_loss_has_the_bits_of_np_mean(data, shape):
+    recon, x0 = (data.draw(arrays(np.float64, shape, elements=EDGE_FLOATS)) for _ in range(2))
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = reconstruction_loss(recon, x0)
+        want = float(np.mean((x0 - recon) ** 2))
+    assert type(got) is float
+    assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def test_best_so_far_loss_monotone(schedule):

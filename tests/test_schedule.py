@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from conftest import EDGE_FLOATS
 from ttga import SeededRng, build_schedule, from_xbar, to_xbar
 from ttga.errors import ConfigError
 
@@ -77,6 +79,39 @@ def test_xbar_round_trip_property(t, seed):
     assert np.max(np.abs(back - x)) < 1e-12 * max(np.max(np.abs(x)), 1e-30)
 
 
+@pytest.mark.parametrize("total_steps, beta_end", [(1000, 0.02), (500, 0.03)])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_xbar_conversions_have_the_bits_of_the_scalar_square_root(total_steps, beta_end,
+                                                                  data):
+    """The tabled sqrt(alpha_bar[t]) is the scalar np.sqrt at every t, and
+    to_xbar/from_xbar divide and multiply by it."""
+    s = build_schedule(total_steps, beta_end=beta_end)
+    x = data.draw(arrays(np.float64, (2, 3), elements=EDGE_FLOATS))
+    with np.errstate(over="ignore"):
+        for t in range(total_steps + 1):
+            root = np.sqrt(s.alpha_bars[t])
+            assert s.sqrt_alpha_bars[t].view(np.int64) == root.view(np.int64)
+            assert np.array_equal(to_xbar(x, t, s).view(np.int64), (x / root).view(np.int64))
+            assert np.array_equal(from_xbar(x, t, s).view(np.int64), (x * root).view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(total_steps=st.integers(1, 2000), beta_start=st.floats(1e-12, 0.5),
+       span=st.floats(0.0, 1.0))
+def test_gamma_never_falls_as_t_rises(total_steps, beta_start, span):
+    """Every schedule build_schedule makes has a non-decreasing gamma, which
+    the loop's identity-path check relies on."""
+    beta_end = beta_start + span * (0.999 - beta_start)
+    try:
+        s = build_schedule(total_steps, beta_start, beta_end)
+    except ConfigError:
+        return  # alpha_bar reaches 0
+    assert np.all(np.diff(s.gammas) >= 0.0)
+
+
 def test_schedule_tables_are_immutable(default_schedule):
     with pytest.raises(ValueError):
         default_schedule.gammas[0] = 1.0
+    with pytest.raises(ValueError):
+        default_schedule.sqrt_alpha_bars[0] = 2.0
