@@ -506,8 +506,7 @@ def test_identity_path_overflow_at_an_interior_step_aborts_both_loops_there(stee
     full loop does. At a pixel no item keeps, neither loop aborts and their
     bits agree."""
     model, c, traj, null_opt = steep_setup
-    cfg = small_cfg(n_augment=3, null_opt=NullOptConfig(lr=0.1, max_steps=10, early_stop=0.0),
-                    mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.3))
+    cfg = small_cfg(n_augment=3, mask_policy=MaskPolicy(scheme="bernoulli", p_m=0.3))
     kept = _held_masks(model, traj, null_opt, c, cfg).any(axis=0).ravel()
     reach = model.schedule.gammas[cfg.tau] - model.schedule.gammas
     # |reach[t]| * big overflows for t <= k, not for t = k + 1
