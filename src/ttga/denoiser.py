@@ -343,7 +343,7 @@ class ConvStack:
     def _restore(out: np.ndarray, stacked: bool) -> np.ndarray:
         return out[..., 0] if stacked else out[0, ..., 0]
 
-    def forward(self, x: Tensor, more: Sequence[Tensor] = ()) -> Tensor:
+    def forward(self, x: Tensor, *more: Tensor) -> Tensor:
         """(B, H, W, C_in) -> (B, H, W, C_out) through every layer; the first
         layer reads ``more`` after x along the channel axis, as ``conv2d`` does."""
         out = x
@@ -386,12 +386,6 @@ class ConvDenoiser(ConvStack, Denoiser):
         # layer-0 rows are ordered (kernel position, input channel)
         w0 = self.weights[0].data.reshape(self.KERNEL * self.KERNEL, in_ch, hidden)
         w0[:, 1:1 + self.embedding_dim] = 0.0
-
-    def forward(self, x: Tensor, emb: Tensor, feats: Tensor) -> Tensor:
-        """The network over its input channels: the (B, H, W, 1) image, then
-        the embedding and the time features, (B|1, 1, 1, C) each, broadcast
-        over the (B, H, W) grid."""
-        return super().forward(x, (emb, feats))
 
     def _feats(self, t: int) -> Tensor:
         return Tensor(time_features(t, self.schedule.total_steps).reshape(1, 1, 1, -1))

@@ -133,16 +133,15 @@ class AugmentationItem:
 
 @dataclass(frozen=True)
 class AugmentationSet:
-    """N augmentations of ``original`` and the null-text result they share."""
+    """N augmentations of one image and the null-text result they share."""
 
-    original: np.ndarray
-    augmented: np.ndarray          # (N, *original.shape)
+    augmented: np.ndarray          # (N, H, W)
     per_item: tuple
     null_opt: OptimizedNull
 
     def __post_init__(self):
-        if self.augmented.shape != (len(self.per_item),) + self.original.shape:
-            raise ContractError("augmented must stack one original-shaped grid per item")
+        if len(self.augmented) != len(self.per_item):
+            raise ContractError("augmented must stack one grid per item")
 
 
 @dataclass(frozen=True)
@@ -372,12 +371,7 @@ def generate_set(
         augmented, lambdas = _generate(model, trajectory, null_opt, c, cfg, streams, relevance_fn)
     per_item = tuple(AugmentationItem(lambda_r=lam, mask_stream=stream.stream_id)
                      for stream, lam in zip(streams, lambdas))
-    return AugmentationSet(
-        original=np.asarray(x0, dtype=np.float64),
-        augmented=augmented,
-        per_item=per_item,
-        null_opt=null_opt,
-    )
+    return AugmentationSet(augmented=augmented, per_item=per_item, null_opt=null_opt)
 
 
 def entropy_bits(prob: np.ndarray) -> np.ndarray:

@@ -81,21 +81,23 @@ def _directed_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
 
 
-def hd95(pred_binary: np.ndarray, gt_binary: np.ndarray) -> float:
-    """95th percentile of the pooled symmetric boundary-distance multiset."""
+def _boundary_distances(pred_binary: np.ndarray, gt_binary: np.ndarray):
+    """Both masks as booleans and the boundary distances (a -> b, b -> a),
+    None in place of the distances when either mask is empty."""
     a = np.asarray(pred_binary, dtype=bool)
     b = np.asarray(gt_binary, dtype=bool)
-    if not a.any() and not b.any():
-        return 0.0
     if not a.any() or not b.any():
-        return image_diagonal(a.shape)
-    ba = boundary_coords(a)
-    bb = boundary_coords(b)
-    dists = np.concatenate([
-        _directed_distances(ba, bb),
-        _directed_distances(bb, ba),
-    ])
-    return float(np.percentile(dists, 95))
+        return a, b, None
+    ba, bb = boundary_coords(a), boundary_coords(b)
+    return a, b, (_directed_distances(ba, bb), _directed_distances(bb, ba))
+
+
+def hd95(pred_binary: np.ndarray, gt_binary: np.ndarray) -> float:
+    """95th percentile of the pooled symmetric boundary-distance multiset."""
+    a, b, dists = _boundary_distances(pred_binary, gt_binary)
+    if dists is None:
+        return image_diagonal(a.shape) if a.any() or b.any() else 0.0
+    return float(np.percentile(np.concatenate(dists), 95))
 
 
 def nsd_tolerance(shape) -> float:
@@ -106,20 +108,14 @@ def nsd_tolerance(shape) -> float:
 def nsd(pred_binary: np.ndarray, gt_binary: np.ndarray, tolerance_px: float | None = None) -> float:
     """Symmetric average of the boundary fractions lying within tolerance of
     the other mask's boundary, scaled to 0-100."""
-    a = np.asarray(pred_binary, dtype=bool)
-    b = np.asarray(gt_binary, dtype=bool)
+    a, b, dists = _boundary_distances(pred_binary, gt_binary)
     if tolerance_px is None:
         tolerance_px = nsd_tolerance(a.shape)
     if tolerance_px < 0:
         raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
-    if not a.any() and not b.any():
-        return 100.0
-    if not a.any() or not b.any():
-        return 0.0
-    ba = boundary_coords(a)
-    bb = boundary_coords(b)
-    frac_a = float((_directed_distances(ba, bb) <= tolerance_px).sum()) / len(ba)
-    frac_b = float((_directed_distances(bb, ba) <= tolerance_px).sum()) / len(bb)
+    if dists is None:
+        return 0.0 if a.any() or b.any() else 100.0
+    frac_a, frac_b = (float((d <= tolerance_px).sum()) / d.size for d in dists)
     return 100.0 * (frac_a + frac_b) / 2.0
 
 

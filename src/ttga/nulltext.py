@@ -112,31 +112,25 @@ def optimize_null_text(
     eps_c = model.predict(x_tau, tau, c)
     xbar_tau = to_xbar(x_tau, tau, schedule)
 
-    def evaluate(values: np.ndarray):
-        # the prediction keeps its graph, so the next iteration's gradient
-        # needs no second forward pass
+    values = np.zeros(model.embedding_dim)
+    state = AdamState(dim=values.size, lr=opt_config.lr)
+    trace = []
+    while True:
+        # the prediction keeps its graph: its gradient needs no second forward pass
         e = ConditionEmbedding(values, role=ROLE_OPTIMIZED_NULL)
         eps_e, vjp = model.predict_vjp(x_tau, tau, e, "embedding")
         eps_dot = cfg_single(eps_e, eps_c, omega)
         recon = move(xbar_tau, tau, 0, eps_dot, schedule)
-        return e, vjp, eps_dot, recon, reconstruction_loss(recon, x0)
-
-    values = np.zeros(model.embedding_dim)
-    current_e, vjp, eps_dot, recon, loss = evaluate(values)
-    best_e, best_eps, best_loss = current_e, eps_dot, loss
-    trace = [loss]
-    state = AdamState(dim=values.size, lr=opt_config.lr)
-    iterations = 0
-    while opt_config.early_stop < loss < np.inf and iterations < opt_config.max_steps:
+        loss = reconstruction_loss(recon, x0)
+        if not trace or loss < best_loss:
+            best_e, best_eps, best_loss = e, eps_dot, loss
+        trace.append(loss)
+        if not (opt_config.early_stop < loss < np.inf and len(trace) <= opt_config.max_steps):
+            break
         # dL/de via the chain recon -> eps_dot -> eps(x_tau, tau, e)
         upstream = (2.0 / n) * (recon - x0) * (-gamma_tau) * (1.0 - omega)
         values = adam_step(state, values, vjp(upstream))
-        iterations += 1
-        current_e, vjp, eps_dot, recon, loss = evaluate(values)
-        trace.append(loss)
-        if loss < best_loss:
-            best_e, best_eps, best_loss = current_e, eps_dot, loss
 
     return OptimizedNull(embedding=best_e, tau=tau, final_loss=best_loss,
-                         iterations_used=iterations, identity_noise=best_eps,
+                         iterations_used=len(trace) - 1, identity_noise=best_eps,
                          trace=tuple(trace))

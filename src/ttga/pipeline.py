@@ -125,13 +125,10 @@ def build_test_set(cfg: RunConfig) -> list[ToyScene]:
     """Half-occluded, half-unoccluded test scenes (even ids carry the
     occluder) so occlusion-conditional analyses have both subsets."""
     rng = SeededRng(cfg.seed, STREAM_TEST_DATA)
-    occluded = Difficulty(cfg.test_occlusion, cfg.test_blur, cfg.test_noise)
-    clean = Difficulty(0.0, cfg.test_blur, cfg.test_noise)
-    scenes = []
-    for i in range(cfg.n_test):
-        diff = occluded if (i % 2 == 0 and cfg.test_occlusion > 0) else clean
-        scenes.append(render_scene(sample_scene_params(rng.derive(i), diff, cfg.size)))
-    return scenes
+    looks = [Difficulty(occlusion, cfg.test_blur, cfg.test_noise)
+             for occlusion in (cfg.test_occlusion, 0.0)]
+    return [render_scene(sample_scene_params(rng.derive(i), looks[i % 2], cfg.size))
+            for i in range(cfg.n_test)]
 
 
 def build_train_set(cfg: RunConfig) -> list[ToyScene]:
@@ -570,7 +567,7 @@ def cmd_augment(cfg: RunConfig, log: RunLog, count: int = 4) -> Path:
         if cfg.nulltext_trace:
             write_csv(aug_dir / f"nulltext_trace_{i:04d}.csv", ["iteration", "loss"],
                       ([it, f"{loss:.12e}"] for it, loss in enumerate(aset.null_opt.trace)))
-        gridio.save_grid(aug_dir / f"original_{i:04d}.f64", aset.original)
+        gridio.save_grid(aug_dir / f"original_{i:04d}.f64", scene.image)
         for j, aug in enumerate(aset.augmented):
             gridio.save_grid(aug_dir / f"aug_{i:04d}_{j:02d}.f64", aug)
             if cfg.dump_images:

@@ -27,20 +27,18 @@ from .errors import ConfigError, NumericalAbort
 class NoiseSchedule:
     """Precomputed diffusion schedule tables.
 
-    ``alphas`` has length T and is 1-indexed conceptually (``alphas[t-1]`` is
-    alpha_t); ``alpha_bars`` and ``gammas`` have length T+1 with index 0
-    holding the exact endpoint values 1 and 0; ``sqrt_alpha_bars``, with the
-    bits of the scalar ``np.sqrt(alpha_bars[t])`` at every t, is derived.
+    ``alpha_bars`` and ``gammas`` have length T+1 with index 0 holding the
+    exact endpoint values 1 and 0; ``sqrt_alpha_bars``, with the bits of the
+    scalar ``np.sqrt(alpha_bars[t])`` at every t, is derived.
     """
 
     total_steps: int
-    alphas: np.ndarray
     alpha_bars: np.ndarray
     gammas: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "sqrt_alpha_bars", np.sqrt(self.alpha_bars))
-        for arr in (self.alphas, self.alpha_bars, self.gammas, self.sqrt_alpha_bars):
+        for arr in (self.alpha_bars, self.gammas, self.sqrt_alpha_bars):
             arr.setflags(write=False)
 
     def check_step(self, t: int, low: int = 0) -> None:
@@ -71,17 +69,16 @@ def build_schedule(
         raise ConfigError(f"beta_end must be < 1, got beta_end={beta_end}")
 
     betas = np.linspace(beta_start, beta_end, total_steps, dtype=np.float64)
-    alphas = 1.0 - betas
     alpha_bars = np.empty(total_steps + 1, dtype=np.float64)
     alpha_bars[0] = 1.0
-    alpha_bars[1:] = np.cumprod(alphas)
+    alpha_bars[1:] = np.cumprod(1.0 - betas)
     gammas = np.empty(total_steps + 1, dtype=np.float64)
     gammas[0] = 0.0
     with np.errstate(divide="ignore", over="ignore"):
         gammas[1:] = np.sqrt((1.0 - alpha_bars[1:]) / alpha_bars[1:])
     if not np.isfinite(gammas[-1]):
         raise ConfigError(f"beta_end={beta_end} over {total_steps} steps drives alpha_bar to 0")
-    return NoiseSchedule(total_steps, alphas, alpha_bars, gammas)
+    return NoiseSchedule(total_steps, alpha_bars, gammas)
 
 
 def to_xbar(x: np.ndarray, t: int, schedule: NoiseSchedule,

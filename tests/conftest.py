@@ -80,9 +80,9 @@ def conv_batch_items(monkeypatch):
     items = []
     forward = ConvStack.forward
 
-    def counted(self, x, more=()):
+    def counted(self, x, *more):
         items.append(len(x.data))
-        return forward(self, x, more)
+        return forward(self, x, *more)
 
     monkeypatch.setattr(ConvStack, "forward", counted)
     return items

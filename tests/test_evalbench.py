@@ -23,6 +23,8 @@ from ttga.evalbench import (
     tta_baseline,
 )
 from ttga.metrics import binarize, dice
+from ttga.pipeline import STREAM_TEST_DATA, build_test_set
+from ttga.runconfig import RunConfig
 
 
 @pytest.fixture(scope="module")
@@ -261,3 +263,22 @@ def test_conv_checkpoint_round_trip(tmp_path, trained_segmenter):
     loaded = load_segmenter(path)
     image = SeededRng(15).random((12, 12))
     assert np.array_equal(loaded.segment(image), trained_segmenter.segment(image))
+
+
+@pytest.mark.parametrize("occlusion", [0.0, 0.8])
+def test_test_set_occludes_exactly_the_even_ids(occlusion):
+    """Even ids carry an occluder when the test occlusion is above 0; every
+    other scene is the clean draw of its own stream, bit for bit."""
+    cfg = RunConfig(seed=3, n_test=6, size=16, test_occlusion=occlusion)
+    scenes = build_test_set(cfg)
+    assert len(scenes) == 6
+    rng = SeededRng(cfg.seed, STREAM_TEST_DATA)
+    clean = Difficulty(0.0, cfg.test_blur, cfg.test_noise)
+    for i, scene in enumerate(scenes):
+        occluded = occlusion > 0 and i % 2 == 0
+        assert (scene.params["occluder"] is not None) == occluded
+        if not occluded:
+            want = render_scene(sample_scene_params(rng.derive(i), clean, cfg.size))
+            assert scene.params == want.params
+            assert scene.image.tobytes() == want.image.tobytes()
+            assert scene.gt_mask.tobytes() == want.gt_mask.tobytes()

@@ -218,6 +218,28 @@ def test_trace_holds_the_loss_of_every_iteration(schedule, dim, early_stop):
         assert result.trace[-1] > result.final_loss
 
 
+@pytest.mark.parametrize("omega, max_steps", [(2.0, 0), (1e200, 500)])
+def test_null_text_edge_exits_keep_the_zero_embedding(schedule, omega, max_steps):
+    """With no step allowed, or a first loss that overflows to inf, the
+    result is the zero embedding's evaluation, bit for bit: no iteration,
+    one loss in the trace, and its guided noise as the identity noise."""
+    model, c, traj = _invert_scene(schedule, dim=16)
+    with np.errstate(over="ignore", invalid="ignore"):
+        result = optimize_null_text(model, traj, c, omega,
+                                    NullOptConfig(lr=0.1, max_steps=max_steps, early_stop=0.0))
+        null = model.null_embedding()
+        zero = one_step_reconstruct(model, traj.x_tau, traj.tau, c, null, omega)
+        first = reconstruction_loss(zero, traj.x0)
+        guided = cfg_single(model.predict(traj.x_tau, traj.tau, null),
+                            model.predict(traj.x_tau, traj.tau, c), omega)
+    assert (first == np.inf) == (omega == 1e200)
+    assert result.iterations_used == 0
+    assert result.trace == (first,)
+    assert result.final_loss == first
+    assert not result.embedding.values.any()
+    assert result.identity_noise.tobytes() == guided.tobytes()
+
+
 def test_null_loss_gradient_matches_fd_conv(schedule):
     rng = SeededRng(55)
     model = ConvDenoiser(schedule, channels=1, embedding_dim=3, hidden=5,

@@ -2,11 +2,12 @@
 """Compare two source trees on the benchmark in alternating pairs, or record
 this tree's benchmark figures.
 
-    tools/bench_record.py --compare BASE HEAD --workload eval-conv --pairs 10
+    tools/bench_record.py --compare BASE HEAD --workload eval-conv [--pairs N]
     tools/bench_record.py --record BENCH_ttga.json
 
-Pair i runs ``TREE/perfbench/run.py --workload W --seed S+i --seconds T`` on
-both trees with the same seed. BASE runs first on even pairs and HEAD on odd
+A comparison runs N alternating pairs, 10 by default. Pair i runs
+``TREE/perfbench/run.py --workload W --seed S+i --seconds T`` on both trees
+with the same seed. BASE runs first on even pairs and HEAD on odd
 ones, because the second run of a pair tends to read slower. Every run must
 print a JSON result as its last line, with ``correct`` true and ``failed``
 0; otherwise the comparison stops with exit code 1. For each end-to-end
@@ -163,7 +164,7 @@ def main(argv=None) -> int:
                       help="write this tree's figures to OUT, such as BENCH_ttga.json")
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeat for several; default: every workload")
-    parser.add_argument("--pairs", type=int, default=6)
+    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="the first pair's or run's seed")
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
     args = parser.parse_args(argv)
