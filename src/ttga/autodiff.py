@@ -172,40 +172,35 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor, k: int,
         flat = cols.reshape(b * h * w, -1)
         np.matmul(flat, weight.data, out=out.reshape(b * h * w, cout))
     out += bias.data
-    out = Tensor(out.reshape(b, h, w, cout))
 
-    if weight.requires_grad or bias.requires_grad or any(p.requires_grad for p, _, _ in parts):
-        out.requires_grad = True
-        out._parents = (*(p for p, _, _ in parts), weight, bias)
-        need_b = bias.requires_grad
-        def backward(g):
-            gw = flat.T @ g.reshape(-1, cout) if flat is not None else None
-            gb = g.sum(axis=(0, 1, 2)) if need_b else None
-            # weight rows are ordered (kernel position, input channel)
-            rows = weight.data.reshape(k * k, cin, cout)
-            gitems = g.reshape(b, h * w, cout)
-            gparts = []
-            for p, lo, hi in parts:
-                gx = None
-                if p.requires_grad:
-                    wpt = rows[:, lo:hi].reshape(-1, cout).T
-                    gx = np.empty((b, h * w, hi - lo))
-                    if cout == 1:
-                        # a product with K = 1 sums nothing: the outer product has its
-                        # bits but a zero's sign, which the scatter's sums from +0 drop
-                        gcols, wrow = np.empty((h * w, wpt.shape[1])), wpt[0]
-                        patch_grads = lambda gn: np.einsum("i,j->ij", gn[:, 0], wrow, out=gcols)
-                    else:
-                        patch_grads = lambda gn: gn @ wpt
-                    # one item's gradient columns at a time, each scattered at once
-                    for n in range(b):
-                        gx[n] = _col2im(patch_grads(gitems[n]), k, h, w)
-                    gx = gx.reshape(b, h, w, hi - lo)
-                    # a part broadcast over an axis gets the sum over it
-                    axes = tuple(i for i, size in enumerate(p.shape) if size < gx.shape[i])
-                    if axes:
-                        gx = gx.sum(axis=axes, keepdims=True)
-                gparts.append(gx)
-            return (*gparts, gw, gb)
-        out._backward = backward
-    return out
+    need_b = bias.requires_grad
+    def backward(g):
+        gw = flat.T @ g.reshape(-1, cout) if flat is not None else None
+        gb = g.sum(axis=(0, 1, 2)) if need_b else None
+        # weight rows are ordered (kernel position, input channel)
+        rows = weight.data.reshape(k * k, cin, cout)
+        gitems = g.reshape(b, h * w, cout)
+        gparts = []
+        for p, lo, hi in parts:
+            gx = None
+            if p.requires_grad:
+                wpt = rows[:, lo:hi].reshape(-1, cout).T
+                gx = np.empty((b, h * w, hi - lo))
+                if cout == 1:
+                    # a product with K = 1 sums nothing: the outer product has its
+                    # bits but a zero's sign, which the scatter's sums from +0 drop
+                    gcols, wrow = np.empty((h * w, wpt.shape[1])), wpt[0]
+                    patch_grads = lambda gn: np.einsum("i,j->ij", gn[:, 0], wrow, out=gcols)
+                else:
+                    patch_grads = lambda gn: gn @ wpt
+                # one item's gradient columns at a time, each scattered at once
+                for n in range(b):
+                    gx[n] = _col2im(patch_grads(gitems[n]), k, h, w)
+                gx = gx.reshape(b, h, w, hi - lo)
+                # a part broadcast over an axis gets the sum over it
+                axes = tuple(i for i, size in enumerate(p.shape) if size < gx.shape[i])
+                if axes:
+                    gx = gx.sum(axis=axes, keepdims=True)
+            gparts.append(gx)
+        return (*gparts, gw, gb)
+    return x._make(out.reshape(b, h, w, cout), (*(p for p, _, _ in parts), weight, bias), backward)

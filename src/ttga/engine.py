@@ -146,9 +146,8 @@ class AugmentationSet:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    mean_probability: np.ndarray   # (H, W, K)
-    entropy_map: np.ndarray        # (H, W), bits
-    member_probabilities: np.ndarray  # (N, H, W, K)
+    mean_probability: np.ndarray   # (H, W, K), the members' mean
+    entropy_map: np.ndarray        # (H, W), bits, of the mean
 
 
 def augmentation_path_step(
@@ -172,8 +171,6 @@ def augmentation_path_step(
     the predictions and the guidance. ``eps_sem``, when given, is
     ``model.predict(x_t, t, c)`` and is left unchanged.
     """
-    if t < 1:
-        raise ContractError(f"augmentation path needs t >= 1, got {t}")
     null, identity = model.null_embedding(), null_opt.embedding
     if eps_sem is None:
         model.predict_each(x_t, t, [null, c, identity], out=pred_buffer)
@@ -253,7 +250,6 @@ def _generate(
         relevance_fn = lambda x, t, pred: saliency_relevance(model, x, t, c, pred)
 
     policy = cfg.mask_policy
-    mask_shape = x_tau.shape[:2]
     # steps that redraw relevance masks share the semantic forward with them
     share_semantic = policy.resample_per_step and policy.needs_relevance
 
@@ -264,7 +260,7 @@ def _generate(
             raise NumericalAbort(f"non-finite relevance map at step {t}")
         if relevance is None or np.ndim(relevance) == 2:
             relevance = [relevance] * n
-        masks = [make_mask(policy, mask_shape, rng, r) for rng, r in zip(rngs, relevance)]
+        masks = [make_mask(policy, x_tau.shape, rng, r) for rng, r in zip(rngs, relevance)]
         return masks, select_words(np.stack([m.spade for m in masks]))
 
     if not policy.resample_per_step:
@@ -394,7 +390,6 @@ def ensemble(members: np.ndarray) -> EnsembleResult:
     return EnsembleResult(
         mean_probability=mean,
         entropy_map=entropy_bits(mean),
-        member_probabilities=members,
     )
 
 

@@ -97,7 +97,8 @@ def render_scene(params: dict) -> ToyScene:
         image = ndimage.gaussian_filter(image, sigma=params["blur"])
     if params["noise"] > 0.0:
         noise_rng = SeededRng(params["noise_seed_hi"], 0xD01E)
-        image = image + params["noise"] * noise_rng.normal(image.shape)
+        with np.errstate(over="ignore"):  # a term past the range is ±inf, clipped to its limit
+            image = image + params["noise"] * noise_rng.normal(image.shape)
     image = np.clip(image, 0.0, 1.0)
     return ToyScene(image=image, gt_mask=gt, params=params)
 

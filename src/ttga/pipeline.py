@@ -43,7 +43,7 @@ from .evalbench import (
     train_toy_segmenter,
     tta_baseline,
 )
-from .masks import consistency_relevance, saliency_relevance
+from .masks import consistency_relevance
 from .metrics import binarize, dice, error_ground_truth, hd95, nsd, roc_auc
 from .nulltext import OptimizedNull
 from .rng import SeededRng
@@ -271,19 +271,17 @@ def _relevance_fn(cfg: RunConfig, scene: ToyScene, denoiser: Denoiser,
                   semantic: ConditionEmbedding, segmenter: Segmenter | None,
                   base_prob: np.ndarray | None = None):
     """Relevance provider for attention/hybrid masks, per configuration:
-    model-consistency (default), the segmenter's foreground probability on
-    the original image, or raw denoiser saliency; None for masks that read
-    no relevance. ``base_prob``, when given, is
-    ``segmenter.segment(scene.image)``."""
-    if not cfg.ttga.mask_policy.needs_relevance:
+    model-consistency (default) or the segmenter's foreground probability on
+    the original image; None for raw denoiser saliency, which the engine
+    supplies, and for masks that read no relevance. ``base_prob``, when
+    given, is ``segmenter.segment(scene.image)``."""
+    if not cfg.ttga.mask_policy.needs_relevance or cfg.relevance_provider == "saliency":
         return None
     if cfg.relevance_provider == "segmenter":
         if base_prob is None:
             base_prob = segmenter.segment(scene.image)
         relevance = base_prob[:, :, 1]
         return lambda x, t, pred: relevance
-    if cfg.relevance_provider == "saliency":
-        return lambda x, t, pred: saliency_relevance(denoiser, x, t, semantic, pred)
     return lambda x, t, pred: consistency_relevance(denoiser, x, t, semantic, pred)
 
 
@@ -336,7 +334,6 @@ def write_augment_metadata(path: Path, rows: list[dict]) -> None:
 @dataclass
 class ImageResult:
     image_id: int
-    occluded: int
     rows: list[dict]
     aug_metadata: list[dict] = field(default_factory=list)
     null_opt: OptimizedNull | None = None
@@ -344,11 +341,10 @@ class ImageResult:
 
 
 def _metric_block(mean_prob: np.ndarray, err_score: np.ndarray, gt: np.ndarray,
-                  err_gt: np.ndarray) -> tuple[dict, list[str]]:
-    flags = []
+                  err_gt: np.ndarray) -> dict:
     fg = mean_prob[:, :, 1]
     pred, err_pred = binarize(fg), binarize(err_score)
-    row = {
+    return {
         "dsc": dice(pred, gt),
         "auc": roc_auc(fg, gt),
         "hd95": hd95(pred, gt),
@@ -357,11 +353,6 @@ def _metric_block(mean_prob: np.ndarray, err_score: np.ndarray, gt: np.ndarray,
         "err_auc": roc_auc(err_score, err_gt),
         "err_nsd": nsd(err_pred, err_gt),
     }
-    if not np.isfinite(row["auc"]):
-        flags.append("auc_degenerate")
-    if not np.isfinite(row["err_auc"]):
-        flags.append("err_auc_degenerate")
-    return row, flags
 
 
 def evaluate_image(
@@ -376,7 +367,7 @@ def evaluate_image(
     occluded = int(scene.params.get("occluder") is not None)
     base_prob = segmenter.segment(scene.image)
     err_gt = error_ground_truth(base_prob[:, :, 1], gt)
-    result = ImageResult(image_id=image_id, occluded=occluded, rows=[])
+    result = ImageResult(image_id=image_id, rows=[])
 
     per_method: dict[str, EnsembleResult] = {}
     methods = cfg.method_list()
@@ -401,7 +392,8 @@ def evaluate_image(
 
     for method in methods:
         er = per_method[method]
-        row, flags = _metric_block(er.mean_probability, error_estimate_map(er), gt, err_gt)
+        row = _metric_block(er.mean_probability, error_estimate_map(er), gt, err_gt)
+        flags = [f"{key}_degenerate" for key in ("auc", "err_auc") if not np.isfinite(row[key])]
         row.update({"image_id": image_id, "method": method, "occluded": occluded,
                     "flags": ";".join(flags)})
         result.rows.append(row)

@@ -14,10 +14,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ttga
-from ttga import checkpoint, cli, gridio, pipeline
+from ttga import DenoiserTrainConfig, MaskPolicy, TtgaConfig, checkpoint, cli, gridio, pipeline
 from ttga.cli import main
 from ttga.errors import ConfigError
-from ttga.evalbench import ConvSegmenter, ThresholdSegmenter, save_segmenter
+from ttga.evalbench import (
+    ConvSegmenter,
+    SegTrainConfig,
+    ThresholdSegmenter,
+    ToyScene,
+    save_segmenter,
+)
 from ttga.runconfig import RunConfig, load_config_file, resolve_config, write_resolved_config
 
 TINY = [
@@ -55,6 +61,15 @@ def test_config_precedence_three_layers(tmp_path):
     assert file_only.tau == 120 and file_only.seed == 9
     flag_wins = resolve_config(str(cfg_file), {"tau": 77})
     assert flag_wins.tau == 77 and flag_wins.seed == 9
+
+
+def test_cli_typed_configs_equal_the_library_defaults_but_the_quantile():
+    """The CLI's defaults differ from the library's only in the relevance
+    quantile (and the relevance provider, which is not a typed-config field)."""
+    cfg = RunConfig()
+    assert cfg.ttga == TtgaConfig(mask_policy=MaskPolicy(relevance_quantile=0.3))
+    assert cfg.denoiser_train == DenoiserTrainConfig(epochs=8)
+    assert cfg.seg_train == SegTrainConfig(epochs=40)
 
 
 def test_unknown_config_field_rejected(tmp_path):
@@ -549,6 +564,18 @@ def test_run_log_counts_each_flag_per_method_and_csv_names_the_images(tmp_path):
     lines = [line.split(" ", 1)[1] for line in log.splitlines() if "degenerate" in line]
     assert lines == [f"err_auc_degenerate: {len(flagged)} of 6 images, method {m} "
                      "(excluded from aggregates)" for m in ("baseline", "tta", "ttga")]
+
+
+def test_one_class_scene_raises_both_degenerate_flags_in_order():
+    """An all-background scene under a segmenter that finds no foreground:
+    both AUCs see one class, so every row names both flags, auc first."""
+    scene = ToyScene(image=np.full((8, 8), 0.2), gt_mask=np.zeros((8, 8), dtype=np.uint8),
+                     params={})
+    cfg = RunConfig(methods="baseline,tta", size=8)
+    result = pipeline.evaluate_image(0, scene, cfg, None, None, ThresholdSegmenter())
+    assert [(r["method"], r["flags"]) for r in result.rows] == [
+        ("baseline", "auc_degenerate;err_auc_degenerate"),
+        ("tta", "auc_degenerate;err_auc_degenerate")]
 
 
 def test_run_log_counts_the_images_left_at_the_raw_null(tmp_path):

@@ -3,8 +3,9 @@ import warnings
 import numpy as np
 import pytest
 
-from ttga import SeededRng
+from ttga import SeededRng, evalbench
 from ttga.autodiff import Tensor
+from ttga.engine import ensemble
 from ttga.errors import ConfigError, ContractError
 from ttga.evalbench import (
     ConvSegmenter,
@@ -37,6 +38,18 @@ def trained_segmenter():
     return seg
 
 
+def _capture_members(monkeypatch) -> list:
+    """The member stacks that ``tta_baseline`` hands to ``ensemble``, in call order."""
+    captured = []
+
+    def capture(members):
+        captured.append(members)
+        return ensemble(members)
+
+    monkeypatch.setattr(evalbench, "ensemble", capture)
+    return captured
+
+
 def _dsc(seg, scene):
     return dice(binarize(seg.segment(scene.image)[:, :, 1]), scene.gt_mask)
 
@@ -48,6 +61,15 @@ def test_gt_mask_is_exact_disk():
     expected = ((yy - params["cy"]) ** 2 + (xx - params["cx"]) ** 2
                 <= params["radius"] ** 2).astype(np.uint8)
     assert np.array_equal(scene.gt_mask, expected)
+
+
+def test_noise_past_the_float_range_clips_without_a_warning():
+    """A noise term that overflows is ±inf, and the clip takes it to 0 or 1."""
+    params = sample_scene_params(SeededRng(1), Difficulty(0.0, 0.0, 1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scene = render_scene(params)
+    assert ((scene.image >= 0.0) & (scene.image <= 1.0)).all()
 
 
 def test_occluder_straddles_disk_boundary():
@@ -187,32 +209,38 @@ def test_tta_reuses_a_given_first_view_bit_for_bit(trained_segmenter, monkeypatc
     images = []
     segment = trained_segmenter.segment
     monkeypatch.setattr(trained_segmenter, "segment", lambda im: images.append(im) or segment(im))
-    reused = tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9), first_view=first)
+    members = _capture_members(monkeypatch)
+    tta_baseline(trained_segmenter, scene.image, 5, SeededRng(9), first_view=first)
     assert [im.shape for im in images] == [(4,) + scene.image.shape]
-    for a, b in zip(want, reused.member_probabilities, strict=True):
+    (reused,) = members
+    for a, b in zip(want, reused, strict=True):
         assert np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def test_tta_flip_invariant_case():
+def test_tta_flip_invariant_case(monkeypatch):
     """A symmetric scene under a pointwise segmenter: every mapped-back view
     prediction equals the plain one, so the ensemble collapses to it."""
     yy, xx = np.mgrid[0:16, 0:16]
     image = 0.2 + 0.6 * (((yy - 7.5) ** 2 + (xx - 7.5) ** 2) <= 20).astype(float)
     seg = ThresholdSegmenter()
     single = seg.segment(image)
+    members = _capture_members(monkeypatch)
     er = tta_baseline(seg, image, 6, SeededRng(10), jitter_sigma=0.0, first_view=single)
     assert np.allclose(er.mean_probability, single, atol=1e-12)
-    assert np.allclose(er.member_probabilities[3], single, atol=1e-12)
+    assert np.allclose(members[0][3], single, atol=1e-12)
 
 
-def test_tta_views_are_mapped_back_correctly(trained_segmenter):
+def test_tta_views_are_mapped_back_correctly(trained_segmenter, monkeypatch):
     # an asymmetric scene: mapped-back member predictions must stay aligned
     # with the unflipped image (foreground mass near the true disk)
     scene = make_dataset(1, Difficulty(0.0, 0.0, 0.0), SeededRng(12))[0]
     seg = ThresholdSegmenter()
-    er = tta_baseline(seg, scene.image, 8, SeededRng(13), jitter_sigma=0.0,
-                      first_view=seg.segment(scene.image))
-    for member in er.member_probabilities:
+    members = _capture_members(monkeypatch)
+    tta_baseline(seg, scene.image, 8, SeededRng(13), jitter_sigma=0.0,
+                 first_view=seg.segment(scene.image))
+    (stack,) = members
+    assert len(stack) == 8
+    for member in stack:
         assert dice(binarize(member[:, :, 1]), scene.gt_mask) == 100.0
 
 

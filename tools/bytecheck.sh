@@ -14,7 +14,9 @@
 # and segments each original itself, and once with null-text traces on a
 # 500-step schedule with beta_end 0.03, the one run whose noise schedule is
 # not the default, so a stage that steps on another schedule than the
-# model's changes its digests; make-data,
+# model's changes its digests, and once with Bernoulli masks, inversion
+# under the null embedding and lambda_c at 0.5, which reads no relevance;
+# make-data,
 # train-denoiser, train-segmenter and evaluate in turn on the analytic one,
 # `ttga evaluate --seed 7` on the analytic one with the threshold
 # segmenter and attention masks that read the segmenter's relevance, and
@@ -81,6 +83,8 @@ run augment augment-seg "${tiny[@]}" --count 2 --set relevance_provider=segmente
     --set mask_scheme=attention
 run augment augment-sched "${tiny[@]}" --count 2 --set total_steps=500 --set beta_end=0.03 \
     --set nulltext_trace=true
+run augment augment-bernoulli "${tiny[@]}" --count 2 --set mask_scheme=bernoulli \
+    --set invert_with=null --set lambda_c=0.5
 staged="$runs/staged"
 run make-data staged "${tiny[@]}"
 run train-denoiser staged "${tiny[@]}" --set data_dir="$staged/data"
