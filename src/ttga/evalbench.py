@@ -21,7 +21,7 @@ from .autodiff import Tensor, conv2d, logistic  # noqa: F401
 from . import checkpoint
 from .denoiser import ConvStack, fit
 from .engine import EnsembleResult, ensemble
-from .errors import ConfigError, ContractError, CorruptFileError
+from .errors import ConfigError, ContractError, CorruptFileError, NumericalAbort
 from .optim import adam_step  # noqa: F401
 from .rng import SeededRng
 
@@ -148,8 +148,14 @@ class ConvSegmenter(ConvStack, Segmenter):
         return super().forward(x).sigmoid()
 
     def segment(self, image: np.ndarray) -> np.ndarray:
+        """A pre-activation past the float range saturates its tanh or
+        sigmoid, unreported; a probability that is not finite, where two such
+        terms of opposite sign met, raises NumericalAbort."""
         xb, stacked = self._prepare(image)
-        p_fg = self._restore(self.forward(Tensor(xb)).data, stacked)
+        with np.errstate(over="ignore", invalid="ignore"):
+            p_fg = self._restore(self.forward(Tensor(xb)).data, stacked)
+        if not np.isfinite(p_fg).all():
+            raise NumericalAbort("non-finite segmenter output")
         return np.stack([1.0 - p_fg, p_fg], axis=-1)
 
 

@@ -64,10 +64,11 @@ def roc_auc(score_grid: np.ndarray, gt_binary: np.ndarray) -> float:
 def boundary_coords(mask: np.ndarray) -> np.ndarray:
     """(n, 2) integer coordinates of boundary pixels of a binary mask."""
     m = np.asarray(mask, dtype=bool)
-    padded = np.pad(m, 1)
-    interior = (
-        padded[:-2, 1:-1] & padded[2:, 1:-1] & padded[1:-1, :-2] & padded[1:-1, 2:]
-    )
+    grid = np.zeros((m.shape[0] + 2, m.shape[1] + 2), dtype=bool)
+    grid[1:-1, 1:-1] = m
+    interior = grid[:-2, 1:-1] & grid[2:, 1:-1]
+    interior &= grid[1:-1, :-2]
+    interior &= grid[1:-1, 2:]
     return np.argwhere(m & ~interior)
 
 
@@ -75,29 +76,45 @@ def image_diagonal(shape) -> float:
     return float(np.hypot(shape[0], shape[1]))
 
 
-def _directed_distances(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Euclidean distance from each src pixel to the nearest dst pixel."""
-    diff = src[:, None, :].astype(np.float64) - dst[None, :, :].astype(np.float64)
-    return np.sqrt((diff ** 2).sum(axis=2)).min(axis=1)
-
-
 def _boundary_distances(pred_binary: np.ndarray, gt_binary: np.ndarray):
-    """Both masks as booleans and the boundary distances (a -> b, b -> a),
-    None in place of the distances when either mask is empty."""
+    """Both masks as booleans and the Euclidean distance from each boundary
+    pixel to the nearest boundary pixel of the other mask (a -> b, b -> a),
+    None in place of the distances when either mask is empty.
+
+    Both directions take their minima from one matrix of integer squared
+    distances, and each minimum then takes one sqrt. That equals the minimum
+    of the float64 distances bit for bit: their squares are the same
+    integers, exact below 2**53, and IEEE sqrt is correctly rounded and
+    monotone."""
     a = np.asarray(pred_binary, dtype=bool)
     b = np.asarray(gt_binary, dtype=bool)
     if not a.any() or not b.any():
         return a, b, None
     ba, bb = boundary_coords(a), boundary_coords(b)
-    return a, b, (_directed_distances(ba, bb), _directed_distances(bb, ba))
+    sq = ba[:, 0, None] - bb[None, :, 0]
+    dx = ba[:, 1, None] - bb[None, :, 1]
+    sq *= sq
+    dx *= dx
+    sq += dx
+    return a, b, (np.sqrt(sq.min(axis=1)), np.sqrt(sq.min(axis=0)))
+
+
+def _hd95(a: np.ndarray, b: np.ndarray, dists) -> float:
+    if dists is None:
+        return image_diagonal(a.shape) if a.any() or b.any() else 0.0
+    return float(np.percentile(np.concatenate(dists), 95))
+
+
+def _nsd(tolerance_px: float, a: np.ndarray, b: np.ndarray, dists) -> float:
+    if dists is None:
+        return 0.0 if a.any() or b.any() else 100.0
+    frac_a, frac_b = (float((d <= tolerance_px).sum()) / d.size for d in dists)
+    return 100.0 * (frac_a + frac_b) / 2.0
 
 
 def hd95(pred_binary: np.ndarray, gt_binary: np.ndarray) -> float:
     """95th percentile of the pooled symmetric boundary-distance multiset."""
-    a, b, dists = _boundary_distances(pred_binary, gt_binary)
-    if dists is None:
-        return image_diagonal(a.shape) if a.any() or b.any() else 0.0
-    return float(np.percentile(np.concatenate(dists), 95))
+    return _hd95(*_boundary_distances(pred_binary, gt_binary))
 
 
 def nsd_tolerance(shape) -> float:
@@ -108,15 +125,17 @@ def nsd_tolerance(shape) -> float:
 def nsd(pred_binary: np.ndarray, gt_binary: np.ndarray, tolerance_px: float | None = None) -> float:
     """Symmetric average of the boundary fractions lying within tolerance of
     the other mask's boundary, scaled to 0-100."""
-    a, b, dists = _boundary_distances(pred_binary, gt_binary)
     if tolerance_px is None:
-        tolerance_px = nsd_tolerance(a.shape)
-    if tolerance_px < 0:
+        tolerance_px = nsd_tolerance(np.shape(pred_binary))
+    if not tolerance_px >= 0:  # NaN fails this too
         raise ValueError(f"tolerance_px must be >= 0, got {tolerance_px}")
-    if dists is None:
-        return 0.0 if a.any() or b.any() else 100.0
-    frac_a, frac_b = (float((d <= tolerance_px).sum()) / d.size for d in dists)
-    return 100.0 * (frac_a + frac_b) / 2.0
+    return _nsd(tolerance_px, *_boundary_distances(pred_binary, gt_binary))
+
+
+def hd95_and_nsd(pred_binary: np.ndarray, gt_binary: np.ndarray) -> tuple[float, float]:
+    """``(hd95(pred, gt), nsd(pred, gt))`` from one boundary-distance pass."""
+    a, b, dists = _boundary_distances(pred_binary, gt_binary)
+    return _hd95(a, b, dists), _nsd(nsd_tolerance(a.shape), a, b, dists)
 
 
 def error_ground_truth(pred_prob: np.ndarray, gt_binary: np.ndarray) -> np.ndarray:

@@ -128,7 +128,57 @@ def test_cli_prints_each_end_to_end_metric_the_runs_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "eval-conv: 3 alternating pairs"
     assert len(lines) == 3 and lines[2].split() == [
-        "ttga_s_per_image", "(lower)", "0.2", "[0.2,", "0.2]", "0.1", "-50.0%", "3/3"]
+        "ttga_s_per_image", "(lower)", "0.2", "[0.2,", "0.2]", "0.1", "-50.0%", "3/3", "gain"]
+
+
+BOUNDED = [{"name": "ttga_s_per_image", "better": "lower", "bound": 0.25},
+           {"name": "images_per_s", "better": "higher", "bound": 0.25},
+           {"name": "tta_s_per_image", "better": "lower", "bound": 0.25},
+           {"name": "ttga_dsc", "better": "higher", "bound": 0.15},
+           {"name": "setup_s", "better": "lower"}]
+
+
+def test_verdicts_follow_the_pair_count_the_base_spread_and_the_bound():
+    base_s = [0.100, 0.102, 0.098, 0.101, 0.099, 0.100, 0.103, 0.097, 0.100, 0.101]
+
+    def answer(tree, seed):
+        i = seed - 5
+        if tree == "base":
+            return result_line({"ttga_s_per_image": base_s[i], "images_per_s": 10.0,
+                                "tta_s_per_image": base_s[i], "ttga_dsc": 80.0,
+                                "setup_s": 1.0})
+        return result_line({
+            # faster in 9 of 10 pairs by more than BASE's spread: a gain
+            "ttga_s_per_image": base_s[i] - 0.01 if i else base_s[i] + 0.001,
+            # 30% lower throughput, past the 25% bound: worse
+            "images_per_s": 7.0,
+            # faster in every pair, but by less than BASE's spread: unresolved
+            "tta_s_per_image": base_s[i] - 0.0005,
+            # 10% lower, within the 15% bound: unresolved
+            "ttga_dsc": 72.0,
+            # twice as slow, but with no bound it cannot be worse
+            "setup_s": 2.0,
+        })
+
+    rows = {r["name"]: r for r in bench_record.summarize(fake_compare(FakeRunner(answer), 10),
+                                                         BOUNDED)}
+    assert rows["ttga_s_per_image"]["wins"] == 9
+    assert {name: r["verdict"] for name, r in rows.items()} == {
+        "ttga_s_per_image": "gain", "images_per_s": "worse", "tta_s_per_image": "unresolved",
+        "ttga_dsc": "unresolved", "setup_s": "unresolved"}
+    lines = bench_record.format_rows("eval-analytic", list(rows.values())).splitlines()
+    assert lines[1].split()[-1] == "verdict"
+    assert [line.split()[-2:] for line in lines[2:]] == [
+        ["9/10", "gain"], ["0/10", "worse"], ["10/10", "unresolved"], ["0/10", "unresolved"],
+        ["0/10", "unresolved"]]
+
+
+def test_eight_wins_in_ten_pairs_is_no_gain():
+    def answer(tree, seed):
+        slower = seed - 5 < 2
+        return result_line({"ttga_s_per_image": 0.1 if tree == "base" or slower else 0.05})
+    rows = bench_record.summarize(fake_compare(FakeRunner(answer), 10), BOUNDED)
+    assert (rows[0]["wins"], rows[0]["verdict"]) == (8, "unresolved")
 
 
 # ---- --record ----

@@ -6,7 +6,7 @@ import pytest
 from ttga import SeededRng, evalbench
 from ttga.autodiff import Tensor
 from ttga.engine import ensemble
-from ttga.errors import ConfigError, ContractError
+from ttga.errors import ConfigError, ContractError, NumericalAbort
 from ttga.evalbench import (
     ConvSegmenter,
     Difficulty,
@@ -126,6 +126,22 @@ def test_saturated_logistics_return_zero_without_a_warning():
         assert Tensor(np.array([-800.0])).sigmoid().data[0] == 0.0
         p = ThresholdSegmenter().segment(np.full((3, 3), -100.0))
         assert np.all(p[..., 1] == 0.0) and np.all(p[..., 0] == 1.0)
+
+
+def test_a_pre_activation_past_the_float_range_saturates_without_a_warning():
+    seg = ConvSegmenter(hidden=2, rng=SeededRng(4))
+    seg.weights[0].data[:] = 1e300
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        prob = seg.segment(np.full((5, 5), 1e300))
+    assert np.array_equal(prob, seg.segment(np.full((5, 5), 1e10)))
+
+
+def test_a_non_finite_segmenter_output_is_a_numerical_abort():
+    seg = ConvSegmenter(hidden=2, rng=SeededRng(4))
+    seg.weights[1].data[0, 0] = np.nan
+    with pytest.raises(NumericalAbort, match="non-finite segmenter output"):
+        seg.segment(np.full((5, 5), 0.5))
 
 
 def test_segment_is_pure(trained_segmenter):

@@ -1,11 +1,14 @@
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
-from oracles import auc_oracle, dice_oracle, hd95_oracle, nsd_oracle
-from ttga import SeededRng
+from oracles import _min_distances, auc_oracle, boundary_oracle, dice_oracle, hd95_oracle, nsd_oracle
+from ttga import SeededRng, metrics, pipeline
 from ttga.metrics import (
     binarize,
     boundary_coords,
@@ -188,3 +191,92 @@ def test_metrics_match_brute_force_oracles(seed):
     got = roc_auc(scores, b)
     want = auc_oracle(scores, b)
     assert (np.isnan(got) and np.isnan(want)) or got == want
+
+
+@pytest.mark.parametrize("tolerance", [float("nan"), -1.0, -math.inf])
+def test_nsd_rejects_a_bad_tolerance_before_any_boundary_work(monkeypatch, tolerance):
+    def no_pass(*args):
+        raise AssertionError("boundary distances computed before the tolerance check")
+    monkeypatch.setattr(metrics, "_boundary_distances", no_pass)
+    m = np.zeros((8, 8), dtype=np.uint8)
+    m[2:5, 2:5] = 1
+    with pytest.raises(ValueError, match="tolerance_px must be >= 0"):
+        nsd(m, m, tolerance_px=tolerance)
+
+
+def _blobs(rng, h, w):
+    """A union of up to four random rectangles, often touching the border."""
+    m = np.zeros((h, w), dtype=np.uint8)
+    for _ in range(int(rng.integers(1, 5))):
+        y0, y1 = sorted(int(v) for v in rng.integers(0, h, 2))
+        x0, x1 = sorted(int(v) for v in rng.integers(0, w, 2))
+        m[y0:y1 + 1, x0:x1 + 1] = 1
+    return m
+
+
+def _distance_cases():
+    """Pairs of non-empty masks up to 64x64: random blobs, random noise, and
+    one-pixel, full and border-touching masks."""
+    rng = SeededRng(31)
+    for _ in range(30):
+        h, w = (int(v) for v in rng.integers(1, 65, 2))
+        yield _blobs(rng, h, w), _blobs(rng, h, w)
+    for _ in range(10):
+        h, w = (int(v) for v in rng.integers(1, 25, 2))
+        density = float(rng.uniform(0.05, 0.95))
+        a, b = ((rng.random((h, w)) < density).astype(np.uint8) for _ in range(2))
+        if a.any() and b.any():
+            yield a, b
+    one = np.zeros((64, 64), dtype=np.uint8)
+    one[0, 63] = 1
+    other = np.zeros((64, 64), dtype=np.uint8)
+    other[63, 0] = 1
+    full = np.ones((64, 64), dtype=np.uint8)
+    border = np.zeros((64, 64), dtype=np.uint8)
+    border[:, :3] = 1
+    border[60:, :] = 1
+    yield one, other
+    yield one, full
+    yield full, full
+    yield border, full
+    yield border, one
+    yield np.ones((1, 1), dtype=np.uint8), np.ones((1, 1), dtype=np.uint8)
+    yield np.ones((1, 64), dtype=np.uint8), one[:1]
+
+
+@pytest.mark.parametrize("a, b", list(_distance_cases()))
+def test_boundary_distances_equal_the_float64_formula_bit_for_bit(a, b):
+    _, _, (got_ab, got_ba) = metrics._boundary_distances(a, b)
+    ba, bb = boundary_oracle(a), boundary_oracle(b)
+    for got, want in ((got_ab, _min_distances(ba, bb)), (got_ba, _min_distances(bb, ba))):
+        assert got.dtype == np.float64
+        assert np.array_equal(got.view(np.uint64), np.array(want).view(np.uint64))
+
+
+def _bits(row: dict) -> dict:
+    return {key: struct.pack("<d", value) for key, value in row.items()}
+
+
+@pytest.mark.parametrize("case", ["random", "empty_pred", "empty_gt", "both_empty", "perfect"])
+def test_metric_block_row_equals_independent_scores_bit_for_bit(case):
+    rng = SeededRng(17)
+    yy, xx = np.mgrid[0:32, 0:32]
+    gt = (((yy - 15.5) ** 2 + (xx - 17) ** 2) < 60).astype(np.uint8)
+    fg = np.clip(gt * 0.8 + 0.1 + 0.2 * rng.normal(gt.shape), 0.0, 1.0)
+    if case in ("empty_pred", "both_empty"):
+        fg = 0.4 * fg
+    if case in ("empty_gt", "both_empty"):
+        gt = np.zeros_like(gt)
+    if case == "perfect":
+        fg = gt.astype(np.float64)
+    err_score = rng.random(gt.shape)
+    err_gt = error_ground_truth(fg, gt)
+    row = pipeline._metric_block(np.stack([1.0 - fg, fg], axis=2), err_score, gt, err_gt)
+    pred, err_pred = binarize(fg), binarize(err_score)
+    want = {
+        "dsc": dice(pred, gt), "auc": roc_auc(fg, gt), "hd95": hd95(pred, gt),
+        "nsd": nsd(pred, gt), "err_dsc": dice(err_pred, err_gt),
+        "err_auc": roc_auc(err_score, err_gt), "err_nsd": nsd(err_pred, err_gt),
+    }
+    assert list(row) == list(want)
+    assert _bits(row) == _bits(want)

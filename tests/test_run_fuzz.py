@@ -7,11 +7,12 @@ import contextlib
 import csv
 import io
 import math
+import sys
 import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ttga.cli import main
 from ttga.masks import SCHEMES
@@ -53,7 +54,8 @@ FLOATS = {
     "p_m": (0.0, 1.0), "relevance_quantile": (0.0, 0.9), "nulltext_lr": (1e-3, 1.0),
     "nulltext_early_stop": (0.0, 1e-2), "seg_lr": (1e-4, 0.1), "tta_jitter": (0.0, 0.1),
 }
-FLOAT_EDGES = [0.0, -0.0, -1.0, 1e-300, 1.0, 1e3, 1e4, 1e300, math.inf, -math.inf, math.nan]
+FLOAT_EDGES = [0.0, -0.0, -1.0, 1e-300, 1.0, 1e3, 1e4, 1e300, math.inf, -math.inf, math.nan,
+               1e308, sys.float_info.max, -sys.float_info.max, 5e-324, 2.2e-308]
 PATHS = ("data_dir", "denoiser_checkpoint", "segmenter_checkpoint", "semantic_embedding")
 STRINGS = {
     **{name: _mostly(st.sampled_from(allowed), ["other"]) for name, allowed in CHOICES.items()},
@@ -129,6 +131,9 @@ def fuzz_root(tmp_path_factory):
 
 @settings(max_examples=250, derandomize=True, deadline=None, database=None)
 @given(drawn=DRAWS)
+# weights near 1e300 from the learning rate meet augmented images near 1e298
+# from lambda_c: the segmenter's first products overflow
+@example(drawn={"seg_lr": 1e300, "lambda_c": 1e300})
 def test_evaluate_run_ends_in_a_documented_exit(fuzz_root, drawn):
     code, out = _run(fuzz_root, "evaluate", drawn)
     if code == 0:

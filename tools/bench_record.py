@@ -12,8 +12,14 @@ ones, because the second run of a pair tends to read slower. Every run must
 print a JSON result as its last line, with ``correct`` true and ``failed``
 0; otherwise the comparison stops with exit code 1. For each end-to-end
 metric in BENCHMARK.json that both trees report, it prints BASE's median and
-quartiles, HEAD's median, the change of the medians, and in how many pairs
-HEAD did better, in the metric's direction.
+quartiles, HEAD's median, the change of the medians, in how many pairs
+HEAD did better, in the metric's direction, and a verdict:
+
+- ``gain``: HEAD did better in at least 9 of 10 pairs, and the medians differ
+  by more than BASE's interquartile range;
+- ``worse``: HEAD's median is worse than BASE's by more than the metric's
+  ``bound`` in BENCHMARK.json, a fraction of BASE's median;
+- ``unresolved``: anything else.
 
 ``--record OUT`` runs this tree's ``perfbench/run.py`` RUNS = 5 times per
 workload (seeds S .. S+4) and once more with ``--trace 1`` at seed S.
@@ -30,6 +36,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import statistics
@@ -122,7 +129,8 @@ def environment(tree: Path) -> dict:
 
 def summarize(results: list[tuple[dict, dict]], metrics: list[dict]) -> list[dict]:
     """Per end-to-end metric both trees report in every pair: BASE's median
-    and quartiles, HEAD's median, the relative change and HEAD's wins."""
+    and quartiles, HEAD's median, the relative change, HEAD's wins and the
+    verdict (see the module docstring)."""
     rows = []
     for spec in metrics:
         name, sign = spec["name"], 1 if spec["better"] == "higher" else -1
@@ -133,23 +141,34 @@ def summarize(results: list[tuple[dict, dict]], metrics: list[dict]) -> list[dic
         q1, _, q3 = quartiles(base)
         base_median = statistics.median(base)
         head_median = statistics.median(head)
+        wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+        # the change of the medians in the metric's direction, and as a
+        # fraction of BASE's median
+        better_by = sign * (head_median - base_median)
+        change = (head_median - base_median) / abs(base_median) if base_median else None
+        if 10 * wins >= 9 * len(results) and better_by > q3 - q1:
+            verdict = "gain"
+        elif change is not None and -sign * change > spec.get("bound", math.inf):
+            verdict = "worse"
+        else:
+            verdict = "unresolved"
         rows.append(dict(
             name=name, better=spec["better"], base_median=base_median, base_q1=q1,
-            base_q3=q3, head_median=head_median,
-            change=(head_median - base_median) / abs(base_median) if base_median else None,
-            wins=sum(sign * (h - b) > 0 for b, h in zip(base, head)), pairs=len(results)))
+            base_q3=q3, head_median=head_median, change=change, wins=wins,
+            pairs=len(results), verdict=verdict))
     return rows
 
 
 def format_rows(workload: str, rows: list[dict]) -> str:
     lines = [f"{workload}: {rows[0]['pairs'] if rows else 0} alternating pairs",
              f"  {'metric':<40}{'base median [q1, q3]':>34}{'head median':>13}"
-             f"{'change':>9}{'head wins':>11}"]
+             f"{'change':>9}{'head wins':>11}{'verdict':>12}"]
     for r in rows:
         change = "n/a" if r["change"] is None else f"{100 * r['change']:+.1f}%"
         spread = f"{r['base_median']:.4g} [{r['base_q1']:.4g}, {r['base_q3']:.4g}]"
         lines.append(f"  {r['name'] + ' (' + r['better'] + ')':<40}{spread:>34}"
-                     f"{r['head_median']:>13.4g}{change:>9}{r['wins']:>7}/{r['pairs']}")
+                     f"{r['head_median']:>13.4g}{change:>9}{r['wins']:>7}/{r['pairs']:<3}"
+                     f"{r['verdict']:>12}")
     return "\n".join(lines)
 
 
